@@ -78,7 +78,11 @@ def sample_hw(n_r: int, n_t: int, stream: np.random.Generator) -> np.ndarray:
 
 
 def composite_eigs(dt: np.ndarray, dr: np.ndarray, hw: np.ndarray) -> np.ndarray:
-    """Non-increasing eigenvalues of Dr_n H Dt_n H^H for one draw of H."""
+    """Non-increasing eigenvalues of Dr_n H Dt_n H^H for one draw of H.
+
+    Always len(dr) values; when len(dt) < len(dr) the trailing
+    len(dr) - len(dt) of them are exact zeros.
+    """
     dt = np.asarray(dt, dtype=float)
     dr = np.asarray(dr, dtype=float)
     if hw.shape != (dr.size, dt.size):
@@ -87,8 +91,10 @@ def composite_eigs(dt: np.ndarray, dr: np.ndarray, hw: np.ndarray) -> np.ndarray
             f"({dr.size}, {dt.size})"
         )
     a = np.sqrt(dr)[:, None] * hw * np.sqrt(dt)[None, :]
-    eigs = np.linalg.eigvalsh(a @ a.conj().T)
-    eigs = np.sort(eigs)[::-1]
+    # A^H A shares the nonzero spectrum of A A^H; solve the smaller Gram and
+    # pad with the zeros the larger one has
+    gram = a.conj().T @ a if dt.size < dr.size else a @ a.conj().T
+    eigs = np.sort(np.linalg.eigvalsh(gram))[::-1]
     top = max(float(eigs[0]), 0.0)
     floor = -NEGATIVE_CLAMP_REL_COMPOSITE * top
     if eigs[-1] < floor:
@@ -96,7 +102,8 @@ def composite_eigs(dt: np.ndarray, dr: np.ndarray, hw: np.ndarray) -> np.ndarray
             f"composite eigenvalue {eigs[-1]:.3e} below clamp floor {floor:.3e}",
             {"min": float(eigs[-1]), "top": top},
         )
-    return np.where(eigs < 0.0, 0.0, eigs)
+    eigs = np.where(eigs < 0.0, 0.0, eigs)
+    return np.concatenate([eigs, np.zeros(dr.size - eigs.size)])
 
 
 NEGATIVE_CLAMP_REL_COMPOSITE = 1e-10

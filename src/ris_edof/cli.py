@@ -43,6 +43,9 @@ from .spectral_bounds import check_bounds, per_eig_bounds
 OUTPUT_DIR_ENV = "RIS_EDOF_OUT"
 ALLOW_LARGE_MAX_ELEMENTS = 100_000
 QUICK_REALIZATIONS = 100
+# (stop - start) / step within this many steps of a whole number counts as
+# that number, so a stop one float rounding short of the last point keeps it.
+SNR_GRID_TOL = 1e-9
 
 COMMANDS = (
     "corr-eigs",
@@ -122,7 +125,8 @@ class RunConfig:
 
     @property
     def snr_grid_db(self) -> list[float]:
-        count = int(math.floor((self.snr_stop - self.snr_start) / self.snr_step)) + 1
+        steps = (self.snr_stop - self.snr_start) / self.snr_step
+        count = int(math.floor(steps + SNR_GRID_TOL)) + 1
         return [self.snr_start + i * self.snr_step for i in range(count)]
 
     @property
@@ -226,6 +230,10 @@ def parse_config(raw: dict, command: str) -> RunConfig:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad snr_grid_db: {exc}", field="snr_grid_db") from exc
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValidationError(
+            "snr_grid_db values must be finite", field="snr_grid_db"
+        )
     if step <= 0 or stop < start:
         raise ValidationError(
             "snr_grid_db needs step > 0 and stop >= start", field="snr_grid_db"
@@ -324,7 +332,7 @@ def _sweep_rows(profile: EigenvalueProfile, nt_nr: float, config: RunConfig,
                 row.edof.n_s_star,
                 row.edof.n_s_int,
                 dof_ref,
-                row.edof.capacity_at_star,
+                row.edof.capacity_at_int,
                 row.capacity_ref,
                 row.degradation,
             )
@@ -644,7 +652,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, help="JSON run-config file")
         p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--threads", type=int, default=1, help="worker cap")
+        p.add_argument(
+            "--threads", type=int, default=1,
+            help="worker cap (at most the CPU count)",
+        )
         p.add_argument("--out", type=Path, help="output directory")
         p.add_argument(
             "--quick",
@@ -687,7 +698,11 @@ def _run(args: argparse.Namespace) -> int:
         config.seed = args.seed
     if args.quick:
         config.realizations_mode = "quick"
-    config.threads = max(1, args.threads)
+    if args.threads < 1:
+        raise ValidationError(
+            f"threads must be >= 1, got {args.threads}", field="threads"
+        )
+    config.threads = min(args.threads, os.cpu_count() or 1)
     if args.allow_large:
         config.max_elements = ALLOW_LARGE_MAX_ELEMENTS
 

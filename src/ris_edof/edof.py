@@ -11,6 +11,19 @@ over a monotone piecewise-linear interpolant gamma(x); the EDoF is the
 maximizer of h over [1, rank], located by a coarse grid plus golden-section
 refinement (the stationarity condition is necessary but not sufficient, and
 flat spectra put the optimum on the boundary).
+
+The coarse scan screens, then confirms. Every coarse point 1 + j/4 is
+index 4j of the 1/16 quadrature lattice, so one lattice and one evaluation
+of gamma on it serve the whole grid: h at all coarse points comes from one
+blocked numpy pass over rows log1p(a_j * gamma), in blocks of at most
+SCAN_BLOCK_ELEMENTS values. These screened values differ from
+h_and_derivative only by floating-point rounding (a few ulp relative), far
+inside SCREEN_BAND. Every point within the band of the screened maximum is
+re-evaluated with h_and_derivative, and the first maximum among them is
+taken. The true maximum of the exhaustive scan, and any point tied with it,
+always lies inside the band, so this is the index that scanning every point
+with h_and_derivative returns; the bracket, the golden-section search and
+everything after it see the same numbers as that scan.
 """
 
 import math
@@ -29,6 +42,15 @@ GOLDEN_TOL = 1e-6
 # of the implemented h, breaking the 1e-3 consistency contract; 1/16 panels
 # keep every interpolant knot and leave ~8x margin on that contract.
 QUAD_STEP = 0.0625
+# Lattice panels per coarse step: coarse point j sits at lattice index
+# LATTICE_STRIDE * j.
+LATTICE_STRIDE = round(COARSE_STEP / QUAD_STEP)
+# Largest block of the coarse scan, in float64 values (1 MB). Blocks are
+# sized by the full lattice width so no block grows with the rank.
+SCAN_BLOCK_ELEMENTS = 2**17
+# Screened coarse values within SCREEN_BAND * max(|top|, 1) of the screened
+# maximum are re-evaluated exactly.
+SCREEN_BAND = 1e-9
 
 SOURCE_MONTE_CARLO = "monte_carlo"
 SOURCE_ANALYTIC = "analytic_inverse_cdf"
@@ -90,7 +112,7 @@ class EdofResult:
 
     n_s_star: float  # continuous maximizer of h on [1, rank]
     n_s_int: int  # integer subchannel count actually used
-    capacity_at_star: float  # discrete capacity at n_s_int, bits/s/Hz
+    capacity_at_int: float  # discrete capacity at n_s_int, bits/s/Hz
     stationarity_residual: float  # dh/dN_s at n_s_star; ~0 for interior optima
     dof_reference: int | None  # aperture DoF floor(pi Lx Lz), when known
     snr_db: float | None
@@ -121,24 +143,6 @@ def capacity(
         )
     gains = rho * nt_nr * profile.gamma[:n_s] / n_s
     return float(np.sum(np.log2(1.0 + gains)))
-
-
-def capacity_from_samples(
-    eig_samples: np.ndarray, rho: float, nt_nr: float, n_s: int
-) -> float:
-    """Mean over realizations of the per-realization capacity.
-
-    Alternative to plugging the mean profile into the log; the two agree
-    closely when the eigenvalues concentrate, and acceptance runs report
-    both.
-    """
-    samples = np.asarray(eig_samples, dtype=float)
-    if not 1 <= n_s <= samples.shape[1]:
-        raise ValidationError(
-            f"n_s = {n_s} outside [1, {samples.shape[1]}]", field="n_s"
-        )
-    gains = rho * nt_nr * samples[:, :n_s] / n_s
-    return float(np.log2(1.0 + gains).sum(axis=1).mean())
 
 
 def h_and_derivative(
@@ -201,6 +205,50 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _coarse_grid(rank: int) -> np.ndarray:
+    """Coarse scan points 1, 1 + COARSE_STEP, ..., rank."""
+    grid = np.arange(1.0, rank + COARSE_STEP / 2, COARSE_STEP)
+    grid[-1] = min(grid[-1], float(rank))
+    return grid
+
+
+def _coarse_argmax(
+    profile: EigenvalueProfile, rho: float, nt_nr: float, grid: np.ndarray
+) -> int:
+    """Index of the first maximum of h over the coarse grid.
+
+    Screens h at every point in one blocked pass, then confirms the points
+    near the screened maximum with h_and_derivative (see module docstring).
+    """
+    ends = LATTICE_STRIDE * np.arange(grid.size)  # lattice index of each point
+    width = int(ends[-1]) + 1
+    g = profile.gamma_at(1.0 + QUAD_STEP * np.arange(width))
+    a = rho * nt_nr / grid
+    sums = np.empty(grid.size)
+    rows = max(1, SCAN_BLOCK_ELEMENTS // width)
+    for lo in range(0, grid.size, rows):
+        hi = min(lo + rows, grid.size)
+        # every row of the block spans the lattice up to ends[lo]; only the
+        # columns past it are ragged and need a mask
+        prefix = int(ends[lo]) + 1
+        stop = int(ends[hi - 1]) + 1
+        block = a[lo:hi, None] * g[None, :prefix]
+        sums[lo:hi] = np.log1p(block, out=block).sum(axis=1)
+        if stop > prefix:
+            tail = a[lo:hi, None] * g[None, prefix:stop]
+            np.log1p(tail, out=tail)
+            tail[np.arange(prefix, stop)[None, :] > ends[lo:hi, None]] = 0.0
+            sums[lo:hi] += tail.sum(axis=1)
+    # trapezoid: interior nodes weigh 1, the two end nodes 1/2
+    end_nodes = np.log1p(a * g[0]) + np.log1p(a * g[ends])
+    screened = (QUAD_STEP / LN2) * (sums - 0.5 * end_nodes)
+
+    top = float(screened.max())
+    near = np.flatnonzero(screened >= top - SCREEN_BAND * max(abs(top), 1.0))
+    exact = [h_and_derivative(profile, rho, nt_nr, grid[i])[0] for i in near]
+    return int(near[int(np.argmax(exact))])
+
+
 def solve_edof(
     profile: EigenvalueProfile,
     rho: float,
@@ -222,10 +270,8 @@ def solve_edof(
     if rank == 1:
         n_star = 1.0
     else:
-        grid = np.arange(1.0, rank + COARSE_STEP / 2, COARSE_STEP)
-        grid[-1] = min(grid[-1], float(rank))
-        values = np.array([h_of(x) for x in grid])
-        best = int(np.argmax(values))
+        grid = _coarse_grid(rank)
+        best = _coarse_argmax(profile, rho, nt_nr, grid)
         lo = grid[max(best - 1, 0)]
         hi = grid[min(best + 1, grid.size - 1)]
         n_star = _golden_max(h_of, lo, hi, GOLDEN_TOL)
@@ -248,7 +294,7 @@ def solve_edof(
     return EdofResult(
         n_s_star=float(n_star),
         n_s_int=n_int,
-        capacity_at_star=cap,
+        capacity_at_int=cap,
         stationarity_residual=float(residual),
         dof_reference=dof_reference,
         snr_db=snr_db,
@@ -298,7 +344,7 @@ def capacity_degradation(
     ):
         rho = snr_db_to_linear(result.snr_db)
         cap_ref = capacity(profile, rho, nt_nr, n_ref)
-        degradation = 1.0 - cap_ref / result.capacity_at_star
+        degradation = 1.0 - cap_ref / result.capacity_at_int
         rows.append(
             DegradationRow(
                 snr_db=result.snr_db,

@@ -52,6 +52,19 @@ def test_composite_dimension_mismatch():
         composite_eigs(np.ones(3) / 3, np.ones(3) / 3, hw)
 
 
+def test_rectangular_draw_uses_smaller_gram():
+    dt = geometry_spectrum(RisGeometry(1.5, 1.5, 0.5, 0.5))  # 16 elements
+    dr = geometry_spectrum(SMALL)  # 49 elements
+    hw = sample_hw(dr.size, dt.size, realization_stream(5, 1))
+    eigs = composite_eigs(dt, dr, hw)
+    a = np.sqrt(dr)[:, None] * hw * np.sqrt(dt)[None, :]
+    full = np.sort(np.linalg.eigvalsh(a @ a.conj().T))[::-1]
+    assert eigs.shape == (dr.size,)
+    assert np.max(np.abs(eigs - full)) <= 1e-12 * full[0]
+    assert np.all(eigs[dt.size:] == 0.0)
+    assert np.all(np.diff(eigs) <= 0)
+
+
 def test_trace_identity_per_realization():
     dt = geometry_spectrum(SMALL)
     dr = dt

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -50,6 +51,53 @@ def test_parse_config_defaults():
     assert config.seed == 42
     assert config.snr_grid_db == [-10.0 + 5.0 * i for i in range(11)]
     assert config.geometry_t.n == 625
+
+
+def test_snr_grid_keeps_endpoint_lost_to_rounding():
+    config = parse_config({"snr_grid_db": [0, 0.3, 0.1]}, "edof-sweep")
+    assert config.snr_grid_db == [0.1 * i for i in range(4)]
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_snr_grid_exits_2(tmp_path, capsys, index, value):
+    grid = [-10.0, 10.0, 10.0]
+    grid[index] = value
+    cfg = write_config(tmp_path, dict(TINY, snr_grid_db=grid))
+    code = main(["edof-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == "snr_grid_db"
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path, TINY)
+    code = main(
+        ["corr-eigs", "--config", str(cfg), "--out", str(tmp_path / "o"),
+         "--threads", str(threads)]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == "threads"
+
+
+def test_threads_capped_at_cpu_count(tmp_path):
+    # two realizations bound the worker count whatever the cap does
+    payload = {
+        "geometry_t": {"len_x": 0.5, "len_z": 0.5, "spacing_x": 0.5, "spacing_z": 0.5},
+        "realizations": 2,
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    cpus = os.cpu_count() or 1
+    code = main(
+        ["channel-eigs", "--config", str(cfg), "--out", str(out),
+         "--threads", str(cpus + 5)]
+    )
+    assert code == 0
+    manifest = json.loads((out / "channel_eigs_manifest.json").read_text())
+    assert manifest["config"]["threads"] == cpus
 
 
 def test_corr_eigs_outputs_and_determinism(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ris_edof import edof
 from ris_edof.channel_mc import ensemble_stats, run_ensemble
 from ris_edof.edof import (
     EigenvalueProfile,
@@ -146,14 +147,14 @@ def test_solver_matches_brute_force():
             result = solve_edof(profile, rho, nt_nr)
             best_n, best_cap = brute_force_argmax(profile, rho, nt_nr)
             assert abs(result.n_s_int - best_n) <= 1
-            assert result.capacity_at_star == pytest.approx(best_cap, rel=1e-9)
+            assert result.capacity_at_int == pytest.approx(best_cap, rel=1e-9)
 
 
 def test_solver_reports_small_interior_residual():
     profile = synthetic_profile(50, seed=12, decay=6.0)
     result = solve_edof(profile, snr_db_to_linear(10.0), 2500.0)
     if 1.25 < result.n_s_star < profile.rank - 0.25:
-        h_scale = max(abs(result.capacity_at_star), 1.0)
+        h_scale = max(abs(result.capacity_at_int), 1.0)
         assert abs(result.stationarity_residual) < 1e-3 * h_scale
 
 
@@ -224,3 +225,52 @@ def test_normalized_curve_peaks_at_brute_force_argmax(small_mc_profile):
     assert normalized.max() == pytest.approx(1.0)
     best_n, _ = brute_force_argmax(profile, rho, nt_nr)
     assert counts[int(np.argmax(normalized))] == best_n
+
+
+# --- coarse scan: blocked screen + exact confirmation vs the exhaustive scan
+
+SCAN_SNRS_DB = (-10.0, 0.0, 10.0, 20.0, 40.0)
+
+
+def scan_profiles(small_mc_profile):
+    geom, mc_profile = small_mc_profile
+    profiles = [
+        (synthetic_profile(rank, seed=rank), 900.0) for rank in (2, 3, 17, 64, 150)
+    ]
+    profiles.append((step_profile(m=10, total=20), 400.0))
+    profiles.append((EigenvalueProfile.from_values(np.full(25, 1.0 / 25)), 625.0))
+    profiles.append((mc_profile, float(geom.n) ** 2))
+    return profiles
+
+
+def ragged_block_limit(profile):
+    # fewest rows per block (>= 2) that leave a shorter last block
+    points = edof.LATTICE_STRIDE * (profile.rank - 1) + 1
+    width = edof.LATTICE_STRIDE * (points - 1) + 1
+    rows = next(k for k in range(2, points + 1) if points % k)
+    return rows * width
+
+
+@pytest.mark.parametrize("blocks", ["default", "one-row", "ragged"])
+def test_coarse_scan_matches_exhaustive_scan(small_mc_profile, monkeypatch, blocks):
+    for profile, nt_nr in scan_profiles(small_mc_profile):
+        if blocks == "one-row":
+            monkeypatch.setattr(edof, "SCAN_BLOCK_ELEMENTS", 1)
+        elif blocks == "ragged":
+            monkeypatch.setattr(
+                edof, "SCAN_BLOCK_ELEMENTS", ragged_block_limit(profile)
+            )
+        grid = edof._coarse_grid(profile.rank)
+        for snr_db in SCAN_SNRS_DB:
+            rho = snr_db_to_linear(snr_db)
+            oracle = [h_and_derivative(profile, rho, nt_nr, x)[0] for x in grid]
+            best = int(np.argmax(oracle))
+            assert edof._coarse_argmax(profile, rho, nt_nr, grid) == best
+
+            def h_of(x):
+                return h_and_derivative(profile, rho, nt_nr, x)[0]
+
+            lo = grid[max(best - 1, 0)]
+            hi = grid[min(best + 1, grid.size - 1)]
+            n_star = edof._golden_max(h_of, lo, hi, edof.GOLDEN_TOL)
+            assert solve_edof(profile, rho, nt_nr).n_s_star == n_star
