@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import (
-    DEFAULT_MAX_ELEMENTS,
-    build_correlation,
-    eigen_decompose,
-    effective_rank,
-    normalized_spectrum,
-)
+from .correlation import DEFAULT_MAX_ELEMENTS, effective_rank, geometry_spectrum
 from .errors import NumericError, ValidationError
 from .geometry import RisGeometry
 
@@ -175,13 +169,11 @@ def run_ensemble(
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> ChannelEnsemble:
     """Build both correlation spectra and run the Monte Carlo ensemble."""
-    corr_t = build_correlation(geom_t, max_elements=max_elements)
-    dt = normalized_spectrum(eigen_decompose(corr_t), geom_t.n)
+    dt = geometry_spectrum(geom_t, max_elements=max_elements)
     if geom_r == geom_t:
         dr = dt
     else:
-        corr_r = build_correlation(geom_r, max_elements=max_elements)
-        dr = normalized_spectrum(eigen_decompose(corr_r), geom_r.n)
+        dr = geometry_spectrum(geom_r, max_elements=max_elements)
     return ensemble_from_spectra(
         dt, dr, realizations, seed, threads=threads, rank_tol=rank_tol
     )

@@ -46,6 +46,10 @@ QUICK_REALIZATIONS = 100
 # (stop - start) / step within this many steps of a whole number counts as
 # that number, so a stop one float rounding short of the last point keeps it.
 SNR_GRID_TOL = 1e-9
+# SNR values in dB must lie within +-SNR_DB_LIMIT (linear 1e-10 to 1e10, far
+# beyond any physical link). Near +3080 dB the dB -> linear conversion
+# overflows, and below about -160 dB every capacity rounds to 0.
+SNR_DB_LIMIT = 100.0
 
 COMMANDS = (
     "corr-eigs",
@@ -188,6 +192,42 @@ def _parse_geometry(block, where: str) -> RisGeometry:
     )
 
 
+def _option_number(options: dict, key: str) -> float:
+    value = options[key]
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+    ):
+        raise ValidationError(
+            f"options.{key} must be a finite number, got {value!r}",
+            field=f"options.{key}",
+        )
+    return float(value)
+
+
+def _check_options(options: dict) -> None:
+    """Type and range checks for the per-command options."""
+    if "slack" in options and _option_number(options, "slack") < 0:
+        raise ValidationError(
+            f"options.slack must be >= 0, got {options['slack']!r}",
+            field="options.slack",
+        )
+    if "points" in options:
+        points = options["points"]
+        if not isinstance(points, int) or isinstance(points, bool) or points < 2:
+            raise ValidationError(
+                f"options.points must be an integer >= 2, got {points!r}",
+                field="options.points",
+            )
+    if "snr_db" in options and abs(_option_number(options, "snr_db")) > SNR_DB_LIMIT:
+        raise ValidationError(
+            f"options.snr_db must lie within [-{SNR_DB_LIMIT:g}, "
+            f"{SNR_DB_LIMIT:g}] dB, got {options['snr_db']!r}",
+            field="options.snr_db",
+        )
+
+
 def parse_config(raw: dict, command: str) -> RunConfig:
     """Strictly parse a config dict; unknown keys are rejected by name."""
     if not isinstance(raw, dict):
@@ -238,6 +278,12 @@ def parse_config(raw: dict, command: str) -> RunConfig:
         raise ValidationError(
             "snr_grid_db needs step > 0 and stop >= start", field="snr_grid_db"
         )
+    if max(abs(start), abs(stop)) > SNR_DB_LIMIT:
+        raise ValidationError(
+            f"snr_grid_db values must lie within [-{SNR_DB_LIMIT:g}, "
+            f"{SNR_DB_LIMIT:g}] dB",
+            field="snr_grid_db",
+        )
 
     mode = raw.get("realizations_mode", "full")
     if mode not in ("full", "quick"):
@@ -250,6 +296,7 @@ def parse_config(raw: dict, command: str) -> RunConfig:
     if not isinstance(options, dict):
         raise ValidationError("options must be an object", field="options")
     _check_keys(options, _OPTION_KEYS.get(command, set()), "options")
+    _check_options(options)
 
     return RunConfig(
         geometry_t=geometry_t,
@@ -495,7 +542,7 @@ def _resolve_columns(column: str | None, scaled: bool) -> list[str]:
     if column in SCALED_ONLY_COLUMNS and not scaled:
         raise SizeGuardError(
             f"column {column!r} at the {FULL_APERTURE:g}-wavelength aperture is "
-            "beyond desk scale (dense eigendecomposition of tens of thousands "
+            "beyond desk scale (eigendecomposition of tens of thousands "
             "of elements); pass --scaled to run the "
             f"{SCALED_APERTURE:g}-wavelength-aperture alternative instead"
         )
@@ -523,6 +570,8 @@ def cmd_reproduce(
         )
 
     outputs: list[Path] = []
+    # the geometry each column ran, for both panels
+    geometries: dict[str, dict] = {}
 
     def _columns():
         cols = _resolve_columns(column, scaled)
@@ -533,6 +582,7 @@ def cmd_reproduce(
     if target in ("table1", "fig3"):
         for col in _columns():
             geom = _reproduce_geometry(col, scaled and col in SCALED_ONLY_COLUMNS)
+            geometries[col] = _geometry_dict(geom)
             values = geometry_spectrum(geom, max_elements=config.max_elements)
             path = out_dir / f"{target}_{col}.csv"
             write_csv(path, ["k", "alpha_normalized"], _spectrum_rows(values))
@@ -540,6 +590,7 @@ def cmd_reproduce(
     elif target in ("table2", "fig6"):
         for col in _columns():
             geom = _reproduce_geometry(col, scaled and col in SCALED_ONLY_COLUMNS)
+            geometries[col] = _geometry_dict(geom)
             ensemble = run_ensemble(
                 geom,
                 geom,
@@ -570,6 +621,7 @@ def cmd_reproduce(
             outputs.append(path)
     elif target == "fig7":
         geom = _reproduce_geometry("quarter-lambda", False)
+        geometries["quarter-lambda"] = _geometry_dict(geom)
         ensemble = run_ensemble(
             geom,
             geom,
@@ -610,6 +662,7 @@ def cmd_reproduce(
                 geom = _reproduce_geometry(col, True)
             else:
                 geom = RisGeometry(aperture, aperture, spacing_x, spacing_z)
+            geometries[col] = _geometry_dict(geom)
             ensemble = run_ensemble(
                 geom,
                 geom,
@@ -628,13 +681,25 @@ def cmd_reproduce(
             )
             outputs.append(path)
 
+    # reproduce ignores the config's geometry_t/geometry_r
+    described = {
+        key: value
+        for key, value in config.describe().items()
+        if key not in ("geometry_t", "geometry_r")
+    }
     write_manifest(
         out_dir / f"reproduce_{target}_manifest.json",
         "reproduce",
         config,
         outputs,
         started,
-        extra={"target": target, "column": column, "scaled": scaled},
+        extra={
+            "config": described,
+            "target": target,
+            "column": column,
+            "scaled": scaled,
+            "geometries": geometries,
+        },
     )
     return 0
 
@@ -665,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--allow-large",
             action="store_true",
-            help="lift the dense-size guard / enable large-aperture targets",
+            help="lift the element-count guard / enable large-aperture targets",
         )
         p.add_argument(
             "--scaled",
@@ -735,11 +800,14 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def _emit_error(kind: str, exit_code: int, exc: Exception) -> int:
+    message = str(exc)
+    if kind == "internal":
+        message = f"{type(exc).__name__}: {message}"
     payload = {
         "error": {
             "kind": kind,
             "exit_code": exit_code,
-            "message": str(exc),
+            "message": message,
         }
     }
     field_name = getattr(exc, "field", None)
@@ -759,6 +827,8 @@ def main(argv=None) -> int:
         return _emit_error("size_guard", 3, exc)
     except NumericError as exc:
         return _emit_error("numeric", 4, exc)
+    except Exception as exc:
+        return _emit_error("internal", 1, exc)
 
 
 if __name__ == "__main__":

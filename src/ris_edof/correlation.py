@@ -5,6 +5,24 @@ distances in wavelengths, sinc(x) = sin(pi x) / (pi x). The matrix is a
 positive semi-definite kernel with unit diagonal, so trace(R/N) = 1 for
 every geometry; everything downstream consumes the normalized spectrum
 values(R)/N, which therefore sums to 1.
+
+R is never formed. On the regular n_x x n_z lattice, entry ((a, b), (a', b'))
+depends only on the offset (|a - a'|, |b - b'|), so the whole matrix is the
+n_x x n_z offset table f[a, b] = sinc(2 * hypot(a * dx, b * dz)). The lattice
+is also invariant under the reflections a -> n_x - 1 - a and b -> n_z - 1 - b,
+so R commutes with both and splits exactly into four blocks, one per pair of
+axis parities (p_x, p_z) in {+1, -1}^2. On one axis the parity-p subspace is
+spanned by c * (e_a + p * e_(n-1-a)) for a <= n-1-a, with c = 1/sqrt(2) for a
+mirrored pair and c = 1/2 for the centre of an odd axis (which appears only
+for p = +1). Block entry ((a, b), (a', b')) is then
+
+    s_ab * s_a'b' * [ f(|a-a'|, |b-b'|) + p_x * f(|a+a'-(n_x-1)|, |b-b'|)
+                      + p_z * f(|a-a'|, |b+b'-(n_z-1)|)
+                      + p_x * p_z * f(|a+a'-(n_x-1)|, |b+b'-(n_z-1)|) ]
+
+with s = 2 * c_x * c_z, gathered from the table by integer offsets. The
+blocks have about N/4 rows each, and the spectrum of R is the union of
+their spectra.
 """
 
 from dataclasses import dataclass
@@ -12,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, SizeGuardError, ValidationError
-from .geometry import RisGeometry, element_coordinates
+from .geometry import RisGeometry
 
 # Eigenvalues of R more negative than NEGATIVE_CLAMP_REL * alpha_1 indicate a
 # broken matrix rather than rounding noise and are treated as an error.
@@ -20,19 +38,28 @@ NEGATIVE_CLAMP_REL = 1e-10
 
 DEFAULT_MAX_ELEMENTS = 10_000
 
+PARITIES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
 
 @dataclass
 class CorrelationMatrix:
-    """Dense real symmetric correlation matrix with unit diagonal."""
+    """Real symmetric correlation matrix of order dim, held as diagonal
+    blocks whose spectra together are its spectrum (the parity blocks of
+    build_correlation, or a single dense block)."""
 
     dim: int
-    entries: np.ndarray
+    blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.entries.shape != (self.dim, self.dim):
+        for block in self.blocks:
+            if block.ndim != 2 or block.shape[0] != block.shape[1]:
+                raise ValidationError(
+                    f"block shape {block.shape} is not square", field="blocks"
+                )
+        total = sum(block.shape[0] for block in self.blocks)
+        if total != self.dim:
             raise ValidationError(
-                f"entries shape {self.entries.shape} does not match dim {self.dim}",
-                field="entries",
+                f"block orders sum to {total}, not dim {self.dim}", field="blocks"
             )
 
 
@@ -47,58 +74,90 @@ class Spectrum:
     values: np.ndarray
     trace_in: float
     min_raw_value: float
-    vectors: np.ndarray | None = None
+
+
+def offset_table(geom: RisGeometry) -> np.ndarray:
+    """Correlation f[a, b] between elements a steps apart along x and b
+    along z, for every lattice offset; f[0, 0] = 1."""
+    dx = np.arange(geom.n_x) * geom.spacing_x
+    dz = np.arange(geom.n_z) * geom.spacing_z
+    return np.sinc(2.0 * np.hypot(dx[:, None], dz[None, :]))
+
+
+def _axis_parity(n: int, parity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Representatives of one axis's parity subspace: the weights
+    sqrt(2) * c (1 for a mirrored pair, 1/sqrt(2) for an odd axis's centre)
+    and the direct and mirrored offset tables |a - a'| and |a + a' - (n-1)|."""
+    count = (n + 1) // 2 if parity > 0 else n // 2
+    reps = np.arange(count)
+    weights = np.ones(count)
+    if parity > 0 and n % 2:
+        weights[-1] = np.sqrt(0.5)
+    direct = np.abs(reps[:, None] - reps[None, :])
+    mirrored = np.abs(reps[:, None] + reps[None, :] - (n - 1))
+    return weights, direct, mirrored
+
+
+def _parity_block(table: np.ndarray, p_x: int, p_z: int) -> np.ndarray:
+    n_x, n_z = table.shape
+    w_x, direct_x, mirror_x = _axis_parity(n_x, p_x)
+    w_z, direct_z, mirror_z = _axis_parity(n_z, p_z)
+    # x offsets index the (row, col) x-components of the block and z offsets
+    # its z-components, giving shape (m_x, m_z, m_x, m_z)
+    dx, mx = direct_x[:, None, :, None], mirror_x[:, None, :, None]
+    dz, mz = direct_z[None, :, None, :], mirror_z[None, :, None, :]
+    block = table[dx, dz]
+    block += (p_x * table)[mx, dz]
+    block += (p_z * table)[dx, mz]
+    block += (p_x * p_z * table)[mx, mz]
+    m = w_x.size * w_z.size
+    block = block.reshape(m, m)
+    s = (w_x[:, None] * w_z[None, :]).ravel()
+    # the outer product is symmetric bit for bit, so the block stays exactly
+    # symmetric
+    block *= s[:, None] * s[None, :]
+    return block
 
 
 def build_correlation(
     geom: RisGeometry, *, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> CorrelationMatrix:
-    """Sinc correlation matrix for all element pairs of a geometry."""
+    """Sinc correlation matrix of a geometry as its four parity blocks."""
     n = geom.n
     if n > max_elements:
         raise SizeGuardError(
-            f"geometry has {n} elements, above the dense-storage guard of "
+            f"geometry has {n} elements, above the size guard of "
             f"{max_elements}; pass a larger max_elements (CLI: --allow-large) "
             "to override"
         )
-    coords = element_coordinates(geom)
-    gram = coords @ coords.T
-    sq = np.diag(gram).copy()
-    dist_sq = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
-    entries = np.sinc(2.0 * np.sqrt(dist_sq))
-    # gemm output is symmetric only to rounding; the contract is exact.
-    entries = 0.5 * (entries + entries.T)
-    np.fill_diagonal(entries, 1.0)
-    return CorrelationMatrix(dim=n, entries=entries)
+    table = offset_table(geom)
+    blocks = tuple(_parity_block(table, p_x, p_z) for p_x, p_z in PARITIES)
+    return CorrelationMatrix(dim=n, blocks=blocks)
 
 
-def eigen_decompose(corr: CorrelationMatrix, keep_vectors: bool = False) -> Spectrum:
-    """Full spectral decomposition with non-increasing eigenvalue order.
+def eigen_decompose(corr: CorrelationMatrix) -> Spectrum:
+    """All eigenvalues, merged over the blocks, in non-increasing order.
 
     Small negative eigenvalues (rounding noise from the PSD kernel) are
     clamped to zero; anything below -NEGATIVE_CLAMP_REL * alpha_1 raises.
     """
-    matrix = corr.entries
-    try:
-        if keep_vectors:
-            raw, vecs = np.linalg.eigh(matrix)
-        else:
-            raw = np.linalg.eigvalsh(matrix)
-            vecs = None
-    except np.linalg.LinAlgError as exc:
-        diag = {
-            "dim": corr.dim,
-            "fro_norm": float(np.linalg.norm(matrix)),
-            "max_abs_entry": float(np.max(np.abs(matrix))),
-        }
-        raise NumericError(f"eigensolver failed to converge: {exc}", diag) from exc
+    parts = []
+    for block in corr.blocks:
+        try:
+            parts.append(np.linalg.eigvalsh(block))
+        except np.linalg.LinAlgError as exc:
+            diag = {
+                "dim": corr.dim,
+                "block_dim": block.shape[0],
+                "fro_norm": float(np.linalg.norm(block)),
+                "max_abs_entry": float(np.max(np.abs(block))),
+            }
+            raise NumericError(
+                f"eigensolver failed to converge: {exc}", diag
+            ) from exc
 
-    order = np.argsort(raw)[::-1]
-    values = raw[order].astype(float)
-    if vecs is not None:
-        vecs = vecs[:, order]
-
-    trace_in = float(np.trace(matrix))
+    values = np.sort(np.concatenate(parts))[::-1]
+    trace_in = float(sum(np.trace(block) for block in corr.blocks))
     min_raw = float(values[-1])
     alpha_1 = float(values[0])
     clamp_floor = -NEGATIVE_CLAMP_REL * max(alpha_1, 0.0)
@@ -117,19 +176,7 @@ def eigen_decompose(corr: CorrelationMatrix, keep_vectors: bool = False) -> Spec
             {"sum": total, "trace": trace_in},
         )
 
-    if vecs is not None:
-        residual = np.max(
-            np.linalg.norm(matrix @ vecs - vecs * values[None, :], axis=0)
-        )
-        if residual > 1e-8 * alpha_1:
-            raise NumericError(
-                f"eigenvector residual {residual:.3e} exceeds 1e-8 * alpha_1",
-                {"residual": float(residual), "alpha_1": alpha_1},
-            )
-
-    return Spectrum(
-        values=values, trace_in=trace_in, min_raw_value=min_raw, vectors=vecs
-    )
+    return Spectrum(values=values, trace_in=trace_in, min_raw_value=min_raw)
 
 
 def normalized_spectrum(spec: Spectrum, n: int) -> np.ndarray:
@@ -164,6 +211,6 @@ def effective_rank(values: np.ndarray, rel_tol: float) -> int:
 def geometry_spectrum(
     geom: RisGeometry, *, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> np.ndarray:
-    """Convenience: normalized correlation spectrum of a geometry."""
+    """Normalized correlation spectrum of a geometry (sums to 1)."""
     corr = build_correlation(geom, max_elements=max_elements)
     return normalized_spectrum(eigen_decompose(corr), geom.n)

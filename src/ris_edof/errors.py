@@ -19,7 +19,7 @@ class ValidationError(RisEdofError, ValueError):
 
 
 class SizeGuardError(RisEdofError):
-    """Problem size exceeds the configured dense-computation guard."""
+    """Problem size exceeds the configured element-count guard."""
 
 
 class NumericError(RisEdofError):

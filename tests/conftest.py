@@ -1,23 +1,15 @@
-"""Shared fixtures. The session-scoped ones cache the expensive spectra and
-Monte Carlo ensembles that several test modules (and the acceptance gate)
-consume."""
-
-import time
+"""Shared fixtures. The session-scoped ones cache the flagship spectra that
+several test modules consume."""
 
 import numpy as np
 import pytest
 
-from ris_edof.channel_mc import run_ensemble
 from ris_edof.correlation import geometry_spectrum
 from ris_edof.geometry import RisGeometry
 
 HALF = RisGeometry(12.0, 12.0, 0.5, 0.5)
 THIRD = RisGeometry(12.0, 12.0, 1.0 / 3.0, 0.5)
 QUARTER = RisGeometry(12.0, 12.0, 0.25, 0.25)
-
-# wall-clock seconds for the expensive fixture builds, keyed by name; the
-# acceptance gate checks these against the stated runtime budgets
-BUILD_SECONDS: dict[str, float] = {}
 
 
 @pytest.fixture(scope="session")
@@ -33,23 +25,3 @@ def third_spectrum() -> np.ndarray:
 @pytest.fixture(scope="session")
 def quarter_spectrum() -> np.ndarray:
     return geometry_spectrum(QUARTER)
-
-
-@pytest.fixture(scope="session")
-def table2_ensemble():
-    """Flagship ensemble: half-wavelength spacing both ends, 1000 draws."""
-    start = time.perf_counter()
-    ensemble = run_ensemble(HALF, HALF, realizations=1000, seed=42)
-    BUILD_SECONDS["table2"] = time.perf_counter() - start
-    return ensemble
-
-
-@pytest.fixture(scope="session")
-def table2_ensemble_quick():
-    return run_ensemble(HALF, HALF, realizations=100, seed=42)
-
-
-@pytest.fixture(scope="session")
-def quarter_ensemble_quick():
-    """Quarter-wavelength spacing both ends; 100 draws feed the EDoF sweeps."""
-    return run_ensemble(QUARTER, QUARTER, realizations=100, seed=42)

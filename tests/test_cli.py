@@ -281,3 +281,66 @@ def test_reproduce_table1_half_lambda(tmp_path):
     assert values[600] == pytest.approx(1.24e-8, rel=0.05)
     manifest = json.loads((out / "reproduce_table1_manifest.json").read_text())
     assert manifest["target"] == "table1"
+
+
+@pytest.mark.parametrize("grid", [[4000, 4000, 1], [-10, 4000, 10], [-4000, 0, 10]])
+def test_out_of_range_snr_grid_exits_2(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path, dict(TINY, snr_grid_db=grid))
+    code = main(["edof-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == "snr_grid_db"
+
+
+@pytest.mark.parametrize(
+    "command, options, field",
+    [
+        ("capacity-curve", {"snr_db": 4000}, "options.snr_db"),
+        ("capacity-curve", {"snr_db": "10"}, "options.snr_db"),
+        ("bounds-audit", {"slack": "abc"}, "options.slack"),
+        ("bounds-audit", {"slack": -0.1}, "options.slack"),
+        ("cdf", {"points": 0}, "options.points"),
+        ("cdf", {"points": 2.5}, "options.points"),
+    ],
+)
+def test_bad_option_exits_2_naming_field(tmp_path, capsys, command, options, field):
+    cfg = write_config(tmp_path, dict(TINY, options=options))
+    out = tmp_path / "o"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "validation"
+    assert err["error"]["field"] == field
+    assert not any(out.glob("*.csv"))
+
+
+def test_unexpected_exception_exits_1_with_json(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("ris_edof.cli.cmd_corr_eigs", broken)
+    cfg = write_config(tmp_path, TINY)
+    code = main(["corr-eigs", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "internal"
+    assert err["error"]["exit_code"] == 1
+    assert "RuntimeError" in err["error"]["message"]
+    assert "boom" in err["error"]["message"]
+
+
+def test_reproduce_manifest_records_column_geometry(tmp_path):
+    out = tmp_path / "o"
+    code = main(
+        ["reproduce", "--target", "table1", "--column", "quarter-lambda",
+         "--out", str(out)]
+    )
+    assert code == 0
+    manifest = json.loads((out / "reproduce_table1_manifest.json").read_text())
+    assert manifest["geometries"] == {
+        "quarter-lambda": {
+            "len_x": 12.0, "len_z": 12.0, "spacing_x": 0.25, "spacing_z": 0.25
+        }
+    }
+    assert "geometry_t" not in manifest["config"]
+    assert "geometry_r" not in manifest["config"]

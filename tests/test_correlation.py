@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ris_edof.correlation import (
     CorrelationMatrix,
@@ -10,9 +13,10 @@ from ris_edof.correlation import (
     eigen_decompose,
     geometry_spectrum,
     normalized_spectrum,
+    offset_table,
 )
 from ris_edof.errors import NumericError, SizeGuardError, ValidationError
-from ris_edof.geometry import RisGeometry
+from ris_edof.geometry import RisGeometry, element_coordinates
 
 # Reference spot values for the flagship 12x12-wavelength aperture, rounded
 # to 5 decimals (absolute 2e-5 window) or quoted loosely for the tail.
@@ -20,22 +24,40 @@ HALF_LAMBDA_SPOTS = {1: 0.00679, 50: 0.00380, 500: 0.00104}
 HALF_LAMBDA_TAIL = {600: 1.24e-8}
 
 
+def dense_correlation(geom: RisGeometry) -> np.ndarray:
+    """Independent oracle: the full N x N sinc matrix from element
+    coordinates, with no use of the lattice structure."""
+    coords = element_coordinates(geom)
+    dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
+    return np.sinc(2.0 * dist)
+
+
+def dense_spectrum(geom: RisGeometry) -> np.ndarray:
+    return np.sort(np.linalg.eigvalsh(dense_correlation(geom)))[::-1] / geom.n
+
+
 def test_half_wavelength_pair_is_uncorrelated():
-    corr = build_correlation(RisGeometry(0.5, 0.5, 0.5, 0.5))
-    # elements 0 and 2 sit 0.5 wavelengths apart along x
-    assert abs(corr.entries[0, 2]) < 1e-15
+    # neighbours 0.5 wavelengths apart along x
+    table = offset_table(RisGeometry(0.5, 0.5, 0.5, 0.5))
+    assert abs(table[1, 0]) < 1e-15
 
 
 def test_quarter_wavelength_pair_value():
-    corr = build_correlation(RisGeometry(0.25, 0.25, 0.25, 0.25))
-    assert corr.entries[0, 2] == pytest.approx(2.0 / math.pi, rel=1e-12)
+    table = offset_table(RisGeometry(0.25, 0.25, 0.25, 0.25))
+    assert table[1, 0] == pytest.approx(2.0 / math.pi, rel=1e-12)
 
 
 def test_diagonal_is_exactly_one_and_symmetric():
-    corr = build_correlation(RisGeometry(3, 2, 0.5, 0.25))
-    assert np.all(np.diag(corr.entries) == 1.0)
-    assert np.array_equal(corr.entries, corr.entries.T)
-    assert np.all(np.abs(corr.entries) <= 1.0)
+    geom = RisGeometry(3, 2, 0.5, 0.25)
+    table = offset_table(geom)
+    assert table[0, 0] == 1.0
+    assert np.all(np.abs(table) <= 1.0)
+    corr = build_correlation(geom)
+    assert [b.shape[0] for b in corr.blocks] == [4 * 5, 4 * 4, 3 * 5, 3 * 4]
+    for block in corr.blocks:
+        assert np.array_equal(block, block.T)
+    trace = sum(np.trace(block) for block in corr.blocks)
+    assert trace == pytest.approx(geom.n, rel=1e-14)
 
 
 def test_size_guard_names_override():
@@ -46,12 +68,12 @@ def test_size_guard_names_override():
 
 
 def test_single_element_matrix():
-    spec = eigen_decompose(CorrelationMatrix(1, np.eye(1)))
+    spec = eigen_decompose(CorrelationMatrix(1, (np.eye(1),)))
     assert np.array_equal(spec.values, [1.0])
 
 
 def test_identity_matrix_normalizes_to_quarter():
-    spec = eigen_decompose(CorrelationMatrix(4, np.eye(4)))
+    spec = eigen_decompose(CorrelationMatrix(4, (np.eye(3), np.eye(1))))
     assert np.allclose(normalized_spectrum(spec, 4), 0.25)
 
 
@@ -78,33 +100,66 @@ def test_trace_matches_sum():
     assert spec.values.sum() == pytest.approx(spec.trace_in, rel=1e-10)
 
 
-def test_eigenvectors_orthonormal_with_small_residual():
-    corr = build_correlation(RisGeometry(3, 3, 0.5, 0.5))
-    spec = eigen_decompose(corr, keep_vectors=True)
-    v = spec.vectors
-    assert np.allclose(v.T @ v, np.eye(corr.dim), atol=1e-12)
-    residual = np.linalg.norm(
-        corr.entries @ v - v * spec.values[None, :], axis=0
-    ).max()
-    assert residual <= 1e-8 * spec.values[0]
-
-
 def test_non_psd_matrix_rejected():
     entries = np.array(
         [[1.0, 0.9, 0.0], [0.9, 1.0, 0.9], [0.0, 0.9, 1.0]]
     )
     with pytest.raises(NumericError, match="clamp floor"):
-        eigen_decompose(CorrelationMatrix(3, entries))
+        eigen_decompose(CorrelationMatrix(3, (entries,)))
+
+
+def test_block_orders_must_sum_to_dim():
+    with pytest.raises(ValidationError, match="dim"):
+        CorrelationMatrix(3, (np.eye(2),))
 
 
 def test_spectrum_invariant_under_relabeling():
-    corr = build_correlation(RisGeometry(2, 2, 0.5, 0.5))
+    geom = RisGeometry(2, 2, 0.5, 0.5)
+    dense = dense_correlation(geom)
     rng = np.random.default_rng(3)
-    perm = rng.permutation(corr.dim)
-    permuted = CorrelationMatrix(corr.dim, corr.entries[np.ix_(perm, perm)])
-    a = eigen_decompose(corr).values
+    perm = rng.permutation(geom.n)
+    permuted = CorrelationMatrix(geom.n, (dense[np.ix_(perm, perm)],))
+    a = eigen_decompose(build_correlation(geom)).values
     b = eigen_decompose(permuted).values
     assert np.allclose(a, b, rtol=0, atol=1e-9 * a[0])
+
+
+@settings(max_examples=40, deadline=None)
+@example(n_x=2, n_z=2, spacing_x=0.4, spacing_z=0.3)
+@example(n_x=2, n_z=11, spacing_x=0.4, spacing_z=0.3)
+@example(n_x=12, n_z=2, spacing_x=0.25, spacing_z=0.5)
+@example(n_x=3, n_z=8, spacing_x=1.0, spacing_z=0.05)
+@given(
+    n_x=st.integers(2, 12),
+    n_z=st.integers(2, 12),
+    spacing_x=st.floats(0.05, 1.0),
+    spacing_z=st.floats(0.05, 1.0),
+)
+def test_blocked_spectrum_matches_dense_oracle(n_x, n_z, spacing_x, spacing_z):
+    geom = RisGeometry(
+        (n_x - 1) * spacing_x, (n_z - 1) * spacing_z, spacing_x, spacing_z
+    )
+    assert (geom.n_x, geom.n_z) == (n_x, n_z)
+    blocked = geometry_spectrum(geom)
+    dense = dense_spectrum(geom)
+    deviation = np.max(np.abs(blocked - dense))
+    assert deviation <= 1e-12 * dense[0]
+    # a value within the measured deviation of the rank threshold may land
+    # on either side of it; otherwise the ranks must agree
+    if np.all(np.abs(dense - 1e-12 * dense[0]) > 2 * deviation):
+        assert effective_rank(blocked, 1e-12) == effective_rank(dense, 1e-12)
+
+
+def test_spectrum_peak_memory_below_half_dense_matrix():
+    geom = RisGeometry(8.5, 8.5, 0.25, 0.25)  # 35 x 35 = 1225 elements
+    dense_bytes = 8 * geom.n**2
+    tracemalloc.start()
+    try:
+        geometry_spectrum(geom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 2
 
 
 def test_effective_rank_examples():
