@@ -21,15 +21,14 @@ The raw expression spans [0, 1/N] rather than [0, 1], so the returned CDF is
 affinely renormalized by its values at a -> 0 and a -> infinity. Determinant
 evaluation cancels through roughly N(N-1)/2 * |log10(a * x)| digits near both
 ends of the support, far beyond double precision for N >= 4, so the kernel
-determinants are evaluated with mpmath at an adaptively chosen precision;
-scalar building blocks (factorials, powers, Vandermonde products) are exposed
-in sign/log form.
+determinants and the Vandermonde factors are evaluated with mpmath at an
+adaptively chosen precision.
 """
 
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -49,80 +48,6 @@ JITTER_SEED = 181537
 # Endpoint evaluation points, as multiples of max(dr) * max(dt).
 TINY_ALPHA_FACTOR = 1e-8
 HUGE_ALPHA_FACTOR = 1e6
-
-
-class SignedLog(NamedTuple):
-    """A real number stored as (sign, log of absolute value)."""
-
-    sign: float  # -1.0, 0.0 or 1.0
-    logabs: float  # natural log of |value|; -inf when sign == 0
-
-    @property
-    def value(self) -> float:
-        if self.sign == 0.0:
-            return 0.0
-        return self.sign * math.exp(self.logabs)
-
-    @staticmethod
-    def from_value(x: float) -> "SignedLog":
-        if x == 0.0:
-            return SignedLog(0.0, float("-inf"))
-        return SignedLog(math.copysign(1.0, x), math.log(abs(x)))
-
-
-def _signed_logsumexp(signs: np.ndarray, logs: np.ndarray) -> SignedLog:
-    finite = logs > float("-inf")
-    if not np.any(finite):
-        return SignedLog(0.0, float("-inf"))
-    m = float(np.max(logs[finite]))
-    total = float(np.sum(signs[finite] * np.exp(logs[finite] - m)))
-    if total == 0.0:
-        return SignedLog(0.0, float("-inf"))
-    return SignedLog(math.copysign(1.0, total), m + math.log(abs(total)))
-
-
-def vandermonde(vals: np.ndarray) -> SignedLog:
-    """prod_{i<j} (vals[j] - vals[i]) as (sign, log magnitude).
-
-    A length-1 input is the empty product, i.e. exactly 1.
-    """
-    vals = np.asarray(vals, dtype=float)
-    if vals.size == 0:
-        raise ValidationError("vandermonde needs at least one value")
-    sign = 1.0
-    logabs = 0.0
-    for i in range(vals.size):
-        for j in range(i + 1, vals.size):
-            diff = vals[j] - vals[i]
-            if diff == 0.0:
-                return SignedLog(0.0, float("-inf"))
-            sign *= math.copysign(1.0, diff)
-            logabs += math.log(abs(diff))
-    return SignedLog(sign, logabs)
-
-
-def g_kernel(x: float, m: int, z: float, n_r: int) -> SignedLog:
-    """x^(n_r - m) * (m-1)! * sum_{k=0}^{m-1} (-z x)^k / k! in sign/log form."""
-    if x <= 0:
-        raise ValidationError(f"x must be positive, got {x}", field="x")
-    if m < 1:
-        raise ValidationError(f"m must be a positive integer, got {m}", field="m")
-    if z < 0:
-        raise ValidationError(f"z must be non-negative, got {z}", field="z")
-    prefix = (n_r - m) * math.log(x) + math.lgamma(m)
-    if z == 0.0:
-        result = SignedLog(1.0, prefix)
-    else:
-        ks = np.arange(m)
-        logs = ks * math.log(z * x) - np.array([math.lgamma(k + 1) for k in ks])
-        signs = np.where(ks % 2 == 0, 1.0, -1.0)
-        series = _signed_logsumexp(signs, logs)
-        result = SignedLog(series.sign, series.logabs + prefix)
-    if not (math.isfinite(result.logabs) or result.sign == 0.0):
-        raise NumericError(
-            f"g kernel overflowed in log domain (x={x}, m={m}, z={z})"
-        )
-    return result
 
 
 @dataclass

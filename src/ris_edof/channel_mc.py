@@ -209,8 +209,3 @@ def ensemble_stats(
         gauss_fit=fit,
         eigsum_mean=float(samples.sum(axis=1).mean()),
     )
-
-
-def eigensum_check(ensemble: ChannelEnsemble) -> float:
-    """Mean over realizations of the per-realization eigenvalue sum."""
-    return float(ensemble.eig_samples.sum(axis=1).mean())

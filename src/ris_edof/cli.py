@@ -12,6 +12,10 @@ and exits with a distinct code per failure class:
 
 Identical config + seed produces byte-identical CSV files; the manifest
 records everything needed to re-run them.
+
+Commands and reproduce targets are rows of data naming a product, one step
+of the geometry -> spectrum -> profile -> EDoF chain; one loop runs it over
+the row's geometries and writes the tables and the manifest.
 """
 
 import argparse
@@ -21,7 +25,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,18 +52,8 @@ QUICK_REALIZATIONS = 100
 SNR_GRID_TOL = 1e-9
 # SNR values in dB must lie within +-SNR_DB_LIMIT (linear 1e-10 to 1e10, far
 # beyond any physical link). Near +3080 dB the dB -> linear conversion
-# overflows, and below about -160 dB every capacity rounds to 0.
+# overflows.
 SNR_DB_LIMIT = 100.0
-
-COMMANDS = (
-    "corr-eigs",
-    "channel-eigs",
-    "bounds-audit",
-    "cdf",
-    "capacity-curve",
-    "edof-sweep",
-    "reproduce",
-)
 
 # Reference-dataset columns: element spacings (x, z) in wavelengths.
 COLUMN_SPACINGS = {
@@ -69,23 +63,10 @@ COLUMN_SPACINGS = {
     "sixth-lambda": (1.0 / 6.0, 1.0 / 6.0),
     "twelfth-lambda": (1.0 / 12.0, 1.0 / 12.0),
 }
+# The columns a reproduce target runs when --column is not given.
 DESK_COLUMNS = ("half-lambda", "third-lambda", "quarter-lambda")
-SCALED_ONLY_COLUMNS = ("sixth-lambda", "twelfth-lambda")
 FULL_APERTURE = 12.0
-SCALED_APERTURE = 6.0
 LARGE_APERTURE = 32.0
-
-REPRODUCE_TARGETS = (
-    "table1",
-    "table2",
-    "fig3",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-)
 
 DEFAULT_GEOMETRY = {"len_x": 12.0, "len_z": 12.0, "spacing_x": 0.5, "spacing_z": 0.5}
 
@@ -100,15 +81,6 @@ _TOP_KEYS = {
     "realizations_mode",
     "output_dir",
     "options",
-}
-_OPTION_KEYS = {
-    "corr-eigs": set(),
-    "channel-eigs": set(),
-    "bounds-audit": {"slack"},
-    "cdf": {"points"},
-    "capacity-curve": {"snr_db"},
-    "edof-sweep": set(),
-    "reproduce": set(),
 }
 
 
@@ -141,8 +113,8 @@ class RunConfig:
 
     def describe(self) -> dict:
         return {
-            "geometry_t": _geometry_dict(self.geometry_t),
-            "geometry_r": _geometry_dict(self.geometry_r),
+            "geometry_t": asdict(self.geometry_t),
+            "geometry_r": asdict(self.geometry_r),
             "realizations": self.effective_realizations,
             "realizations_mode": self.realizations_mode,
             "seed": self.seed,
@@ -157,16 +129,7 @@ class RunConfig:
         }
 
 
-def _geometry_dict(geom: RisGeometry) -> dict:
-    return {
-        "len_x": geom.len_x,
-        "len_z": geom.len_z,
-        "spacing_x": geom.spacing_x,
-        "spacing_z": geom.spacing_z,
-    }
-
-
-def _check_keys(block: dict, allowed: set, where: str) -> None:
+def _check_keys(block: dict, allowed, where: str) -> None:
     for key in block:
         if key not in allowed:
             raise ValidationError(
@@ -184,12 +147,7 @@ def _parse_geometry(block, where: str) -> RisGeometry:
             raise ValidationError(f"{where} is missing {key!r}", field=key)
         if not isinstance(block[key], (int, float)) or isinstance(block[key], bool):
             raise ValidationError(f"{where}.{key} must be a number", field=key)
-    return RisGeometry(
-        len_x=float(block["len_x"]),
-        len_z=float(block["len_z"]),
-        spacing_x=float(block["spacing_x"]),
-        spacing_z=float(block["spacing_z"]),
-    )
+    return RisGeometry(**{key: float(block[key]) for key in _GEOMETRY_KEYS})
 
 
 def _option_number(options: dict, key: str) -> float:
@@ -228,6 +186,12 @@ def _check_options(options: dict) -> None:
         )
 
 
+def _check_seed(seed) -> int:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValidationError("seed must be a non-negative integer", field="seed")
+    return seed
+
+
 def parse_config(raw: dict, command: str) -> RunConfig:
     """Strictly parse a config dict; unknown keys are rejected by name."""
     if not isinstance(raw, dict):
@@ -249,9 +213,7 @@ def parse_config(raw: dict, command: str) -> RunConfig:
             f"realizations must be >= 1, got {realizations}", field="realizations"
         )
 
-    seed = raw.get("seed", 42)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError("seed must be a non-negative integer", field="seed")
+    seed = _check_seed(raw.get("seed", 42))
 
     snr = raw.get("snr_grid_db", {"start": -10, "stop": 40, "step": 5})
     if isinstance(snr, list) and len(snr) == 3:
@@ -295,7 +257,7 @@ def parse_config(raw: dict, command: str) -> RunConfig:
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise ValidationError("options must be an object", field="options")
-    _check_keys(options, _OPTION_KEYS.get(command, set()), "options")
+    _check_keys(options, _COMMANDS[command][1], "options")
     _check_options(options)
 
     return RunConfig(
@@ -325,6 +287,12 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
+    )
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -349,42 +317,7 @@ def write_manifest(
     }
     if extra:
         payload.update(extra)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
-
-
-def _spectrum_rows(values: np.ndarray):
-    return ((k + 1, v) for k, v in enumerate(values))
-
-
-def _ensemble_for(config: RunConfig):
-    return run_ensemble(
-        config.geometry_t,
-        config.geometry_r,
-        config.effective_realizations,
-        config.seed,
-        threads=config.threads,
-        max_elements=config.max_elements,
-    )
-
-
-def _sweep_rows(profile: EigenvalueProfile, nt_nr: float, config: RunConfig,
-                dof_ref: int):
-    rows = []
-    for row in capacity_degradation(profile, nt_nr, config.snr_grid_db, dof_ref):
-        rows.append(
-            (
-                row.snr_db,
-                row.edof.n_s_star,
-                row.edof.n_s_int,
-                dof_ref,
-                row.edof.capacity_at_int,
-                row.capacity_ref,
-                row.degradation,
-            )
-        )
-    return rows
+    _write_json(path, payload)
 
 
 SWEEP_HEADER = [
@@ -398,314 +331,162 @@ SWEEP_HEADER = [
 ]
 
 
-def cmd_corr_eigs(config: RunConfig, out_dir: Path, started: float) -> int:
-    values = geometry_spectrum(config.geometry_t, max_elements=config.max_elements)
-    csv_path = out_dir / "corr_eigs.csv"
-    write_csv(csv_path, ["k", "alpha_normalized"], _spectrum_rows(values))
-    write_manifest(
-        out_dir / "corr_eigs_manifest.json", "corr-eigs", config, [csv_path], started
+def _indexed(*columns):
+    """Rows (k, columns[0][k-1], ...) with 1-based k."""
+    return ((k + 1, *values) for k, values in enumerate(zip(*columns)))
+
+
+def _ensemble(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
+    return run_ensemble(
+        geom_t,
+        geom_r,
+        config.effective_realizations,
+        config.seed,
+        threads=config.threads,
+        max_elements=config.max_elements,
     )
-    return 0
 
 
-def cmd_channel_eigs(config: RunConfig, out_dir: Path, started: float) -> int:
-    ensemble = _ensemble_for(config)
+def _mean_profile(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
+    """Monte Carlo mean eigenvalue profile and n_t * n_r."""
+    ensemble = _ensemble(config, geom_t, geom_r)
     stats = ensemble_stats(ensemble)
-    csv_path = out_dir / "channel_eigs.csv"
-    write_csv(
-        csv_path,
-        ["k", "mean", "std"],
-        (
-            (k + 1, m, s)
-            for k, (m, s) in enumerate(zip(stats.mean_profile, stats.std_profile))
-        ),
-    )
-    write_manifest(
-        out_dir / "channel_eigs_manifest.json",
-        "channel-eigs",
-        config,
-        [csv_path],
-        started,
-        extra={"eigsum_mean": stats.eigsum_mean},
-    )
-    return 0
+    profile = EigenvalueProfile.from_mean_profile(stats.mean_profile)
+    return profile, float(ensemble.n_t * ensemble.n_r)
 
 
-def cmd_bounds_audit(config: RunConfig, out_dir: Path, started: float) -> int:
+# Products: (config, geom_t, geom_r) -> (header, rows, manifest extras).
+# A header of None marks rows as one JSON report instead of a CSV table.
+
+
+def _spectrum(config, geom_t, geom_r):
+    values = geometry_spectrum(geom_t, max_elements=config.max_elements)
+    return ["k", "alpha_normalized"], _indexed(values), {}
+
+
+def _mean_std(config, geom_t, geom_r):
+    stats = ensemble_stats(_ensemble(config, geom_t, geom_r))
+    rows = _indexed(stats.mean_profile, stats.std_profile)
+    return ["k", "mean", "std"], rows, {"eigsum_mean": stats.eigsum_mean}
+
+
+def _mean(config, geom_t, geom_r):
+    stats = ensemble_stats(_ensemble(config, geom_t, geom_r))
+    return ["k", "mean"], _indexed(stats.mean_profile), {}
+
+
+def _bounds_report(config, geom_t, geom_r):
     slack = float(config.options.get("slack", 0.10))
-    ensemble = _ensemble_for(config)
+    ensemble = _ensemble(config, geom_t, geom_r)
     table = per_eig_bounds(
         ensemble.dt, ensemble.dr, ensemble.n_t, ensemble.n_r, slack=slack
     )
     violations = check_bounds(ensemble, table)
-    report_path = out_dir / "bounds_audit.json"
     report = {
         "regime": table.regime,
         "slack": slack,
-        "violations": [
-            {
-                "k": v.k,
-                "realization": v.realization,
-                "value": v.value,
-                "bound": v.bound,
-                "kind": v.kind,
-            }
-            for v in violations
-        ],
+        "violations": [asdict(v) for v in violations],
     }
-    report_path.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
-    write_manifest(
-        out_dir / "bounds_audit_manifest.json",
-        "bounds-audit",
-        config,
-        [report_path],
-        started,
-        extra={"violation_count": len(violations)},
-    )
-    return 0
+    return None, report, {"violation_count": len(violations)}
 
 
-def cmd_cdf(config: RunConfig, out_dir: Path, started: float) -> int:
+def _cdf(config, geom_t, geom_r):
     points = int(config.options.get("points", 200))
-    dt = geometry_spectrum(config.geometry_t, max_elements=config.max_elements)
-    dr = geometry_spectrum(config.geometry_r, max_elements=config.max_elements)
+    dt = geometry_spectrum(geom_t, max_elements=config.max_elements)
+    dr = geometry_spectrum(geom_r, max_elements=config.max_elements)
     pair = EigenProfilePair.from_values(dt[dt > 0], dr[dr > 0])
     alphas, f_vals = cdf_table(pair, num=points)
-    csv_path = out_dir / "cdf.csv"
-    write_csv(csv_path, ["alpha", "F"], zip(alphas, f_vals))
-    write_manifest(
-        out_dir / "cdf_manifest.json", "cdf", config, [csv_path], started
-    )
-    return 0
+    return ["alpha", "F"], zip(alphas, f_vals), {}
 
 
-def cmd_capacity_curve(config: RunConfig, out_dir: Path, started: float) -> int:
-    snr_db = float(config.options.get("snr_db", 10.0))
-    ensemble = _ensemble_for(config)
-    stats = ensemble_stats(ensemble)
-    profile = EigenvalueProfile.from_mean_profile(stats.mean_profile)
-    nt_nr = float(ensemble.n_t * ensemble.n_r)
+def _curve_rows(profile: EigenvalueProfile, nt_nr: float, snr_db):
+    """(n_s, capacity, normalized capacity) for every n_s at one SNR."""
     counts, caps, normalized = capacity_curve(
         profile, snr_db_to_linear(snr_db), nt_nr
     )
-    csv_path = out_dir / "capacity_curve.csv"
-    write_csv(
-        csv_path,
-        ["n_s", "capacity", "normalized_capacity"],
-        zip(counts.tolist(), caps, normalized),
-    )
-    write_manifest(
-        out_dir / "capacity_curve_manifest.json",
-        "capacity-curve",
-        config,
-        [csv_path],
-        started,
-        extra={"snr_db": snr_db},
-    )
-    return 0
+    return zip(counts.tolist(), caps, normalized)
 
 
-def cmd_edof_sweep(config: RunConfig, out_dir: Path, started: float) -> int:
-    ensemble = _ensemble_for(config)
-    stats = ensemble_stats(ensemble)
-    profile = EigenvalueProfile.from_mean_profile(stats.mean_profile)
-    nt_nr = float(ensemble.n_t * ensemble.n_r)
-    dof_ref = asymptotic_dof(config.geometry_t)
-    csv_path = out_dir / "edof_sweep.csv"
-    write_csv(csv_path, SWEEP_HEADER, _sweep_rows(profile, nt_nr, config, dof_ref))
-    write_manifest(
-        out_dir / "edof_sweep_manifest.json",
-        "edof-sweep",
-        config,
-        [csv_path],
-        started,
-    )
-    return 0
+def _capacity(config, geom_t, geom_r):
+    snr_db = float(config.options.get("snr_db", 10.0))
+    rows = _curve_rows(*_mean_profile(config, geom_t, geom_r), snr_db)
+    return ["n_s", "capacity", "normalized_capacity"], rows, {"snr_db": snr_db}
 
 
-def _reproduce_geometry(column: str, scaled: bool) -> RisGeometry:
-    spacing_x, spacing_z = COLUMN_SPACINGS[column]
-    aperture = SCALED_APERTURE if scaled else FULL_APERTURE
-    return RisGeometry(aperture, aperture, spacing_x, spacing_z)
+def _capacity_curves(config, geom_t, geom_r):
+    profile, nt_nr = _mean_profile(config, geom_t, geom_r)
+    rows = [
+        (snr_db, *row)
+        for snr_db in range(-10, 41, 10)
+        for row in _curve_rows(profile, nt_nr, snr_db)
+    ]
+    return ["snr_db", "n_s", "capacity", "normalized_capacity"], rows, {}
 
 
-def _resolve_columns(column: str | None, scaled: bool) -> list[str]:
-    if column is None:
-        return list(DESK_COLUMNS)
-    if column not in COLUMN_SPACINGS:
-        raise ValidationError(
-            f"unknown column {column!r} (choose from {sorted(COLUMN_SPACINGS)})",
-            field="column",
+def _sweep(config, geom_t, geom_r):
+    profile, nt_nr = _mean_profile(config, geom_t, geom_r)
+    dof_ref = asymptotic_dof(geom_t)
+    rows = [
+        (
+            row.snr_db,
+            row.edof.n_s_star,
+            row.edof.n_s_int,
+            dof_ref,
+            row.edof.capacity_at_int,
+            row.capacity_ref,
+            row.degradation,
         )
-    if column in SCALED_ONLY_COLUMNS and not scaled:
-        raise SizeGuardError(
-            f"column {column!r} at the {FULL_APERTURE:g}-wavelength aperture is "
-            "beyond desk scale (eigendecomposition of tens of thousands "
-            "of elements); pass --scaled to run the "
-            f"{SCALED_APERTURE:g}-wavelength-aperture alternative instead"
-        )
-    return [column]
+        for row in capacity_degradation(profile, nt_nr, config.snr_grid_db, dof_ref)
+    ]
+    return SWEEP_HEADER, rows, {}
 
 
-def cmd_reproduce(
-    config: RunConfig,
-    out_dir: Path,
-    started: float,
-    target: str,
-    column: str | None,
-    scaled: bool,
-    allow_large: bool,
-) -> int:
-    if target not in REPRODUCE_TARGETS:
-        raise ValidationError(
-            f"unknown target {target!r} (choose from {REPRODUCE_TARGETS})",
-            field="target",
-        )
-    if target in ("fig10", "fig11") and not allow_large:
-        raise SizeGuardError(
-            f"target {target!r} uses the {LARGE_APERTURE:g}-wavelength aperture "
-            "and takes hours at desk scale; pass --allow-large to run it"
-        )
+# command -> (product, allowed option keys). reproduce runs the product of
+# its target.
+_COMMANDS = {
+    "corr-eigs": (_spectrum, ()),
+    "channel-eigs": (_mean_std, ()),
+    "bounds-audit": (_bounds_report, ("slack",)),
+    "cdf": (_cdf, ("points",)),
+    "capacity-curve": (_capacity, ("snr_db",)),
+    "edof-sweep": (_sweep, ()),
+    "reproduce": (None, ()),
+}
 
-    outputs: list[Path] = []
-    # the geometry each column ran, for both panels
-    geometries: dict[str, dict] = {}
+# target -> (product, aperture in wavelengths, fixed column or None for
+# --column or DESK_COLUMNS, output file stem). Both panels run the column's
+# geometry at the aperture.
+_COLUMN_STEM = "{target}_{column}"
+_TARGETS = {
+    "table1": (_spectrum, FULL_APERTURE, None, _COLUMN_STEM),
+    "table2": (_mean_std, FULL_APERTURE, None, _COLUMN_STEM),
+    "fig3": (_spectrum, FULL_APERTURE, None, _COLUMN_STEM),
+    "fig6": (_mean, FULL_APERTURE, None, _COLUMN_STEM),
+    "fig7": (_capacity_curves, FULL_APERTURE, "quarter-lambda", "{target}"),
+    "fig8": (_sweep, FULL_APERTURE, None, _COLUMN_STEM),
+    "fig9": (_sweep, FULL_APERTURE, None, _COLUMN_STEM),
+    "fig10": (_sweep, LARGE_APERTURE, "half-lambda", _COLUMN_STEM),
+    "fig11": (_sweep, LARGE_APERTURE, "half-lambda", _COLUMN_STEM),
+}
 
-    def _columns():
-        cols = _resolve_columns(column, scaled)
-        if scaled and column is None:
-            cols = list(SCALED_ONLY_COLUMNS)
-        return cols
 
-    if target in ("table1", "fig3"):
-        for col in _columns():
-            geom = _reproduce_geometry(col, scaled and col in SCALED_ONLY_COLUMNS)
-            geometries[col] = _geometry_dict(geom)
-            values = geometry_spectrum(geom, max_elements=config.max_elements)
-            path = out_dir / f"{target}_{col}.csv"
-            write_csv(path, ["k", "alpha_normalized"], _spectrum_rows(values))
-            outputs.append(path)
-    elif target in ("table2", "fig6"):
-        for col in _columns():
-            geom = _reproduce_geometry(col, scaled and col in SCALED_ONLY_COLUMNS)
-            geometries[col] = _geometry_dict(geom)
-            ensemble = run_ensemble(
-                geom,
-                geom,
-                config.effective_realizations,
-                config.seed,
-                threads=config.threads,
-                max_elements=config.max_elements,
-            )
-            stats = ensemble_stats(ensemble)
-            path = out_dir / f"{target}_{col}.csv"
-            if target == "table2":
-                write_csv(
-                    path,
-                    ["k", "mean", "std"],
-                    (
-                        (k + 1, m, s)
-                        for k, (m, s) in enumerate(
-                            zip(stats.mean_profile, stats.std_profile)
-                        )
-                    ),
-                )
-            else:
-                write_csv(
-                    path,
-                    ["k", "mean"],
-                    ((k + 1, m) for k, m in enumerate(stats.mean_profile)),
-                )
-            outputs.append(path)
-    elif target == "fig7":
-        geom = _reproduce_geometry("quarter-lambda", False)
-        geometries["quarter-lambda"] = _geometry_dict(geom)
-        ensemble = run_ensemble(
-            geom,
-            geom,
-            config.effective_realizations,
-            config.seed,
-            threads=config.threads,
-            max_elements=config.max_elements,
-        )
-        stats = ensemble_stats(ensemble)
-        profile = EigenvalueProfile.from_mean_profile(stats.mean_profile)
-        nt_nr = float(geom.n * geom.n)
-        path = out_dir / "fig7.csv"
-        rows = []
-        for snr_db in range(-10, 41, 10):
-            counts, caps, normalized = capacity_curve(
-                profile, snr_db_to_linear(snr_db), nt_nr
-            )
-            rows.extend(
-                (snr_db, int(n), c, nc)
-                for n, c, nc in zip(counts.tolist(), caps, normalized)
-            )
-        write_csv(
-            path, ["snr_db", "n_s", "capacity", "normalized_capacity"], rows
-        )
-        outputs.append(path)
-    elif target in ("fig8", "fig9", "fig10", "fig11"):
-        large = target in ("fig10", "fig11")
-        aperture = LARGE_APERTURE if large else FULL_APERTURE
-        cols = ["half-lambda"] if large else _columns()
-        max_elements = (
-            max(config.max_elements, ALLOW_LARGE_MAX_ELEMENTS)
-            if large
-            else config.max_elements
-        )
-        for col in cols:
-            spacing_x, spacing_z = COLUMN_SPACINGS[col]
-            if scaled and col in SCALED_ONLY_COLUMNS:
-                geom = _reproduce_geometry(col, True)
-            else:
-                geom = RisGeometry(aperture, aperture, spacing_x, spacing_z)
-            geometries[col] = _geometry_dict(geom)
-            ensemble = run_ensemble(
-                geom,
-                geom,
-                config.effective_realizations,
-                config.seed,
-                threads=config.threads,
-                max_elements=max_elements,
-            )
-            stats = ensemble_stats(ensemble)
-            profile = EigenvalueProfile.from_mean_profile(stats.mean_profile)
-            nt_nr = float(geom.n * geom.n)
-            dof_ref = asymptotic_dof(geom)
-            path = out_dir / f"{target}_{col}.csv"
-            write_csv(
-                path, SWEEP_HEADER, _sweep_rows(profile, nt_nr, config, dof_ref)
-            )
-            outputs.append(path)
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValidationError naming the argument, so they
+    leave through the JSON error payload instead of printed usage text."""
 
-    # reproduce ignores the config's geometry_t/geometry_r
-    described = {
-        key: value
-        for key, value in config.describe().items()
-        if key not in ("geometry_t", "geometry_r")
-    }
-    write_manifest(
-        out_dir / f"reproduce_{target}_manifest.json",
-        "reproduce",
-        config,
-        outputs,
-        started,
-        extra={
-            "config": described,
-            "target": target,
-            "column": column,
-            "scaled": scaled,
-            "geometries": geometries,
-        },
-    )
-    return 0
+    def error(self, message):
+        # "argument --seed: invalid int value: 'abc'", or a problem followed
+        # by names: "the following arguments are required: --target"
+        head, _, names = message.partition(": ")
+        if head.startswith("argument "):
+            name = head[len("argument "):]
+        else:
+            name = names.split()[0].rstrip(",") if names.split() else None
+        raise ValidationError(message, field=name and name.lstrip("-"))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ris-edof",
         description=(
             "Eigenvalue spectra of RIS spatial correlation and SNR-dependent "
@@ -713,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
+    subparsers = {name: sub.add_parser(name) for name in _COMMANDS}
+    for p in subparsers.values():
         p.add_argument("--config", type=Path, help="JSON run-config file")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument(
@@ -732,14 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="lift the element-count guard / enable large-aperture targets",
         )
-        p.add_argument(
-            "--scaled",
-            action="store_true",
-            help="substitute the reduced-aperture variant for dense columns",
-        )
-        if name == "reproduce":
-            p.add_argument("--target", required=True, choices=REPRODUCE_TARGETS)
-            p.add_argument("--column", choices=sorted(COLUMN_SPACINGS))
+    reproduce = subparsers["reproduce"]
+    reproduce.add_argument("--target", required=True, choices=tuple(_TARGETS))
+    reproduce.add_argument("--column", choices=sorted(COLUMN_SPACINGS))
     return parser
 
 
@@ -747,20 +523,54 @@ def _load_raw_config(path: Path | None) -> dict:
     if path is None:
         return {}
     try:
-        text = path.read_text()
+        return json.loads(path.read_text())
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    try:
-        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+
+
+def _jobs(args: argparse.Namespace, config: RunConfig):
+    """The product to run, its jobs (file stem, geom_t, geom_r), the manifest
+    stem and the manifest's run-level extras (None: the product's extras)."""
+    target = getattr(args, "target", None)
+    if target is None:
+        stem = args.command.replace("-", "_")
+        jobs = [(stem, config.geometry_t, config.geometry_r)]
+        return _COMMANDS[args.command][0], jobs, stem, None
+
+    product, aperture, fixed_column, stem = _TARGETS[target]
+    if aperture == LARGE_APERTURE and not args.allow_large:
+        raise SizeGuardError(
+            f"target {target!r} uses the {aperture:g}-wavelength aperture "
+            "and takes hours at desk scale; pass --allow-large to run it"
+        )
+    column = fixed_column or args.column
+    columns = [column] if column else DESK_COLUMNS
+    geometries = {
+        col: RisGeometry(aperture, aperture, *COLUMN_SPACINGS[col]) for col in columns
+    }
+    jobs = [
+        (stem.format(target=target, column=col), geom, geom)
+        for col, geom in geometries.items()
+    ]
+    described = config.describe()
+    # reproduce ignores the config's geometry_t/geometry_r
+    del described["geometry_t"], described["geometry_r"]
+    extras = {
+        "config": described,
+        "target": target,
+        "column": args.column,
+        "geometries": {col: asdict(g) for col, g in geometries.items()},
+    }
+    return product, jobs, f"reproduce_{target}", extras
 
 
 def _run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     config = parse_config(_load_raw_config(args.config), args.command)
     if args.seed is not None:
-        config.seed = args.seed
+        config.seed = _check_seed(args.seed)
     if args.quick:
         config.realizations_mode = "quick"
     if args.threads < 1:
@@ -774,53 +584,42 @@ def _run(args: argparse.Namespace) -> int:
     out_dir = args.out or Path(os.environ.get(OUTPUT_DIR_ENV, config.output_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.command == "corr-eigs":
-        return cmd_corr_eigs(config, out_dir, started)
-    if args.command == "channel-eigs":
-        return cmd_channel_eigs(config, out_dir, started)
-    if args.command == "bounds-audit":
-        return cmd_bounds_audit(config, out_dir, started)
-    if args.command == "cdf":
-        return cmd_cdf(config, out_dir, started)
-    if args.command == "capacity-curve":
-        return cmd_capacity_curve(config, out_dir, started)
-    if args.command == "edof-sweep":
-        return cmd_edof_sweep(config, out_dir, started)
-    if args.command == "reproduce":
-        return cmd_reproduce(
-            config,
-            out_dir,
-            started,
-            target=args.target,
-            column=args.column,
-            scaled=args.scaled,
-            allow_large=args.allow_large,
-        )
-    raise ValidationError(f"unknown command {args.command!r}")
+    product, jobs, manifest_stem, extras = _jobs(args, config)
+    outputs: list[Path] = []
+    for stem, geom_t, geom_r in jobs:
+        header, rows, product_extras = product(config, geom_t, geom_r)
+        if header is None:
+            path = out_dir / f"{stem}.json"
+            _write_json(path, rows)
+        else:
+            path = out_dir / f"{stem}.csv"
+            write_csv(path, header, rows)
+        outputs.append(path)
+    write_manifest(
+        out_dir / f"{manifest_stem}_manifest.json",
+        args.command,
+        config,
+        outputs,
+        started,
+        extra=product_extras if extras is None else extras,
+    )
+    return 0
 
 
 def _emit_error(kind: str, exit_code: int, exc: Exception) -> int:
     message = str(exc)
     if kind == "internal":
         message = f"{type(exc).__name__}: {message}"
-    payload = {
-        "error": {
-            "kind": kind,
-            "exit_code": exit_code,
-            "message": message,
-        }
-    }
-    field_name = getattr(exc, "field", None)
-    if field_name:
-        payload["error"]["field"] = field_name
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    error = {"kind": kind, "exit_code": exit_code, "message": message}
+    if getattr(exc, "field", None):
+        error["field"] = exc.field
+    print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
     return exit_code
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except ValidationError as exc:
         return _emit_error("validation", 2, exc)
     except SizeGuardError as exc:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 
 LN2 = math.log(2.0)
 
@@ -136,13 +136,16 @@ def snr_db_to_linear(snr_db: float) -> float:
 def capacity(
     profile: EigenvalueProfile, rho: float, nt_nr: float, n_s: int
 ) -> float:
-    """Discrete equal-power capacity over the strongest n_s subchannels."""
+    """Discrete equal-power capacity over the strongest n_s subchannels.
+
+    log1p keeps the digits of gains far below 1, where 1 + gain rounds to 1.
+    """
     if not 1 <= n_s <= profile.rank:
         raise ValidationError(
             f"n_s = {n_s} outside [1, rank = {profile.rank}]", field="n_s"
         )
     gains = rho * nt_nr * profile.gamma[:n_s] / n_s
-    return float(np.sum(np.log2(1.0 + gains)))
+    return float(np.log1p(gains).sum() / LN2)
 
 
 def h_and_derivative(
@@ -343,6 +346,12 @@ def capacity_degradation(
         profile, nt_nr, snr_grid_db, dof_reference=dof_reference
     ):
         rho = snr_db_to_linear(result.snr_db)
+        if result.capacity_at_int == 0.0:
+            raise NumericError(
+                f"capacity is 0 at SNR {result.snr_db:g} dB (linear SNR "
+                f"{rho:g}): the degradation ratio is undefined",
+                diagnostics={"snr_db": result.snr_db, "rho": rho},
+            )
         cap_ref = capacity(profile, rho, nt_nr, n_ref)
         degradation = 1.0 - cap_ref / result.capacity_at_int
         rows.append(

@@ -1,16 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
 from ris_edof.analytic_cdf import (
     EigenProfilePair,
-    SignedLog,
     cdf_table,
-    g_kernel,
     inverse_cdf_profile,
     unordered_cdf,
-    vandermonde,
 )
 from ris_edof.errors import NumericError, SizeGuardError, ValidationError
 
@@ -47,56 +42,6 @@ def jittered(values, seed):
     rng = np.random.default_rng(seed)
     values = np.asarray(values, dtype=float)
     return values * (1 + rng.uniform(-1, 1, values.size) * 1e-6)
-
-
-def test_vandermonde_singleton_is_one():
-    assert vandermonde([3.7]).value == pytest.approx(1.0)
-
-
-def test_vandermonde_three_values():
-    assert vandermonde([1.0, 2.0, 3.0]).value == pytest.approx(2.0)
-
-
-def test_vandermonde_repeated_value_is_zero():
-    result = vandermonde([1.0, 2.0, 2.0])
-    assert result.sign == 0.0 and result.value == 0.0
-
-
-def test_vandermonde_matches_direct_product():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        vals = rng.uniform(-2, 2, rng.integers(2, 6))
-        direct = np.prod(
-            [
-                vals[j] - vals[i]
-                for i in range(len(vals))
-                for j in range(i + 1, len(vals))
-            ]
-        )
-        assert vandermonde(vals).value == pytest.approx(direct, rel=1e-10)
-
-
-def test_g_kernel_single_term():
-    # m = 1 keeps only the constant term: x^(n_r - 1)
-    assert g_kernel(2.0, 1, 5.0, 4).value == pytest.approx(2.0 ** 3)
-
-
-def test_g_kernel_zero_argument():
-    # z = 0, m = 3: 2! * x^(n_r - 3)
-    assert g_kernel(3.0, 3, 0.0, 5).value == pytest.approx(2.0 * 3.0 ** 2)
-
-
-def test_g_kernel_truncated_exponential():
-    m, z = 4, 1.7
-    expected = math.factorial(m - 1) * sum(
-        (-z) ** k / math.factorial(k) for k in range(m)
-    )
-    assert g_kernel(1.0, m, z, m).value == pytest.approx(expected, rel=1e-12)
-
-
-def test_signed_log_roundtrip():
-    for x in (-3.5, 0.0, 1e-30, 7.0):
-        assert SignedLog.from_value(x).value == pytest.approx(x)
 
 
 def test_pair_requires_positive_distinct_values():

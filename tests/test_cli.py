@@ -212,42 +212,30 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
     assert (target / "corr_eigs.csv").exists()
 
 
-def test_reproduce_refuses_dense_column_without_scaled(tmp_path, capsys):
+def test_reproduce_sixth_lambda_runs_full_aperture(tmp_path):
+    out = tmp_path / "o"
     code = main(
-        [
-            "reproduce",
-            "--target",
-            "table1",
-            "--column",
-            "sixth-lambda",
-            "--out",
-            str(tmp_path / "o"),
-        ]
+        ["reproduce", "--target", "table1", "--column", "sixth-lambda",
+         "--out", str(out)]
+    )
+    assert code == 0
+    header, rows = read_csv(out / "table1_sixth-lambda.csv")
+    assert len(rows) == 73 * 73  # 12-wavelength aperture at lambda/6
+    manifest = json.loads((out / "reproduce_table1_manifest.json").read_text())
+    assert manifest["geometries"]["sixth-lambda"]["len_x"] == 12.0
+    assert "scaled" not in manifest
+
+
+def test_reproduce_twelfth_lambda_hits_size_guard(tmp_path, capsys):
+    code = main(
+        ["reproduce", "--target", "table1", "--column", "twelfth-lambda",
+         "--out", str(tmp_path / "o")]
     )
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["kind"] == "size_guard"
-    assert "--scaled" in err["error"]["message"]
-    assert "6" in err["error"]["message"]
-
-
-def test_reproduce_scaled_substitutes_small_aperture(tmp_path):
-    out = tmp_path / "o"
-    code = main(
-        [
-            "reproduce",
-            "--target",
-            "table1",
-            "--column",
-            "sixth-lambda",
-            "--scaled",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
-    header, rows = read_csv(out / "table1_sixth-lambda.csv")
-    assert len(rows) == 37 * 37  # 6-wavelength aperture at lambda/6
+    assert "--allow-large" in err["error"]["message"]
+    assert "21025" in err["error"]["message"]
 
 
 def test_reproduce_large_target_gated(tmp_path, capsys):
@@ -318,7 +306,7 @@ def test_unexpected_exception_exits_1_with_json(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("ris_edof.cli.cmd_corr_eigs", broken)
+    monkeypatch.setattr("ris_edof.cli.geometry_spectrum", broken)
     cfg = write_config(tmp_path, TINY)
     code = main(["corr-eigs", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
@@ -344,3 +332,47 @@ def test_reproduce_manifest_records_column_geometry(tmp_path):
     }
     assert "geometry_t" not in manifest["config"]
     assert "geometry_r" not in manifest["config"]
+
+
+@pytest.mark.parametrize("command", ["corr-eigs", "channel-eigs"])
+def test_negative_seed_flag_exits_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, TINY)
+    out = tmp_path / "o"
+    code = main(
+        [command, "--config", str(cfg), "--out", str(out), "--quick", "--seed", "-1"]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "validation"
+    assert err["error"]["field"] == "seed"
+    assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["reproduce", "--target", "fig99"], "target"),
+        (["corr-eigs", "--seed", "abc"], "seed"),
+        (["reproduce"], "target"),
+        (["corr-eigs", "--threads"], "threads"),
+        (["no-such-command"], "command"),
+        (["corr-eigs", "--bogus"], "bogus"),
+    ],
+)
+def test_usage_errors_exit_2_with_json(tmp_path, capsys, argv, field):
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"]["kind"] == "validation"
+    assert err["error"]["exit_code"] == 2
+    assert err["error"]["field"] == field
+    assert "usage:" not in captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["reproduce", "-h"])
+    assert exit_info.value.code == 0
+    assert "--target" in capsys.readouterr().out

@@ -15,7 +15,7 @@ from ris_edof.edof import (
     snr_db_to_linear,
     solve_edof,
 )
-from ris_edof.errors import ValidationError
+from ris_edof.errors import NumericError, ValidationError
 from ris_edof.geometry import RisGeometry, asymptotic_dof
 
 
@@ -215,6 +215,24 @@ def test_degradation_nonnegative_and_clipped_flag(small_mc_profile):
     )
     assert all(row.degradation >= 0.0 for row in rows)
     assert all(row.ref_clipped for row in rows)
+
+
+def test_degradation_defined_at_very_low_snr():
+    # at -200 dB every gain is ~1e-18: 1 + gain rounds to 1, log1p does not
+    profile = synthetic_profile(50, seed=5)
+    (row,) = capacity_degradation(profile, 2500.0, [-200.0], dof_reference=28)
+    rho = snr_db_to_linear(-200.0)
+    gains = rho * 2500.0 * profile.gamma[: row.edof.n_s_int] / row.edof.n_s_int
+    assert row.edof.capacity_at_int == pytest.approx(gains.sum() / math.log(2))
+    assert row.edof.capacity_at_int > 0.0
+    assert 0.0 <= row.degradation < 1.0
+
+
+def test_degradation_with_zero_capacity_raises_numeric_error():
+    # 10 ** -400 underflows to a linear SNR of exactly 0
+    profile = synthetic_profile(50, seed=5)
+    with pytest.raises(NumericError, match="-4000 dB"):
+        capacity_degradation(profile, 2500.0, [-4000.0], dof_reference=28)
 
 
 def test_normalized_curve_peaks_at_brute_force_argmax(small_mc_profile):
