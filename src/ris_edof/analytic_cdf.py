@@ -1,15 +1,16 @@
 """Analytical CDF of an arbitrary unordered eigenvalue of the composite channel.
 
 For equal panel sizes (n_t = n_r = N) with distinct positive spectra on both
-ends, the CDF of a uniformly chosen eigenvalue of Dr_n H Dt_n H^H has a
-closed form built from Vandermonde determinants and a sum of N determinants
-of N x N kernel matrices, one per choice of the "exponential" row:
+ends, the CDF of a uniformly chosen eigenvalue of Dr_n H Dt_n H^H is
 
-    F_raw(a) = 1/N - Q0(a) / N^2 * sum_n det(K^(n)(a))
-    Q0(a)^-1 = vand(1/dr) * vand(1/dt) * (-a)^(N(N-1)/2) * prod_i i^i
-    K^(n)[i, j] = g(x_ij; N, a)            for i != n
-                  (N-1)! * exp(-x_ij * a)  for i == n
-    x_ij = 1 / (dr_i * dt_j)
+    F_raw(a) = 1/N - tr(E P^-1) / N^2,         x_ij = 1 / (dr_i * dt_j)
+    P[i, j] = sum_{k<N} (-a * x_ij)^k / k!,    E[i, j] = exp(-a * x_ij)
+
+The paper divides sum_n det K^(n), with K^(n) the matrix P with row n taken
+from E, by a Vandermonde normalizer. By the matrix determinant lemma
+det K^(n) = det P * (E P^-1)_nn, and det P is that normalizer, since
+P = V_a diag((-a)^k / k!) V_b^T with V_a[i, k] = (1/dr_i)^k and
+V_b[j, k] = (1/dt_j)^k; one inverse of P replaces the N determinants.
 
 The kernel arguments are the *reciprocals* of the spectrum values; this is
 the convention under which the N = 1 case reduces to the exact exponential
@@ -18,11 +19,11 @@ Carlo sampling of the channel (the direct substitution of the spectrum
 values does not).
 
 The raw expression spans [0, 1/N] rather than [0, 1], so the returned CDF is
-affinely renormalized by its values at a -> 0 and a -> infinity. Determinant
-evaluation cancels through roughly N(N-1)/2 * |log10(a * x)| digits near both
-ends of the support, far beyond double precision for N >= 4, so the kernel
-determinants and the Vandermonde factors are evaluated with mpmath at an
-adaptively chosen precision.
+affinely renormalized by its values at a -> 0 and a -> infinity. P is as
+ill-conditioned as its Vandermonde factors: the trace cancels through roughly
+N(N-1)/2 * |log10(a * x)| digits near both ends of the support, far beyond
+double precision for N >= 4, so the kernels and the inverse are evaluated
+with mpmath at an adaptively chosen precision.
 """
 
 import logging
@@ -75,8 +76,8 @@ class EigenProfilePair:
                 )
             if _min_relative_separation(vals) < MIN_RELATIVE_SEPARATION:
                 raise ValidationError(
-                    f"{name} has near-coincident values; enable jitter "
-                    "(EigenProfilePair.from_values) or separate them",
+                    f"{name} has near-coincident values; separate them or "
+                    "use EigenProfilePair.from_values, which jitters them",
                     field=name,
                 )
         if self.dr_vals.size < self.dt_vals.size:
@@ -95,16 +96,11 @@ class EigenProfilePair:
         return self.dr_vals.size
 
     @classmethod
-    def from_values(
-        cls, dt_vals, dr_vals, *, jitter: bool = True
-    ) -> "EigenProfilePair":
-        """Build a pair, jittering near-coincident values when allowed."""
-        dt_vals = np.asarray(dt_vals, dtype=float)
-        dr_vals = np.asarray(dr_vals, dtype=float)
-        if jitter:
-            rng = np.random.default_rng(JITTER_SEED)
-            dt_vals = _maybe_jitter(dt_vals, rng)
-            dr_vals = _maybe_jitter(dr_vals, rng)
+    def from_values(cls, dt_vals, dr_vals) -> "EigenProfilePair":
+        """Build a pair, jittering near-coincident values."""
+        rng = np.random.default_rng(JITTER_SEED)
+        dt_vals = _maybe_jitter(np.asarray(dt_vals, dtype=float), rng)
+        dr_vals = _maybe_jitter(np.asarray(dr_vals, dtype=float), rng)
         return cls(dt_vals=dt_vals, dr_vals=dr_vals)
 
 
@@ -125,7 +121,7 @@ def _maybe_jitter(vals: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _required_dps(n: int, alpha: float, x_geo_mean: float, x_max: float) -> int:
-    """Working precision for the determinant sum at one evaluation point.
+    """Working precision for the kernel inverse at one evaluation point.
 
     Cancellation deepens like N(N-1)/2 decimal digits per decade that
     alpha * x sits away from O(1), in both directions.
@@ -142,7 +138,7 @@ def _required_dps(n: int, alpha: float, x_geo_mean: float, x_max: float) -> int:
 
 
 def _raw_cdf(pair: EigenProfilePair, alpha: float) -> float:
-    """Transcribed closed form, un-normalized (spans [0, 1/N])."""
+    """Closed form 1/N - tr(E P^-1) / N^2, un-normalized (spans [0, 1/N])."""
     n = pair.n_r
     av = [mp.mpf(1) / mp.mpf(float(v)) for v in pair.dr_vals]
     bv = [mp.mpf(1) / mp.mpf(float(v)) for v in pair.dt_vals]
@@ -150,48 +146,28 @@ def _raw_cdf(pair: EigenProfilePair, alpha: float) -> float:
     x_geo_mean = math.exp(sum(logs) / len(logs))
     x_max = math.exp(max(logs))
 
-    old_dps = mp.mp.dps
-    mp.mp.dps = _required_dps(n, alpha, x_geo_mean, x_max)
-    try:
+    with mp.workdps(_required_dps(n, alpha, x_geo_mean, x_max)):
         z = mp.mpf(alpha)
-        vand_a = mp.mpf(1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                vand_a *= av[j] - av[i]
-        vand_b = mp.mpf(1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                vand_b *= bv[j] - bv[i]
-        j0 = mp.mpf(1)
-        for i in range(1, n):
-            j0 *= mp.mpf(i) ** i
-        q_inv = vand_a * vand_b * (-z) ** mp.mpf(n * (n - 1) // 2) * j0
-        if q_inv == 0:
-            raise NumericError("degenerate spectra: Vandermonde factor vanished")
-
-        fact = mp.factorial(n - 1)
         poly = [
             [
-                fact
-                * mp.fsum(
-                    (-z * av[i] * bv[j]) ** k / mp.factorial(k) for k in range(n)
-                )
+                mp.fsum((-z * av[i] * bv[j]) ** k / mp.factorial(k) for k in range(n))
                 for j in range(n)
             ]
             for i in range(n)
         ]
-        expo = [[fact * mp.exp(-av[i] * bv[j] * z) for j in range(n)] for i in range(n)]
-
-        total = mp.mpf(0)
-        for special in range(n):
-            rows = [
-                [expo[i][j] if i == special else poly[i][j] for j in range(n)]
-                for i in range(n)
-            ]
-            total += mp.det(mp.matrix(rows))
-        return float(mp.mpf(1) / n - total / (q_inv * n * n))
-    finally:
-        mp.mp.dps = old_dps
+        try:
+            poly_inv = mp.inverse(mp.matrix(poly))
+        except ZeroDivisionError as exc:
+            raise NumericError(
+                f"kernel matrix P is numerically singular at alpha = {alpha!r}",
+                {"alpha": alpha, "dps": mp.mp.dps},
+            ) from exc
+        trace = mp.fsum(
+            mp.exp(-av[i] * bv[j] * z) * poly_inv[j, i]
+            for i in range(n)
+            for j in range(n)
+        )
+        return float(mp.mpf(1) / n - trace / (n * n))
 
 
 def _endpoints(pair: EigenProfilePair) -> tuple[float, float]:
@@ -249,20 +225,12 @@ def unordered_cdf(pair: EigenProfilePair, alpha) -> float | np.ndarray:
 
 
 def cdf_table(
-    pair: EigenProfilePair,
-    num: int = 200,
-    alpha_min: float | None = None,
-    alpha_max: float | None = None,
+    pair: EigenProfilePair, num: int = 200
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Log-spaced evaluation grid and CDF values, ready for inversion."""
+    """CDF values on a log-spaced grid from 1e-5 to 1e3 times dr_1 * dt_1,
+    ready for inversion."""
     scale = float(pair.dr_vals[0] * pair.dt_vals[0])
-    if alpha_min is None:
-        alpha_min = 1e-5 * scale
-    if alpha_max is None:
-        alpha_max = 1e3 * scale
-    if not 0 < alpha_min < alpha_max:
-        raise ValidationError("need 0 < alpha_min < alpha_max")
-    alphas = np.geomspace(alpha_min, alpha_max, num)
+    alphas = np.geomspace(1e-5 * scale, 1e3 * scale, num)
     return alphas, unordered_cdf(pair, alphas)
 
 

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import DEFAULT_MAX_ELEMENTS, effective_rank, geometry_spectrum
+from .correlation import (
+    DEFAULT_MAX_ELEMENTS,
+    RANK_TOL,
+    effective_rank,
+    geometry_spectrum,
+)
 from .errors import NumericError, ValidationError
 from .geometry import RisGeometry
-
-# Correlation eigenvalues below RANK_TOL * alpha_1 carry no channel power at
-# double precision; dropping them shrinks every per-realization solve.
-DEFAULT_RANK_TOL = 1e-12
 
 
 @dataclass
@@ -110,13 +111,12 @@ def ensemble_from_spectra(
     seed: int,
     *,
     threads: int = 1,
-    rank_tol: float | None = DEFAULT_RANK_TOL,
 ) -> ChannelEnsemble:
     """Monte Carlo ensemble over H for fixed normalized spectra.
 
-    With rank_tol set, eigenvalues below rank_tol * largest are dropped from
-    the per-realization solve (they contribute nothing at double precision);
-    output vectors are zero-padded back to length len(dr).
+    Eigenvalues below RANK_TOL * largest are dropped from the per-realization
+    solve (they contribute nothing at double precision); output vectors are
+    zero-padded back to length len(dr).
     """
     if realizations < 1:
         raise ValidationError(
@@ -126,9 +126,9 @@ def ensemble_from_spectra(
     dr = np.asarray(dr, dtype=float)
     n_t, n_r = dt.size, dr.size
 
-    if rank_tol is not None and dt[0] > 0 and dr[0] > 0:
-        r_t = effective_rank(dt, rank_tol)
-        r_r = effective_rank(dr, rank_tol)
+    if dt[0] > 0 and dr[0] > 0:
+        r_t = effective_rank(dt, RANK_TOL)
+        r_r = effective_rank(dr, RANK_TOL)
     else:
         r_t, r_r = n_t, n_r
     dt_used = dt[:r_t]
@@ -165,7 +165,6 @@ def run_ensemble(
     seed: int,
     *,
     threads: int = 1,
-    rank_tol: float | None = DEFAULT_RANK_TOL,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> ChannelEnsemble:
     """Build both correlation spectra and run the Monte Carlo ensemble."""
@@ -174,9 +173,7 @@ def run_ensemble(
         dr = dt
     else:
         dr = geometry_spectrum(geom_r, max_elements=max_elements)
-    return ensemble_from_spectra(
-        dt, dr, realizations, seed, threads=threads, rank_tol=rank_tol
-    )
+    return ensemble_from_spectra(dt, dr, realizations, seed, threads=threads)
 
 
 def ensemble_stats(

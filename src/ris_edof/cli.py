@@ -54,6 +54,9 @@ SNR_GRID_TOL = 1e-9
 # beyond any physical link). Near +3080 dB the dB -> linear conversion
 # overflows.
 SNR_DB_LIMIT = 100.0
+# Largest SNR grid accepted: +-50 dB at 0.01 dB. The grid is built as a list,
+# so a tiny step would otherwise ask for billions of points.
+SNR_GRID_MAX_POINTS = 10_001
 
 # Reference-dataset columns: element spacings (x, z) in wavelengths.
 COLUMN_SPACINGS = {
@@ -244,6 +247,15 @@ def parse_config(raw: dict, command: str) -> RunConfig:
         raise ValidationError(
             f"snr_grid_db values must lie within [-{SNR_DB_LIMIT:g}, "
             f"{SNR_DB_LIMIT:g}] dB",
+            field="snr_grid_db",
+        )
+    # the point count as a float: floor(steps + SNR_GRID_TOL) + 1 exceeds the
+    # cap exactly when this holds, and an overflowing count reads inf
+    steps = (stop - start) / step
+    if steps + SNR_GRID_TOL >= SNR_GRID_MAX_POINTS:
+        raise ValidationError(
+            f"snr_grid_db has {steps + 1:.6g} points; at most "
+            f"{SNR_GRID_MAX_POINTS} are allowed",
             field="snr_grid_db",
         )
 
@@ -540,6 +552,12 @@ def _jobs(args: argparse.Namespace, config: RunConfig):
         return _COMMANDS[args.command][0], jobs, stem, None
 
     product, aperture, fixed_column, stem = _TARGETS[target]
+    if fixed_column and args.column not in (None, fixed_column):
+        raise ValidationError(
+            f"target {target!r} runs the {fixed_column!r} column only; "
+            f"got --column {args.column!r}",
+            field="column",
+        )
     if aperture == LARGE_APERTURE and not args.allow_large:
         raise SizeGuardError(
             f"target {target!r} uses the {aperture:g}-wavelength aperture "

@@ -196,6 +196,11 @@ def normalized_spectrum(spec: Spectrum, n: int) -> np.ndarray:
     return values
 
 
+# Correlation and profile values below RANK_TOL times the largest carry no
+# channel power at double precision; they are dropped from every solve.
+RANK_TOL = 1e-12
+
+
 def effective_rank(values: np.ndarray, rel_tol: float) -> int:
     """Number of values above rel_tol times the largest value."""
     if not 0.0 < rel_tol < 1.0:

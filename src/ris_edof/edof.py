@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlation import RANK_TOL, effective_rank
 from .errors import NumericError, ValidationError
 
 LN2 = math.log(2.0)
@@ -92,18 +93,15 @@ class EigenvalueProfile:
         return vals
 
     @classmethod
-    def from_values(
-        cls, values, source: str = SOURCE_SYNTHETIC, rel_tol: float = 1e-12
-    ) -> "EigenvalueProfile":
+    def from_values(cls, values, source: str = SOURCE_SYNTHETIC) -> "EigenvalueProfile":
         values = np.asarray(values, dtype=float)
         if values.size == 0 or values[0] <= 0:
             raise ValidationError("profile needs a positive leading value")
-        keep = int(np.sum(values > rel_tol * values[0]))
-        return cls(gamma=values[:keep], source=source)
+        return cls(gamma=values[: effective_rank(values, RANK_TOL)], source=source)
 
     @classmethod
-    def from_mean_profile(cls, mean_profile, rel_tol: float = 1e-12):
-        return cls.from_values(mean_profile, source=SOURCE_MONTE_CARLO, rel_tol=rel_tol)
+    def from_mean_profile(cls, mean_profile):
+        return cls.from_values(mean_profile, source=SOURCE_MONTE_CARLO)
 
 
 @dataclass

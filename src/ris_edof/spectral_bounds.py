@@ -13,18 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_mc import ChannelEnsemble
-from .correlation import effective_rank
+from .correlation import RANK_TOL, effective_rank
 from .errors import ValidationError
 
 REGIME_NT_MUCH_LESS = "nt_much_less"
 REGIME_NT_MUCH_GREATER = "nt_much_greater"
 REGIME_NT_APPROX_NR = "nt_approx_nr"
 
-# eta thresholds separating the qualitative regimes; recorded, configurable.
-DEFAULT_ETA_LOW = 0.1
-DEFAULT_ETA_HIGH = 10.0
+# eta thresholds separating the qualitative regimes.
+ETA_LOW = 0.1
+ETA_HIGH = 10.0
 DEFAULT_SLACK = 0.10
-DEFAULT_RANK_TOL = 1e-12
 
 
 @dataclass
@@ -60,13 +59,13 @@ def mp_edges(eta: float) -> tuple[float, float]:
     return ((1.0 - root) ** 2, (1.0 + root) ** 2)
 
 
-def _smallest_significant(values: np.ndarray, rank_tol: float) -> float:
+def _smallest_significant(values: np.ndarray) -> float:
     """Smallest eigenvalue above the effective-rank tolerance.
 
     Using the literal smallest (often a clamped 0) would collapse every
     lower bound to 0 uninformatively.
     """
-    rank = effective_rank(values, rank_tol)
+    rank = effective_rank(values, RANK_TOL)
     if rank == 0:
         raise ValidationError("spectrum has no significant eigenvalues")
     return float(values[rank - 1])
@@ -79,9 +78,6 @@ def per_eig_bounds(
     n_r: int,
     *,
     slack: float = DEFAULT_SLACK,
-    eta_low: float = DEFAULT_ETA_LOW,
-    eta_high: float = DEFAULT_ETA_HIGH,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> BoundTable:
     """Regime-dependent per-index bounds from the two normalized spectra.
 
@@ -101,14 +97,14 @@ def per_eig_bounds(
     dt_pad = np.zeros(n_r)
     dt_pad[: min(n_t, n_r)] = dt[: min(n_t, n_r)]
     dt1, dr1 = float(dt[0]), float(dr[0])
-    dt_rank = _smallest_significant(dt, rank_tol)
-    dr_rank = _smallest_significant(dr, rank_tol)
+    dt_rank = _smallest_significant(dt)
+    dr_rank = _smallest_significant(dr)
 
     eta = n_t / n_r
-    if eta <= eta_low:
+    if eta <= ETA_LOW:
         regime = REGIME_NT_MUCH_LESS
         mult = float(n_r)
-    elif eta >= eta_high:
+    elif eta >= ETA_HIGH:
         regime = REGIME_NT_MUCH_GREATER
         mult = float(n_t)
     else:
@@ -131,9 +127,7 @@ def per_eig_bounds(
     return BoundTable(regime=regime, lower=lower, upper=upper, slack=slack)
 
 
-def check_bounds(
-    ensemble: ChannelEnsemble, table: BoundTable, slack: float | None = None
-) -> list[BoundViolation]:
+def check_bounds(ensemble: ChannelEnsemble, table: BoundTable) -> list[BoundViolation]:
     """Audit every sample in the ensemble against the slackened bounds.
 
     An empty list means the ensemble respects the bounds.
@@ -143,10 +137,8 @@ def check_bounds(
             f"bound table has {table.upper.size} rows but ensemble n_r = "
             f"{ensemble.n_r}"
         )
-    if slack is None:
-        slack = table.slack
-    hi = table.upper * (1.0 + slack)
-    lo = table.lower * (1.0 - slack)
+    hi = table.upper * (1.0 + table.slack)
+    lo = table.lower * (1.0 - table.slack)
 
     violations: list[BoundViolation] = []
     samples = ensemble.eig_samples

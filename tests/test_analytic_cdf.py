@@ -1,6 +1,10 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 
+from ris_edof import analytic_cdf
 from ris_edof.analytic_cdf import (
     EigenProfilePair,
     cdf_table,
@@ -42,6 +46,74 @@ def jittered(values, seed):
     rng = np.random.default_rng(seed)
     values = np.asarray(values, dtype=float)
     return values * (1 + rng.uniform(-1, 1, values.size) * 1e-6)
+
+
+def determinant_sum_cdf(pair, alpha):
+    """The closed form as the paper writes it: 1/N - Q0 / N^2 * sum_n det K^(n),
+    with K^(n) the (N-1)!-scaled truncated-exponential kernel whose row n is
+    the exponential kernel, and 1 / Q0 the Vandermonde normalizer."""
+    n = pair.n_r
+    av = [mp.mpf(1) / mp.mpf(float(v)) for v in pair.dr_vals]
+    bv = [mp.mpf(1) / mp.mpf(float(v)) for v in pair.dt_vals]
+    logs = [math.log(float(a * b)) for a in av for b in bv]
+    dps = analytic_cdf._required_dps(
+        n, alpha, math.exp(sum(logs) / len(logs)), math.exp(max(logs))
+    )
+    with mp.workdps(dps):
+        z = mp.mpf(alpha)
+        vand_a = mp.mpf(1)
+        vand_b = mp.mpf(1)
+        for i in range(n):
+            for j in range(i + 1, n):
+                vand_a *= av[j] - av[i]
+                vand_b *= bv[j] - bv[i]
+        j0 = mp.mpf(1)
+        for i in range(1, n):
+            j0 *= mp.mpf(i) ** i
+        q_inv = vand_a * vand_b * (-z) ** mp.mpf(n * (n - 1) // 2) * j0
+        fact = mp.factorial(n - 1)
+        poly = [
+            [
+                fact
+                * mp.fsum(
+                    (-z * av[i] * bv[j]) ** k / mp.factorial(k) for k in range(n)
+                )
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        expo = [[fact * mp.exp(-av[i] * bv[j] * z) for j in range(n)] for i in range(n)]
+        total = mp.mpf(0)
+        for special in range(n):
+            rows = [
+                [expo[i][j] if i == special else poly[i][j] for j in range(n)]
+                for i in range(n)
+            ]
+            total += mp.det(mp.matrix(rows))
+        return float(mp.mpf(1) / n - total / (q_inv * n * n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_trace_form_matches_determinant_sum(n):
+    rng = np.random.default_rng(300 + n)
+    dt = rng.uniform(0.01, 1.0, n)
+    dr = rng.uniform(0.01, 1.0, n)
+    pair = EigenProfilePair.from_values(dt / dt.sum(), dr / dr.sum())
+    scale = float(pair.dr_vals[0] * pair.dt_vals[0])
+    for factor in np.geomspace(1e-8, 1e6, 8):
+        alpha = float(factor * scale)
+        expected = determinant_sum_cdf(pair, alpha)
+        assert analytic_cdf._raw_cdf(pair, alpha) == pytest.approx(expected, abs=1e-12)
+
+
+def test_singular_kernel_is_numeric_error(monkeypatch):
+    def singular(*args, **kwargs):
+        raise ZeroDivisionError("matrix is numerically singular")
+
+    monkeypatch.setattr(analytic_cdf.mp, "inverse", singular)
+    pair = EigenProfilePair.from_values([0.7, 0.3], [0.6, 0.4])
+    with pytest.raises(NumericError, match="singular"):
+        unordered_cdf(pair, 0.5)
 
 
 def test_pair_requires_positive_distinct_values():

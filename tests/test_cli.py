@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from ris_edof.cli import main, parse_config
+from ris_edof.cli import SNR_GRID_MAX_POINTS, main, parse_config
+from ris_edof.errors import ValidationError
 
 TINY = {
     "geometry_t": {"len_x": 3, "len_z": 3, "spacing_x": 0.5, "spacing_z": 0.5},
@@ -56,6 +57,19 @@ def test_parse_config_defaults():
 def test_snr_grid_keeps_endpoint_lost_to_rounding():
     config = parse_config({"snr_grid_db": [0, 0.3, 0.1]}, "edof-sweep")
     assert config.snr_grid_db == [0.1 * i for i in range(4)]
+
+
+@pytest.mark.parametrize("step", [1e-9, 5e-324])
+def test_snr_grid_point_count_is_capped(step):
+    # 2e11 points, and an infinite count: both refused before any list is built
+    with pytest.raises(ValidationError) as info:
+        parse_config({"snr_grid_db": [-100, 100, step]}, "edof-sweep")
+    assert info.value.field == "snr_grid_db"
+
+
+def test_snr_grid_at_the_point_cap_is_accepted():
+    finest = parse_config({"snr_grid_db": [-50, 50, 0.01]}, "edof-sweep")
+    assert len(finest.snr_grid_db) == SNR_GRID_MAX_POINTS
 
 
 @pytest.mark.parametrize("index", [0, 1, 2])
@@ -245,6 +259,31 @@ def test_reproduce_large_target_gated(tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert "--allow-large" in err["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "target, column", [("fig7", "half-lambda"), ("fig10", "quarter-lambda")]
+)
+def test_reproduce_refuses_column_its_target_ignores(tmp_path, capsys, target, column):
+    out = tmp_path / "o"
+    code = main(
+        ["reproduce", "--target", target, "--column", column, "--quick",
+         "--out", str(out)]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == "column"
+    assert not any(out.glob("*"))
+
+
+def test_reproduce_accepts_the_fixed_column(tmp_path, capsys):
+    # past the column check, fig10 stops at its size guard
+    code = main(
+        ["reproduce", "--target", "fig10", "--column", "half-lambda",
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 3
+    assert "--allow-large" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
 def test_reproduce_table1_half_lambda(tmp_path):
