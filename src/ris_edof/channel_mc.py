@@ -53,7 +53,6 @@ class EigStats:
 
     mean_profile: np.ndarray
     std_profile: np.ndarray
-    gauss_fit: np.ndarray  # rows (mu_k, sigma_k) for the requested indices
     eigsum_mean: float
 
 
@@ -176,14 +175,9 @@ def run_ensemble(
     return ensemble_from_spectra(dt, dr, realizations, seed, threads=threads)
 
 
-def ensemble_stats(
-    ensemble: ChannelEnsemble, gauss_indices: list[int] | None = None
-) -> EigStats:
-    """Per-index mean/std profiles and moment-matched Gaussian fits.
-
-    gauss_indices are 1-based eigenvalue indices; default is the first 12
-    (or fewer if the ensemble is smaller).
-    """
+def ensemble_stats(ensemble: ChannelEnsemble) -> EigStats:
+    """Per-index mean and standard deviation profiles and the mean
+    eigenvalue sum."""
     if ensemble.realizations < 2:
         raise ValidationError(
             f"need at least 2 realizations for statistics, got "
@@ -193,16 +187,8 @@ def ensemble_stats(
     samples = ensemble.eig_samples
     mean = samples.mean(axis=0)
     std = samples.std(axis=0, ddof=1)
-    if gauss_indices is None:
-        gauss_indices = list(range(1, min(12, ensemble.n_r) + 1))
-    for k in gauss_indices:
-        if not 1 <= k <= ensemble.n_r:
-            raise ValidationError(f"gauss index {k} outside 1..{ensemble.n_r}")
-    idx = np.asarray(gauss_indices, dtype=int) - 1
-    fit = np.column_stack([mean[idx], std[idx]])
     return EigStats(
         mean_profile=mean,
         std_profile=std,
-        gauss_fit=fit,
         eigsum_mean=float(samples.sum(axis=1).mean()),
     )

@@ -12,18 +12,35 @@ maximizer of h over [1, rank], located by a coarse grid plus golden-section
 refinement (the stationarity condition is necessary but not sufficient, and
 flat spectra put the optimum on the boundary).
 
-The coarse scan screens, then confirms. Every coarse point 1 + j/4 is
-index 4j of the 1/16 quadrature lattice, so one lattice and one evaluation
-of gamma on it serve the whole grid: h at all coarse points comes from one
-blocked numpy pass over rows log1p(a_j * gamma), in blocks of at most
-SCAN_BLOCK_ELEMENTS values. These screened values differ from
-h_and_derivative only by floating-point rounding (a few ulp relative), far
-inside SCREEN_BAND. Every point within the band of the screened maximum is
-re-evaluated with h_and_derivative, and the first maximum among them is
-taken. The true maximum of the exhaustive scan, and any point tied with it,
-always lies inside the band, so this is the index that scanning every point
-with h_and_derivative returns; the bracket, the golden-section search and
-everything after it see the same numbers as that scan.
+h is the exact integral of the interpolant. gamma is linear between unit
+knots, so with a = rho * n_t * n_r / N_s the gain u = a * gamma is linear
+on each segment, running from u0 to u1. Over such a segment
+
+    mean ln(1 + u)     = (l0 + l1) / 2 + c,
+    mean u / (1 + u)   = (u0 + (l1 - l0) / 2 - c) / (1 + u0),
+
+where l = log1p(u) at the two ends, z = (u1 - u0) / (2 + u0 + u1) and
+c = atanh(z) / z - 1, the gap between the exact mean and the trapezoid:
+c = z^2/3 + z^4/5 + ... >= 0. In terms of the relative step
+s = (u1 - u0) / (1 + u0), z = s / (2 + s) and atanh(z) = log1p(s) / 2.
+At s = z = 0 (a flat segment, a zero tail or zero gain) c = 0 and the
+means are ln(1 + u0) and u0 / (1 + u0). c is evaluated as
+(atanh(z) - z) / z, with no branch for small z: this keeps its digits
+where z is tiny, so the mean stays accurate to about 1e-8 relative even at
+gains far below 1, where forming it from log1p(s) would not. The
+fractional end segment [floor(x), x] uses the same formulas, scaled by its
+length. No quadrature lattice is left, so h at any point costs one log1p
+per knot and one atanh per segment.
+
+The coarse scan evaluates h at every coarse point in one blocked pass of
+at most SCAN_BLOCK_ELEMENTS values (one row of knots per point) and takes
+the first maximum. Every point's h is a sequential running sum along its
+own row, with the same elementwise operations as a one-point evaluation, so
+it does not depend on the block size or on the other points in its block:
+the scan, h_and_derivative and the golden-section search see the same bits
+for the same point, and no screen band or confirmation step is needed. (A
+pairwise sum over rows padded to the block's width would change the
+association, and with it the last bits, from block to block.)
 """
 
 import math
@@ -38,20 +55,9 @@ LN2 = math.log(2.0)
 
 COARSE_STEP = 0.25
 GOLDEN_TOL = 1e-6
-# Trapezoid sub-step for h and its derivative integral. Unit panels leave an
-# O(frac^2 * curvature) gap between the boundary term and finite differences
-# of the implemented h, breaking the 1e-3 consistency contract; 1/16 panels
-# keep every interpolant knot and leave ~8x margin on that contract.
-QUAD_STEP = 0.0625
-# Lattice panels per coarse step: coarse point j sits at lattice index
-# LATTICE_STRIDE * j.
-LATTICE_STRIDE = round(COARSE_STEP / QUAD_STEP)
-# Largest block of the coarse scan, in float64 values (1 MB). Blocks are
-# sized by the full lattice width so no block grows with the rank.
+# Largest block of the coarse scan, in float64 values per work array (1 MB).
+# Blocks are sized by the full rank so no block grows with it.
 SCAN_BLOCK_ELEMENTS = 2**17
-# Screened coarse values within SCREEN_BAND * max(|top|, 1) of the screened
-# maximum are re-evaluated exactly.
-SCREEN_BAND = 1e-9
 
 SOURCE_MONTE_CARLO = "monte_carlo"
 SOURCE_ANALYTIC = "analytic_inverse_cdf"
@@ -146,39 +152,108 @@ def capacity(
     return float(np.log1p(gains).sum() / LN2)
 
 
+def _trapezoid_gap(a, g0, g1, z=None, c=None) -> np.ndarray:
+    """c = atanh(z)/z - 1 on segments where u = a * gamma runs from a * g0
+    to a * g1, with z = (u1 - u0) / (2 + u0 + u1); 0 where z is 0.
+
+    z is formed as (g1 - g0) / (2/a + g0 + g1), so a zero gain gives
+    2/a = inf and z = 0, the zero-gain limit. z stays above -1 unless a
+    knot of exactly 0 follows one with a * g0 above ~1e16, which a profile
+    cut at RANK_TOL never has. z and c are optional output arrays, as for
+    numpy ufuncs.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        z = np.add(2.0 / a, g0 + g1, out=z)
+    np.divide(g1 - g0, z, out=z)
+    c = np.arctanh(z, out=c)
+    c -= z
+    np.divide(c, z, out=c, where=z != 0.0)
+    return c
+
+
+def _h_values(
+    profile: EigenvalueProfile, rho: float, nt_nr: float, xs: np.ndarray
+) -> np.ndarray:
+    """Exact h, in bits, at the ascending points xs.
+
+    Points go in blocks of rows; row j holds the knots 1..floor(x_j) at the
+    gain a_j = rho * nt_nr / x_j. Summing l_k + c_k over the full segments
+    and correcting the two ends,
+    sum_k (l_k + l_{k+1}) / 2 + c_k = sum_k (l_k + c_k) - (l_1 - l_m) / 2,
+    leaves one running sum per row. Each work array holds at most
+    SCAN_BLOCK_ELEMENTS values (or one row) and is reused by every block,
+    since fresh arrays of that size cost page faults on every block. Every
+    array a transcendental function reads or writes is contiguous, as for
+    a single point.
+    """
+    gamma = profile.gamma
+    snr_gain = rho * nt_nr
+    rows = max(1, SCAN_BLOCK_ELEMENTS // profile.rank)
+    size = min(rows, xs.size) * profile.rank
+    knots, z, gaps = np.empty(size), np.empty(size), np.empty(size)
+    h = np.empty(xs.size)
+    for lo in range(0, xs.size, rows):
+        x = xs[lo : lo + rows]
+        a = snr_gain / x
+        m = x.astype(np.intp)  # the knot floor(x), 1-based
+        n, width = x.size, int(m.max())
+        on = np.arange(n)
+
+        logs = knots[: n * width].reshape(n, width)
+        np.multiply.outer(a, gamma[:width], out=logs)
+        np.log1p(logs, out=logs)
+        terms = _trapezoid_gap(
+            a[:, None],
+            gamma[: width - 1],
+            gamma[1:width],
+            z[: n * (width - 1)].reshape(n, width - 1),
+            gaps[: n * (width - 1)].reshape(n, width - 1),
+        )
+        terms += logs[:, :-1]
+        # running sums, 0 for a row with no full segment; z is spent, so
+        # its array holds them
+        sums = z[: n * width].reshape(n, width)
+        sums[:, 0] = 0.0
+        np.cumsum(terms, axis=1, out=sums[:, 1:])
+        l_m = logs[on, m - 1]
+        full = sums[on, m - 1] - 0.5 * (logs[:, 0] - l_m)
+
+        g_m = gamma[m - 1]
+        g_x = profile.gamma_at(x)
+        tail = 0.5 * (l_m + np.log1p(a * g_x)) + _trapezoid_gap(a, g_m, g_x)
+        h[lo : lo + rows] = (full + (x - m) * tail) / LN2
+    return h
+
+
 def h_and_derivative(
     profile: EigenvalueProfile, rho: float, nt_nr: float, n_s: float
 ) -> tuple[float, float]:
-    """Continuous capacity h(n_s) and its derivative.
+    """Continuous capacity h(n_s) and its derivative, both exact for the
+    interpolant (see the module docstring).
 
-    h uses composite trapezoid quadrature on a fixed sub-unit lattice plus
-    the fractional end segment; the derivative combines the boundary term
-    with the same quadrature applied to the saturation integrand, so the two
-    stay consistent to quadrature accuracy.
+    h comes from the same batch routine as the coarse scan, so it has the
+    same bits as the scan's value at n_s. The derivative is the boundary
+    term log2(1 + a * gamma(n_s)) minus the integral of the saturation
+    term u / (1 + u), divided by n_s * ln 2, since a = rho * nt_nr / n_s.
     """
     if n_s < 1.0 or n_s > profile.rank + 1e-9:
         raise ValidationError(
             f"n_s = {n_s} outside [1, rank = {profile.rank}]", field="n_s"
         )
-    n_s = min(float(n_s), float(profile.rank))
-    a = rho * nt_nr / n_s
-    gamma_end = profile.gamma_at(n_s)
-    boundary = math.log2(1.0 + a * gamma_end)
-    if n_s == 1.0:
-        return 0.0, boundary
+    x = np.array([min(float(n_s), float(profile.rank))])
+    h_val = float(_h_values(profile, rho, nt_nr, x)[0])
 
-    panels = math.floor((n_s - 1.0) / QUAD_STEP + 1e-12)
-    xs = 1.0 + QUAD_STEP * np.arange(panels + 1)
-    if xs[-1] < n_s - 1e-12:
-        xs = np.append(xs, n_s)
-    else:
-        xs[-1] = n_s
-    g = profile.gamma_at(xs)
-    h_val = float(np.trapezoid(np.log2(1.0 + a * g), xs))
-    sat = (a * g) / (1.0 + a * g)
-    integral = float(np.trapezoid(sat, xs))
-    dh = boundary - integral / (n_s * LN2)
-    return h_val, dh
+    a = rho * nt_nr / x
+    m = int(x[0])
+    g = np.append(profile.gamma[:m], profile.gamma_at(x))
+    u = a * g
+    logs = np.log1p(u)
+    sat = u[:-1] + 0.5 * (logs[1:] - logs[:-1])
+    sat -= _trapezoid_gap(a, g[:-1], g[1:])
+    sat /= 1.0 + u[:-1]
+    integral = sat[:-1].sum() + (x[0] - m) * sat[-1]
+    dh = (logs[-1] - integral / x[0]) / LN2
+    return h_val, float(dh)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -213,43 +288,6 @@ def _coarse_grid(rank: int) -> np.ndarray:
     return grid
 
 
-def _coarse_argmax(
-    profile: EigenvalueProfile, rho: float, nt_nr: float, grid: np.ndarray
-) -> int:
-    """Index of the first maximum of h over the coarse grid.
-
-    Screens h at every point in one blocked pass, then confirms the points
-    near the screened maximum with h_and_derivative (see module docstring).
-    """
-    ends = LATTICE_STRIDE * np.arange(grid.size)  # lattice index of each point
-    width = int(ends[-1]) + 1
-    g = profile.gamma_at(1.0 + QUAD_STEP * np.arange(width))
-    a = rho * nt_nr / grid
-    sums = np.empty(grid.size)
-    rows = max(1, SCAN_BLOCK_ELEMENTS // width)
-    for lo in range(0, grid.size, rows):
-        hi = min(lo + rows, grid.size)
-        # every row of the block spans the lattice up to ends[lo]; only the
-        # columns past it are ragged and need a mask
-        prefix = int(ends[lo]) + 1
-        stop = int(ends[hi - 1]) + 1
-        block = a[lo:hi, None] * g[None, :prefix]
-        sums[lo:hi] = np.log1p(block, out=block).sum(axis=1)
-        if stop > prefix:
-            tail = a[lo:hi, None] * g[None, prefix:stop]
-            np.log1p(tail, out=tail)
-            tail[np.arange(prefix, stop)[None, :] > ends[lo:hi, None]] = 0.0
-            sums[lo:hi] += tail.sum(axis=1)
-    # trapezoid: interior nodes weigh 1, the two end nodes 1/2
-    end_nodes = np.log1p(a * g[0]) + np.log1p(a * g[ends])
-    screened = (QUAD_STEP / LN2) * (sums - 0.5 * end_nodes)
-
-    top = float(screened.max())
-    near = np.flatnonzero(screened >= top - SCREEN_BAND * max(abs(top), 1.0))
-    exact = [h_and_derivative(profile, rho, nt_nr, grid[i])[0] for i in near]
-    return int(near[int(np.argmax(exact))])
-
-
 def solve_edof(
     profile: EigenvalueProfile,
     rho: float,
@@ -272,7 +310,7 @@ def solve_edof(
         n_star = 1.0
     else:
         grid = _coarse_grid(rank)
-        best = _coarse_argmax(profile, rho, nt_nr, grid)
+        best = int(np.argmax(_h_values(profile, rho, nt_nr, grid)))
         lo = grid[max(best - 1, 0)]
         hi = grid[min(best + 1, grid.size - 1)]
         n_star = _golden_max(h_of, lo, hi, GOLDEN_TOL)

@@ -9,8 +9,6 @@ spacing d carries round(L/d) + 1 elements.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 
 
@@ -58,25 +56,6 @@ class RisGeometry:
     def n(self) -> int:
         """Total element count."""
         return self.n_x * self.n_z
-
-    def swapped(self) -> "RisGeometry":
-        """Geometry with the x and z roles exchanged."""
-        return RisGeometry(self.len_z, self.len_x, self.spacing_z, self.spacing_x)
-
-
-def element_coordinates(geom: RisGeometry) -> np.ndarray:
-    """Element positions as an (n, 3) array in wavelength units.
-
-    Row-major ordering with z fastest: element (i, k) maps to row
-    i * n_z + k and sits at (i * spacing_x, 0, k * spacing_z).
-    """
-    xs = np.arange(geom.n_x) * geom.spacing_x
-    zs = np.arange(geom.n_z) * geom.spacing_z
-    x_grid, z_grid = np.meshgrid(xs, zs, indexing="ij")
-    coords = np.zeros((geom.n, 3))
-    coords[:, 0] = x_grid.ravel()
-    coords[:, 2] = z_grid.ravel()
-    return coords
 
 
 def asymptotic_dof(geom: RisGeometry) -> int:

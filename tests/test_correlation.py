@@ -16,7 +16,9 @@ from ris_edof.correlation import (
     offset_table,
 )
 from ris_edof.errors import NumericError, SizeGuardError, ValidationError
-from ris_edof.geometry import RisGeometry, element_coordinates
+from ris_edof.geometry import RisGeometry
+
+from coordinates import element_coordinates
 
 # Reference spot values for the flagship 12x12-wavelength aperture, rounded
 # to 5 decimals (absolute 2e-5 window) or quoted loosely for the tail.

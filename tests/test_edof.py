@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -106,8 +107,10 @@ def test_derivative_matches_finite_differences():
             h_lo, _ = h_and_derivative(profile, rho, nt_nr, n_s - delta)
             fd = (h_hi - h_lo) / (2 * delta)
             # relative where the derivative is meaningfully nonzero, scaled
-            # absolute near its zero crossing
-            assert abs(dh - fd) <= 1e-3 * max(abs(fd), 1e-2 * scale)
+            # absolute near its zero crossing; h and dh are both exact for
+            # the interpolant, so only the O(delta^2) difference error and
+            # rounding remain
+            assert abs(dh - fd) <= 1e-6 * max(abs(fd), 1e-2 * scale)
 
 
 def test_step_profile_derivative_negative_past_support():
@@ -245,7 +248,83 @@ def test_normalized_curve_peaks_at_brute_force_argmax(small_mc_profile):
     assert counts[int(np.argmax(normalized))] == best_n
 
 
-# --- coarse scan: blocked screen + exact confirmation vs the exhaustive scan
+# --- exact h against independent oracles
+
+
+def trapezoid_h(profile, rho, nt_nr, x, step):
+    """h by the trapezoid rule on a lattice of the given step (a power of 1/2,
+    so the lattice holds every knot and x)."""
+    ts = np.linspace(1.0, x, round((x - 1.0) / step) + 1)
+    gains = (rho * nt_nr / x) * profile.gamma_at(ts)
+    return float(np.trapezoid(np.log1p(gains), ts)) / math.log(2.0)
+
+
+def test_flat_profile_h_matches_closed_form():
+    g, rank, nt_nr = 0.04, 25, 625.0
+    profile = EigenvalueProfile.from_values(np.full(rank, g))
+    for snr_db in (-10.0, 10.0, 40.0):
+        rho = snr_db_to_linear(snr_db)
+        for x in (1.0, 2.0, 7.0, 7.25, 12.6, 24.5, 25.0):
+            expected = (x - 1.0) * math.log1p(rho * nt_nr / x * g) / math.log(2.0)
+            h, _ = h_and_derivative(profile, rho, nt_nr, x)
+            assert h == pytest.approx(expected, rel=1e-13, abs=1e-300)
+
+
+def step_to_zero_h(level, m, rho, nt_nr, x):
+    """Closed-form h of step_profile: level on knots 1..m, a linear ramp to
+    0 over (m, m + 1), then 0. Evaluated in 50 digits, since the ramp term
+    cancels catastrophically in float64 at small gains."""
+    with mpmath.workdps(50):
+        gain = mpmath.mpf(rho) * nt_nr / x * level
+        h = (min(x, m) - 1) * mpmath.log1p(gain)
+        if x > m and gain > 0:
+            # int_0^f ln(1 + gain * (1 - t)) dt with w = 1 + gain * (1 - t)
+            f = min(x - m, 1)
+            w0, wf = 1 + gain, 1 + gain * (1 - f)
+            h += (w0 * mpmath.log(w0) - wf * mpmath.log(wf)) / gain - f
+        return float(h / mpmath.log(2))
+
+
+def test_step_to_zero_h_matches_closed_form():
+    # the flat part has z = 0; the last segment falls to exactly zero, the
+    # steepest segment a profile can have. Zero gain makes every z zero.
+    # The suite turns warnings into errors, so none of this may warn. Below
+    # -100 dB z is 1e-11..1e-15, where a gap formed from log1p of the
+    # segment's relative step s = 2z / (1 - z) loses its digits (a 2% error
+    # in h at -150 dB).
+    profile = step_profile(m=10, total=20)
+    for snr_db in (-150.0, -140.0, -120.0, -100.0, -10.0, 10.0, 40.0, 90.0):
+        rho = snr_db_to_linear(snr_db)
+        for x in (1.0, 4.5, 10.0, 10.25, 10.5, 11.0, 15.75, 20.0):
+            expected = step_to_zero_h(0.05, 10, rho, 400.0, x)
+            h, _ = h_and_derivative(profile, rho, 400.0, x)
+            assert h == pytest.approx(expected, rel=1e-9, abs=1e-300)
+    assert h_and_derivative(profile, 0.0, 400.0, 15.75) == (0.0, 0.0)
+
+
+def test_h_matches_fine_trapezoid(small_mc_profile):
+    geom, mc_profile = small_mc_profile
+    cases = [(synthetic_profile(rank, seed=rank), 900.0) for rank in (17, 64)]
+    cases.append((mc_profile, float(geom.n) ** 2))
+    for profile, nt_nr in cases:
+        points = (2.0, 5.5, 0.5 * profile.rank, profile.rank - 0.75)
+        for snr_db in (0.0, 20.0, 40.0):
+            rho = snr_db_to_linear(snr_db)
+            exact = np.array(
+                [h_and_derivative(profile, rho, nt_nr, x)[0] for x in points]
+            )
+            coarse, fine = (
+                np.array([trapezoid_h(profile, rho, nt_nr, x, step) for x in points])
+                for step in (2.0**-9, 2.0**-10)
+            )
+            assert np.allclose(fine, exact, rtol=1e-6, atol=0.0)
+            # the trapezoid error is O(step^2): halving the step quarters it,
+            # which it would not if h carried an error of its own
+            ratio = np.abs(coarse - exact).max() / np.abs(fine - exact).max()
+            assert 3.9 < ratio < 4.1
+
+
+# --- coarse scan vs the point-by-point scan
 
 SCAN_SNRS_DB = (-10.0, 0.0, 10.0, 20.0, 40.0)
 
@@ -261,33 +340,26 @@ def scan_profiles(small_mc_profile):
     return profiles
 
 
-def ragged_block_limit(profile):
-    # fewest rows per block (>= 2) that leave a shorter last block
-    points = edof.LATTICE_STRIDE * (profile.rank - 1) + 1
-    width = edof.LATTICE_STRIDE * (points - 1) + 1
-    rows = next(k for k in range(2, points + 1) if points % k)
-    return rows * width
-
-
 @pytest.mark.parametrize("blocks", ["default", "one-row", "ragged"])
 def test_coarse_scan_matches_exhaustive_scan(small_mc_profile, monkeypatch, blocks):
     for profile, nt_nr in scan_profiles(small_mc_profile):
         if blocks == "one-row":
             monkeypatch.setattr(edof, "SCAN_BLOCK_ELEMENTS", 1)
         elif blocks == "ragged":
-            monkeypatch.setattr(
-                edof, "SCAN_BLOCK_ELEMENTS", ragged_block_limit(profile)
-            )
+            # two rows per block; the grid has 4 * rank - 3 points, an odd
+            # count, so the last block holds one row
+            monkeypatch.setattr(edof, "SCAN_BLOCK_ELEMENTS", 2 * profile.rank)
         grid = edof._coarse_grid(profile.rank)
         for snr_db in SCAN_SNRS_DB:
             rho = snr_db_to_linear(snr_db)
             oracle = [h_and_derivative(profile, rho, nt_nr, x)[0] for x in grid]
-            best = int(np.argmax(oracle))
-            assert edof._coarse_argmax(profile, rho, nt_nr, grid) == best
+            scanned = edof._h_values(profile, rho, nt_nr, grid)
+            assert np.array_equal(scanned, oracle)
 
             def h_of(x):
                 return h_and_derivative(profile, rho, nt_nr, x)[0]
 
+            best = int(np.argmax(oracle))
             lo = grid[max(best - 1, 0)]
             hi = grid[min(best + 1, grid.size - 1)]
             n_star = edof._golden_max(h_of, lo, hi, edof.GOLDEN_TOL)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from ris_edof.errors import ValidationError
-from ris_edof.geometry import RisGeometry, asymptotic_dof, element_coordinates
+from ris_edof.geometry import RisGeometry, asymptotic_dof
+
+from coordinates import element_coordinates
 
 
 def test_flagship_grid_count():
@@ -65,21 +66,3 @@ def test_validation_names_offending_field(kwargs, field):
     with pytest.raises(ValidationError) as excinfo:
         RisGeometry(**kwargs)
     assert excinfo.value.field == field
-
-
-grid_side = st.integers(min_value=1, max_value=5)
-spacing = st.sampled_from([0.25, 0.5, 1.0])
-
-
-@given(nx=grid_side, nz=grid_side, dx=spacing, dz=spacing)
-def test_swap_preserves_distance_multiset(nx, nz, dx, dz):
-    geom = RisGeometry(nx * dx, nz * dz, dx, dz)
-    swapped = geom.swapped()
-    assert swapped.n == geom.n
-
-    def distances(g):
-        c = element_coordinates(g)
-        d = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=-1)
-        return np.sort(d[np.triu_indices(g.n, k=1)])
-
-    assert np.allclose(distances(geom), distances(swapped))
