@@ -53,7 +53,8 @@ HUGE_ALPHA_FACTOR = 1e6
 
 @dataclass
 class EigenProfilePair:
-    """Positive, pairwise-distinct spectra of the two correlation matrices.
+    """Positive, pairwise-distinct, equal-length spectra of the two
+    correlation matrices.
 
     Values are stored in non-increasing order. Degenerate spectra (ties
     tighter than MIN_RELATIVE_SEPARATION) make the determinant formula a
@@ -80,19 +81,17 @@ class EigenProfilePair:
                     "use EigenProfilePair.from_values, which jitters them",
                     field=name,
                 )
-        if self.dr_vals.size < self.dt_vals.size:
+        if self.dr_vals.size != self.dt_vals.size:
             raise ValidationError(
-                "need len(dr_vals) >= len(dt_vals) "
-                f"({self.dr_vals.size} < {self.dt_vals.size})",
+                "the closed form needs equal-size spectra; the rectangular "
+                "kernel is not well defined (len(dt_vals) = "
+                f"{self.dt_vals.size}, len(dr_vals) = {self.dr_vals.size})",
                 field="dr_vals",
             )
 
     @property
-    def n_t(self) -> int:
-        return self.dt_vals.size
-
-    @property
     def n_r(self) -> int:
+        """N, the common length of the two spectra."""
         return self.dr_vals.size
 
     @classmethod
@@ -191,15 +190,8 @@ def _endpoints(pair: EigenProfilePair) -> tuple[float, float]:
 def unordered_cdf(pair: EigenProfilePair, alpha) -> float | np.ndarray:
     """Endpoint-normalized CDF of an unordered composite-channel eigenvalue.
 
-    Accepts a scalar or an array of evaluation points. Only equal-size
-    profile pairs are supported; the rectangular extension of the kernel
-    matrix is not well defined.
+    Accepts a scalar or an array of evaluation points.
     """
-    if pair.n_t != pair.n_r:
-        raise ValidationError(
-            f"rectangular profiles are unsupported (n_t = {pair.n_t}, "
-            f"n_r = {pair.n_r}); the analytic path needs n_t == n_r"
-        )
     if pair.n_r > N_GUARD:
         raise SizeGuardError(
             f"analytic CDF guard: N = {pair.n_r} exceeds {N_GUARD}"

@@ -33,7 +33,6 @@ class ChannelEnsemble:
 
     n_t: int
     n_r: int
-    seed: int
     realizations: int
     eig_samples: np.ndarray  # shape (realizations, n_r), rows non-increasing
     dt: np.ndarray | None = None  # normalized transmit spectrum, length n_t
@@ -149,7 +148,6 @@ def ensemble_from_spectra(
     return ChannelEnsemble(
         n_t=n_t,
         n_r=n_r,
-        seed=seed,
         realizations=realizations,
         eig_samples=np.vstack(rows),
         dt=dt,

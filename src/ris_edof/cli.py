@@ -74,15 +74,13 @@ LARGE_APERTURE = 32.0
 DEFAULT_GEOMETRY = {"len_x": 12.0, "len_z": 12.0, "spacing_x": 0.5, "spacing_z": 0.5}
 
 _GEOMETRY_KEYS = {"len_x", "len_z", "spacing_x", "spacing_z"}
-_SNR_KEYS = {"start", "stop", "step"}
+_SNR_KEYS = ("start", "stop", "step")
 _TOP_KEYS = {
     "geometry_t",
     "geometry_r",
     "realizations",
     "seed",
     "snr_grid_db",
-    "realizations_mode",
-    "output_dir",
     "options",
 }
 
@@ -96,8 +94,6 @@ class RunConfig:
     snr_start: float = -10.0
     snr_stop: float = 40.0
     snr_step: float = 5.0
-    realizations_mode: str = "full"
-    output_dir: Path = Path("out")
     options: dict = field(default_factory=dict)
     threads: int = 1
     max_elements: int = DEFAULT_MAX_ELEMENTS
@@ -108,18 +104,11 @@ class RunConfig:
         count = int(math.floor(steps + SNR_GRID_TOL)) + 1
         return [self.snr_start + i * self.snr_step for i in range(count)]
 
-    @property
-    def effective_realizations(self) -> int:
-        if self.realizations_mode == "quick":
-            return QUICK_REALIZATIONS
-        return self.realizations
-
     def describe(self) -> dict:
         return {
             "geometry_t": asdict(self.geometry_t),
             "geometry_r": asdict(self.geometry_r),
-            "realizations": self.effective_realizations,
-            "realizations_mode": self.realizations_mode,
+            "realizations": self.realizations,
             "seed": self.seed,
             "snr_grid_db": {
                 "start": self.snr_start,
@@ -141,6 +130,20 @@ def _check_keys(block: dict, allowed, where: str) -> None:
             )
 
 
+def _number(value, where: str, field: str) -> float:
+    """A finite JSON number as a float. Bools, strings and integers beyond
+    the float range are refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ValidationError(
+        f"{where} must be a finite number, got {value!r}", field=field
+    )
+
+
 def _parse_geometry(block, where: str) -> RisGeometry:
     if not isinstance(block, dict):
         raise ValidationError(f"{where} must be an object", field=where)
@@ -148,23 +151,13 @@ def _parse_geometry(block, where: str) -> RisGeometry:
     for key in _GEOMETRY_KEYS:
         if key not in block:
             raise ValidationError(f"{where} is missing {key!r}", field=key)
-        if not isinstance(block[key], (int, float)) or isinstance(block[key], bool):
-            raise ValidationError(f"{where}.{key} must be a number", field=key)
-    return RisGeometry(**{key: float(block[key]) for key in _GEOMETRY_KEYS})
+    return RisGeometry(
+        **{key: _number(block[key], f"{where}.{key}", key) for key in _GEOMETRY_KEYS}
+    )
 
 
 def _option_number(options: dict, key: str) -> float:
-    value = options[key]
-    if (
-        not isinstance(value, (int, float))
-        or isinstance(value, bool)
-        or not math.isfinite(value)
-    ):
-        raise ValidationError(
-            f"options.{key} must be a finite number, got {value!r}",
-            field=f"options.{key}",
-        )
-    return float(value)
+    return _number(options[key], f"options.{key}", f"options.{key}")
 
 
 def _check_options(options: dict) -> None:
@@ -198,7 +191,7 @@ def _check_seed(seed) -> int:
 def parse_config(raw: dict, command: str) -> RunConfig:
     """Strictly parse a config dict; unknown keys are rejected by name."""
     if not isinstance(raw, dict):
-        raise ValidationError("config root must be a JSON object")
+        raise ValidationError("config root must be a JSON object", field="config")
     _check_keys(raw, _TOP_KEYS, "config")
 
     geometry_t = _parse_geometry(raw.get("geometry_t", DEFAULT_GEOMETRY), "geometry_t")
@@ -227,18 +220,14 @@ def parse_config(raw: dict, command: str) -> RunConfig:
             field="snr_grid_db",
         )
     _check_keys(snr, _SNR_KEYS, "snr_grid_db")
-    try:
-        start, stop, step = (
-            float(snr["start"]),
-            float(snr["stop"]),
-            float(snr["step"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad snr_grid_db: {exc}", field="snr_grid_db") from exc
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise ValidationError(
-            "snr_grid_db values must be finite", field="snr_grid_db"
-        )
+    for key in _SNR_KEYS:
+        if key not in snr:
+            raise ValidationError(
+                f"snr_grid_db is missing {key!r}", field="snr_grid_db"
+            )
+    start, stop, step = (
+        _number(snr[key], f"snr_grid_db.{key}", "snr_grid_db") for key in _SNR_KEYS
+    )
     if step <= 0 or stop < start:
         raise ValidationError(
             "snr_grid_db needs step > 0 and stop >= start", field="snr_grid_db"
@@ -259,13 +248,6 @@ def parse_config(raw: dict, command: str) -> RunConfig:
             field="snr_grid_db",
         )
 
-    mode = raw.get("realizations_mode", "full")
-    if mode not in ("full", "quick"):
-        raise ValidationError(
-            f"realizations_mode must be 'full' or 'quick', got {mode!r}",
-            field="realizations_mode",
-        )
-
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise ValidationError("options must be an object", field="options")
@@ -280,8 +262,6 @@ def parse_config(raw: dict, command: str) -> RunConfig:
         snr_start=start,
         snr_stop=stop,
         snr_step=step,
-        realizations_mode=mode,
-        output_dir=Path(raw.get("output_dir", "out")),
         options=options,
     )
 
@@ -352,7 +332,7 @@ def _ensemble(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
     return run_ensemble(
         geom_t,
         geom_r,
-        config.effective_realizations,
+        config.realizations,
         config.seed,
         threads=config.threads,
         max_elements=config.max_elements,
@@ -363,7 +343,7 @@ def _mean_profile(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
     """Monte Carlo mean eigenvalue profile and n_t * n_r."""
     ensemble = _ensemble(config, geom_t, geom_r)
     stats = ensemble_stats(ensemble)
-    profile = EigenvalueProfile.from_mean_profile(stats.mean_profile)
+    profile = EigenvalueProfile.from_values(stats.mean_profile)
     return profile, float(ensemble.n_t * ensemble.n_r)
 
 
@@ -390,9 +370,7 @@ def _mean(config, geom_t, geom_r):
 def _bounds_report(config, geom_t, geom_r):
     slack = float(config.options.get("slack", 0.10))
     ensemble = _ensemble(config, geom_t, geom_r)
-    table = per_eig_bounds(
-        ensemble.dt, ensemble.dr, ensemble.n_t, ensemble.n_r, slack=slack
-    )
+    table = per_eig_bounds(ensemble.dt, ensemble.dr, slack=slack)
     violations = check_bounds(ensemble, table)
     report = {
         "regime": table.regime,
@@ -404,6 +382,12 @@ def _bounds_report(config, geom_t, geom_r):
 
 def _cdf(config, geom_t, geom_r):
     points = int(config.options.get("points", 200))
+    if geom_t.n != geom_r.n:
+        raise ValidationError(
+            f"cdf needs panels of equal element count; geometry_t has "
+            f"{geom_t.n} and geometry_r {geom_r.n}",
+            field="geometry_r",
+        )
     dt = geometry_spectrum(geom_t, max_elements=config.max_elements)
     dr = geometry_spectrum(geom_r, max_elements=config.max_elements)
     pair = EigenProfilePair.from_values(dt[dt > 0], dr[dr > 0])
@@ -537,9 +521,14 @@ def _load_raw_config(path: Path | None) -> dict:
     try:
         return json.loads(path.read_text())
     except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ValidationError(
+            f"cannot read config {path}: {exc}", field="config"
+        ) from exc
+    except ValueError as exc:
+        # JSONDecodeError, and integers past the int-to-str digit limit
+        raise ValidationError(
+            f"config {path} is not valid JSON: {exc}", field="config"
+        ) from exc
 
 
 def _jobs(args: argparse.Namespace, config: RunConfig):
@@ -590,7 +579,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config.seed = _check_seed(args.seed)
     if args.quick:
-        config.realizations_mode = "quick"
+        config.realizations = QUICK_REALIZATIONS
     if args.threads < 1:
         raise ValidationError(
             f"threads must be >= 1, got {args.threads}", field="threads"
@@ -599,7 +588,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.allow_large:
         config.max_elements = ALLOW_LARGE_MAX_ELEMENTS
 
-    out_dir = args.out or Path(os.environ.get(OUTPUT_DIR_ENV, config.output_dir))
+    out_dir = args.out or Path(os.environ.get(OUTPUT_DIR_ENV, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     product, jobs, manifest_stem, extras = _jobs(args, config)

@@ -59,10 +59,6 @@ GOLDEN_TOL = 1e-6
 # Blocks are sized by the full rank so no block grows with it.
 SCAN_BLOCK_ELEMENTS = 2**17
 
-SOURCE_MONTE_CARLO = "monte_carlo"
-SOURCE_ANALYTIC = "analytic_inverse_cdf"
-SOURCE_SYNTHETIC = "synthetic"
-
 
 @dataclass
 class EigenvalueProfile:
@@ -75,7 +71,6 @@ class EigenvalueProfile:
     """
 
     gamma: np.ndarray
-    source: str
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=float)
@@ -99,15 +94,11 @@ class EigenvalueProfile:
         return vals
 
     @classmethod
-    def from_values(cls, values, source: str = SOURCE_SYNTHETIC) -> "EigenvalueProfile":
+    def from_values(cls, values) -> "EigenvalueProfile":
         values = np.asarray(values, dtype=float)
         if values.size == 0 or values[0] <= 0:
             raise ValidationError("profile needs a positive leading value")
-        return cls(gamma=values[: effective_rank(values, RANK_TOL)], source=source)
-
-    @classmethod
-    def from_mean_profile(cls, mean_profile):
-        return cls.from_values(mean_profile, source=SOURCE_MONTE_CARLO)
+        return cls(gamma=values[: effective_rank(values, RANK_TOL)])
 
 
 @dataclass
@@ -118,8 +109,6 @@ class EdofResult:
     n_s_int: int  # integer subchannel count actually used
     capacity_at_int: float  # discrete capacity at n_s_int, bits/s/Hz
     stationarity_residual: float  # dh/dN_s at n_s_star; ~0 for interior optima
-    dof_reference: int | None  # aperture DoF floor(pi Lx Lz), when known
-    snr_db: float | None
 
 
 @dataclass
@@ -288,14 +277,7 @@ def _coarse_grid(rank: int) -> np.ndarray:
     return grid
 
 
-def solve_edof(
-    profile: EigenvalueProfile,
-    rho: float,
-    nt_nr: float,
-    *,
-    dof_reference: int | None = None,
-    snr_db: float | None = None,
-) -> EdofResult:
+def solve_edof(profile: EigenvalueProfile, rho: float, nt_nr: float) -> EdofResult:
     """Maximize h over [1, rank] and report the EDoF.
 
     The integer EDoF is the rounded continuous optimum, locally hill-climbed
@@ -304,7 +286,7 @@ def solve_edof(
     rank = profile.rank
 
     def h_of(x: float) -> float:
-        return h_and_derivative(profile, rho, nt_nr, x)[0]
+        return float(_h_values(profile, rho, nt_nr, np.array([x]))[0])
 
     if rank == 1:
         n_star = 1.0
@@ -335,32 +317,7 @@ def solve_edof(
         n_s_int=n_int,
         capacity_at_int=cap,
         stationarity_residual=float(residual),
-        dof_reference=dof_reference,
-        snr_db=snr_db,
     )
-
-
-def edof_sweep(
-    profile: EigenvalueProfile,
-    nt_nr: float,
-    snr_grid_db,
-    *,
-    dof_reference: int | None = None,
-) -> list[EdofResult]:
-    """One EDoF solve per SNR grid point."""
-    snr_grid_db = list(snr_grid_db)
-    if not snr_grid_db:
-        raise ValidationError("SNR grid is empty", field="snr_grid_db")
-    return [
-        solve_edof(
-            profile,
-            snr_db_to_linear(s),
-            nt_nr,
-            dof_reference=dof_reference,
-            snr_db=float(s),
-        )
-        for s in snr_grid_db
-    ]
 
 
 def capacity_degradation(
@@ -369,30 +326,33 @@ def capacity_degradation(
     snr_grid_db,
     dof_reference: int,
 ) -> list[DegradationRow]:
-    """Capacity loss from using dof_reference subchannels instead of the EDoF."""
+    """Capacity loss from using dof_reference subchannels instead of the
+    EDoF, one row per SNR grid point."""
     if dof_reference < 1:
         raise ValidationError(
             f"dof_reference must be >= 1, got {dof_reference}",
             field="dof_reference",
         )
+    snr_grid_db = [float(s) for s in snr_grid_db]
+    if not snr_grid_db:
+        raise ValidationError("SNR grid is empty", field="snr_grid_db")
     n_ref = min(dof_reference, profile.rank)
     clipped = n_ref != dof_reference
     rows = []
-    for result in edof_sweep(
-        profile, nt_nr, snr_grid_db, dof_reference=dof_reference
-    ):
-        rho = snr_db_to_linear(result.snr_db)
+    for snr_db in snr_grid_db:
+        rho = snr_db_to_linear(snr_db)
+        result = solve_edof(profile, rho, nt_nr)
         if result.capacity_at_int == 0.0:
             raise NumericError(
-                f"capacity is 0 at SNR {result.snr_db:g} dB (linear SNR "
+                f"capacity is 0 at SNR {snr_db:g} dB (linear SNR "
                 f"{rho:g}): the degradation ratio is undefined",
-                diagnostics={"snr_db": result.snr_db, "rho": rho},
+                diagnostics={"snr_db": snr_db, "rho": rho},
             )
         cap_ref = capacity(profile, rho, nt_nr, n_ref)
         degradation = 1.0 - cap_ref / result.capacity_at_int
         rows.append(
             DegradationRow(
-                snr_db=result.snr_db,
+                snr_db=snr_db,
                 edof=result,
                 capacity_ref=cap_ref,
                 degradation=degradation,

@@ -43,6 +43,16 @@ class RisGeometry:
                 f"spacing_z ({self.spacing_z}) exceeds len_z ({self.len_z})",
                 field="spacing_z",
             )
+        # an overflowing side count would make round() raise OverflowError
+        for side in ("x", "z"):
+            length = getattr(self, f"len_{side}")
+            spacing = getattr(self, f"spacing_{side}")
+            if not math.isfinite(length / spacing):
+                raise ValidationError(
+                    f"len_{side} / spacing_{side} = {length!r} / {spacing!r} "
+                    "overflows a float",
+                    field=f"spacing_{side}",
+                )
 
     @property
     def n_x(self) -> int:

@@ -1,9 +1,13 @@
 """Analytical per-index eigenvalue bounds for the composite channel.
 
-The bounds combine the per-index spectra of the two correlation matrices
-with the extreme eigenvalues of the underlying white Wishart factor, whose
-almost-sure limits are the Marchenko-Pastur edges (1 +- sqrt(eta))^2 with
-eta = n_t / n_r. Three regimes apply depending on eta; because the edges
+With normalized spectra dt, dr and H of i.i.d. CN(0, 1) entries, the k-th
+eigenvalue of Dr^{1/2} H Dt H^H Dr^{1/2} is at most
+||H||^2 * min(dt_k * dr_1, dr_k * dt_1). The almost-sure limit of ||H||^2
+is the upper Marchenko-Pastur edge of H H^H, n_r * (1 + sqrt(eta))^2 =
+(sqrt(n_t) + sqrt(n_r))^2 with eta = n_t / n_r, and the middle regime uses
+it as the multiplier. When one side is at least ETA_HIGH times the other,
+the eigenvalues concentrate at max(n_t, n_r) times the per-index products,
+which gives a lower bound as well as a tighter upper one. Because the edges
 are asymptotic, every audit carries an explicit multiplicative slack.
 """
 
@@ -72,27 +76,18 @@ def _smallest_significant(values: np.ndarray) -> float:
 
 
 def per_eig_bounds(
-    dt: np.ndarray,
-    dr: np.ndarray,
-    n_t: int,
-    n_r: int,
-    *,
-    slack: float = DEFAULT_SLACK,
+    dt: np.ndarray, dr: np.ndarray, *, slack: float = DEFAULT_SLACK
 ) -> BoundTable:
     """Regime-dependent per-index bounds from the two normalized spectra.
 
-    Returns n_r rows; indices beyond the transmit spectrum length use a
+    Returns len(dr) rows; indices beyond the transmit spectrum length use a
     zero transmit eigenvalue, which correctly forces those bounds to 0.
     """
     dt = np.asarray(dt, dtype=float)
     dr = np.asarray(dr, dtype=float)
     if dt.size == 0 or dr.size == 0:
         raise ValidationError("spectra must be non-empty")
-    if dt.size != n_t or dr.size != n_r:
-        raise ValidationError(
-            f"spectra lengths ({dt.size}, {dr.size}) do not match counts "
-            f"({n_t}, {n_r})"
-        )
+    n_t, n_r = dt.size, dr.size
 
     dt_pad = np.zeros(n_r)
     dt_pad[: min(n_t, n_r)] = dt[: min(n_t, n_r)]
@@ -101,22 +96,15 @@ def per_eig_bounds(
     dr_rank = _smallest_significant(dr)
 
     eta = n_t / n_r
-    if eta <= ETA_LOW:
-        regime = REGIME_NT_MUCH_LESS
-        mult = float(n_r)
-    elif eta >= ETA_HIGH:
-        regime = REGIME_NT_MUCH_GREATER
-        mult = float(n_t)
-    else:
+    if ETA_LOW < eta < ETA_HIGH:
         regime = REGIME_NT_APPROX_NR
-        mult = None
-
-    if mult is not None:
-        lower = np.maximum(mult * dt_pad * dr_rank, mult * dr * dt_rank)
-        upper = np.minimum(mult * dt_pad * dr1, mult * dr * dt1)
-    else:
+        mult = n_r * mp_edges(eta)[1]
         lower = np.zeros(n_r)
-        upper = np.minimum(4.0 * n_r * dt_pad * dr1, 4.0 * n_t * dr * dt1)
+    else:
+        regime = REGIME_NT_MUCH_LESS if eta <= ETA_LOW else REGIME_NT_MUCH_GREATER
+        mult = float(max(n_t, n_r))
+        lower = np.maximum(mult * dt_pad * dr_rank, mult * dr * dt_rank)
+    upper = np.minimum(mult * dt_pad * dr1, mult * dr * dt1)
 
     # beyond the joint rank the eigenvalue is exactly zero; the per-index
     # expressions are meaningless there
@@ -139,29 +127,18 @@ def check_bounds(ensemble: ChannelEnsemble, table: BoundTable) -> list[BoundViol
         )
     hi = table.upper * (1.0 + table.slack)
     lo = table.lower * (1.0 - table.slack)
-
-    violations: list[BoundViolation] = []
     samples = ensemble.eig_samples
-    over = np.argwhere(samples > hi[None, :])
-    under = np.argwhere(samples < lo[None, :])
-    for realization, idx in over:
-        violations.append(
-            BoundViolation(
-                k=int(idx) + 1,
-                realization=int(realization),
-                value=float(samples[realization, idx]),
-                bound=float(table.upper[idx]),
-                kind="upper",
-            )
+    return [
+        BoundViolation(
+            k=int(idx) + 1,
+            realization=int(realization),
+            value=float(samples[realization, idx]),
+            bound=float(bound[idx]),
+            kind=kind,
         )
-    for realization, idx in under:
-        violations.append(
-            BoundViolation(
-                k=int(idx) + 1,
-                realization=int(realization),
-                value=float(samples[realization, idx]),
-                bound=float(table.lower[idx]),
-                kind="lower",
-            )
+        for kind, outside, bound in (
+            ("upper", samples > hi[None, :], table.upper),
+            ("lower", samples < lo[None, :], table.lower),
         )
-    return violations
+        for realization, idx in np.argwhere(outside)
+    ]

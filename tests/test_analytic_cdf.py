@@ -132,9 +132,11 @@ def test_pair_jitter_resolves_ties():
 
 
 def test_rectangular_pairs_rejected_by_cdf():
-    pair = EigenProfilePair.from_values([0.7, 0.3], [0.5, 0.3, 0.2])
-    with pytest.raises(ValidationError, match="rectangular"):
-        unordered_cdf(pair, 0.5)
+    # either side may be the longer one
+    for dt, dr in (([0.7, 0.3], [0.5, 0.3, 0.2]), ([0.5, 0.3, 0.2], [0.7, 0.3])):
+        with pytest.raises(ValidationError, match="equal-size") as info:
+            EigenProfilePair.from_values(dt, dr)
+        assert info.value.field == "dr_vals"
 
 
 def test_size_guard():

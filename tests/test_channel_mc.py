@@ -102,7 +102,7 @@ def test_rows_sorted_and_nonnegative():
 def test_stats_on_identical_samples():
     row = np.array([[3.0, 2.0, 1.0]])
     ensemble = ChannelEnsemble(
-        n_t=3, n_r=3, seed=0, realizations=4, eig_samples=np.repeat(row, 4, axis=0)
+        n_t=3, n_r=3, realizations=4, eig_samples=np.repeat(row, 4, axis=0)
     )
     stats = ensemble_stats(ensemble)
     assert np.array_equal(stats.std_profile, np.zeros(3))
@@ -112,7 +112,7 @@ def test_stats_on_identical_samples():
 
 def test_stats_require_two_realizations():
     ensemble = ChannelEnsemble(
-        n_t=2, n_r=2, seed=0, realizations=1, eig_samples=np.ones((1, 2))
+        n_t=2, n_r=2, realizations=1, eig_samples=np.ones((1, 2))
     )
     with pytest.raises(ValidationError):
         ensemble_stats(ensemble)
@@ -137,7 +137,7 @@ def test_eigensum_scalar_channel():
 def test_eigensum_zero_channel_injected():
     # ensemble_stats needs two realizations
     ensemble = ChannelEnsemble(
-        n_t=2, n_r=2, seed=0, realizations=2, eig_samples=np.zeros((2, 2))
+        n_t=2, n_r=2, realizations=2, eig_samples=np.zeros((2, 2))
     )
     assert ensemble_stats(ensemble).eigsum_mean == 0.0
 

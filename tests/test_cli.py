@@ -46,6 +46,88 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "geometry_q" in err["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "key, value", [("realizations_mode", "quick"), ("output_dir", 5)]
+)
+def test_removed_config_keys_exit_2_naming_them(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, dict(TINY, **{key: value}))
+    code = main(["corr-eigs", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == key
+
+
+@pytest.mark.parametrize(
+    "text",
+    [None, "{not json", "[1, 2]", '{"seed": ' + "1" * 5000 + "}"],
+    ids=["missing", "invalid-json", "non-object", "huge-int"],
+)
+def test_unusable_config_file_exits_2_naming_config(tmp_path, capsys, text):
+    # a missing file, invalid JSON, a non-object root, and an integer past
+    # Python's int-to-str digit limit
+    cfg = tmp_path / "config.json"
+    if text is not None:
+        cfg.write_text(text)
+    code = main(["corr-eigs", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "validation"
+    assert err["error"]["field"] == "config"
+
+
+@pytest.mark.parametrize(
+    "len_x, spacing_x, field",
+    [(1e308, 1e-10, "spacing_x"), (10**400, 0.5, "len_x")],
+    ids=["side-count", "huge-int"],
+)
+def test_geometry_overflow_exits_2_naming_field(
+    tmp_path, capsys, len_x, spacing_x, field
+):
+    geometry = {"len_x": len_x, "len_z": 3, "spacing_x": spacing_x, "spacing_z": 0.5}
+    cfg = write_config(tmp_path, dict(TINY, geometry_t=geometry))
+    code = main(["corr-eigs", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == field
+
+
+@pytest.mark.parametrize(
+    "geometry_t, geometry_r",
+    [
+        ({"len_x": 1, "len_z": 1, "spacing_x": 0.5, "spacing_z": 0.5},
+         {"len_x": 1.5, "len_z": 1.5, "spacing_x": 0.5, "spacing_z": 0.5}),
+        ({"len_x": 1.5, "len_z": 1.5, "spacing_x": 0.5, "spacing_z": 0.5},
+         {"len_x": 1, "len_z": 1, "spacing_x": 0.5, "spacing_z": 0.5}),
+    ],
+)
+def test_cdf_with_unequal_panels_exits_2_naming_geometry_r(
+    tmp_path, capsys, geometry_t, geometry_r
+):
+    payload = {"geometry_t": geometry_t, "geometry_r": geometry_r,
+               "options": {"points": 3}}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    code = main(["cdf", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == "geometry_r"
+    assert not any(out.glob("*"))
+
+
+def test_quick_flag_records_quick_realizations(tmp_path):
+    payload = {
+        "geometry_t": {"len_x": 0.5, "len_z": 0.5, "spacing_x": 0.5, "spacing_z": 0.5},
+        "realizations": 7,
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    code = main(["channel-eigs", "--config", str(cfg), "--out", str(out), "--quick"])
+    assert code == 0
+    manifest = json.loads((out / "channel_eigs_manifest.json").read_text())
+    assert manifest["config"]["realizations"] == 100
+    assert "realizations_mode" not in manifest["config"]
+
+
 def test_parse_config_defaults():
     config = parse_config({}, "corr-eigs")
     assert config.realizations == 1000
@@ -77,6 +159,18 @@ def test_snr_grid_at_the_point_cap_is_accepted():
 def test_non_finite_snr_grid_exits_2(tmp_path, capsys, index, value):
     grid = [-10.0, 10.0, 10.0]
     grid[index] = value
+    cfg = write_config(tmp_path, dict(TINY, snr_grid_db=grid))
+    code = main(["edof-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == "snr_grid_db"
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[0, True, 1], [False, 10, 1], [0, 10, True], ["0", 10, 1], [0, 10**400, 1]],
+)
+def test_snr_grid_refuses_bools_strings_and_huge_ints(tmp_path, capsys, grid):
     cfg = write_config(tmp_path, dict(TINY, snr_grid_db=grid))
     code = main(["edof-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
@@ -328,6 +422,7 @@ def test_out_of_range_snr_grid_exits_2(tmp_path, capsys, grid):
         ("bounds-audit", {"slack": -0.1}, "options.slack"),
         ("cdf", {"points": 0}, "options.points"),
         ("cdf", {"points": 2.5}, "options.points"),
+        ("bounds-audit", {"slack": 10**400}, "options.slack"),
     ],
 )
 def test_bad_option_exits_2_naming_field(tmp_path, capsys, command, options, field):

@@ -11,7 +11,6 @@ from ris_edof.edof import (
     capacity,
     capacity_curve,
     capacity_degradation,
-    edof_sweep,
     h_and_derivative,
     snr_db_to_linear,
     solve_edof,
@@ -33,7 +32,7 @@ def step_profile(m, total=20, level=0.05):
     # built via the constructor so the zero tail stays in the domain
     values = np.zeros(total)
     values[:m] = level
-    return EigenvalueProfile(gamma=values, source="synthetic")
+    return EigenvalueProfile(gamma=values)
 
 
 def brute_force_argmax(profile, rho, nt_nr):
@@ -43,9 +42,9 @@ def brute_force_argmax(profile, rho, nt_nr):
 
 def test_profile_validation():
     with pytest.raises(ValidationError):
-        EigenvalueProfile(gamma=np.array([1.0, 2.0]), source="synthetic")
+        EigenvalueProfile(gamma=np.array([1.0, 2.0]))
     with pytest.raises(ValidationError):
-        EigenvalueProfile(gamma=np.array([1.0, -0.1]), source="synthetic")
+        EigenvalueProfile(gamma=np.array([1.0, -0.1]))
     profile = EigenvalueProfile.from_values([1.0, 0.5, 1e-20])
     assert profile.rank == 2  # trailing negligible value dropped
 
@@ -163,14 +162,15 @@ def test_solver_reports_small_interior_residual():
 
 def test_sweep_single_point():
     profile = synthetic_profile(10, seed=5)
-    results = edof_sweep(profile, 100.0, [0.0])
-    assert len(results) == 1
-    assert results[0].snr_db == 0.0
+    rows = capacity_degradation(profile, 100.0, [0], dof_reference=5)
+    assert len(rows) == 1
+    assert rows[0].snr_db == 0.0 and isinstance(rows[0].snr_db, float)
 
 
 def test_sweep_rejects_empty_grid():
-    with pytest.raises(ValidationError):
-        edof_sweep(synthetic_profile(5, seed=6), 25.0, [])
+    with pytest.raises(ValidationError) as info:
+        capacity_degradation(synthetic_profile(5, seed=6), 25.0, [], dof_reference=3)
+    assert info.value.field == "snr_grid_db"
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +178,7 @@ def small_mc_profile():
     geom = RisGeometry(3, 3, 0.5, 0.5)
     ensemble = run_ensemble(geom, geom, realizations=200, seed=7)
     stats = ensemble_stats(ensemble)
-    profile = EigenvalueProfile.from_mean_profile(stats.mean_profile)
+    profile = EigenvalueProfile.from_values(stats.mean_profile)
     return geom, profile
 
 
@@ -186,12 +186,11 @@ def test_sweep_monotone_on_channel_profile(small_mc_profile):
     geom, profile = small_mc_profile
     nt_nr = float(geom.n) ** 2
     dof_ref = asymptotic_dof(geom)
-    results = edof_sweep(
+    rows = capacity_degradation(
         profile, nt_nr, np.arange(-10.0, 41.0, 5.0), dof_reference=dof_ref
     )
-    edofs = [r.n_s_int for r in results]
+    edofs = [row.edof.n_s_int for row in rows]
     assert all(b >= a for a, b in zip(edofs, edofs[1:]))
-    assert all(r.dof_reference == dof_ref for r in results)
 
 
 def test_snr_scaling_never_reduces_edof(small_mc_profile):

@@ -7,10 +7,13 @@ from ris_edof.channel_mc import (
     composite_eigs,
     ensemble_from_spectra,
     realization_stream,
+    run_ensemble,
     sample_hw,
 )
 from ris_edof.errors import ValidationError
+from ris_edof.geometry import RisGeometry
 from ris_edof.spectral_bounds import (
+    DEFAULT_SLACK,
     REGIME_NT_APPROX_NR,
     REGIME_NT_MUCH_GREATER,
     REGIME_NT_MUCH_LESS,
@@ -49,7 +52,7 @@ def test_mp_edges_product_identity(eta):
 
 
 def test_single_index_upper_bound():
-    table = per_eig_bounds(np.array([1.0]), np.array([1.0]), 1, 1)
+    table = per_eig_bounds(np.array([1.0]), np.array([1.0]))
     assert table.regime == REGIME_NT_APPROX_NR
     assert table.upper == pytest.approx([4.0])
     assert table.lower == pytest.approx([0.0])
@@ -58,17 +61,17 @@ def test_single_index_upper_bound():
 def test_regime_selection_and_shapes():
     dt = np.full(4, 0.25)
     dr = np.full(400, 1 / 400)
-    table = per_eig_bounds(dt, dr, 4, 400)
+    table = per_eig_bounds(dt, dr)
     assert table.regime == REGIME_NT_MUCH_LESS
     assert table.upper.shape == (400,)
     # indices beyond the transmit rank are pinned to zero
     assert np.all(table.upper[4:] == 0.0)
     assert np.all(table.lower[4:] == 0.0)
 
-    table_big = per_eig_bounds(dr, dt, 400, 4)
+    table_big = per_eig_bounds(dr, dt)
     assert table_big.regime == REGIME_NT_MUCH_GREATER
 
-    table_eq = per_eig_bounds(dt, np.full(5, 0.2), 4, 5)
+    table_eq = per_eig_bounds(dt, np.full(5, 0.2))
     assert table_eq.regime == REGIME_NT_APPROX_NR
 
 
@@ -78,10 +81,53 @@ def test_much_less_regime_upper_matches_formula():
     dt /= dt.sum()
     dr = np.sort(rng.uniform(0.1, 1, 400))[::-1]
     dr /= dr.sum()
-    table = per_eig_bounds(dt, dr, 4, 400)
+    table = per_eig_bounds(dt, dr)
     k = np.arange(4)
     expected = np.minimum(400 * dt[k] * dr[0], 400 * dr[k] * dt[0])
     assert table.upper[:4] == pytest.approx(expected)
+
+
+def four_n_upper(dt, dr):
+    """The middle-regime upper bound with the square-panel edge hard-coded:
+    4 * n_r on the transmit term and 4 * n_t on the receive term."""
+    n_t, n_r = dt.size, dr.size
+    dt_pad = np.zeros(n_r)
+    dt_pad[: min(n_t, n_r)] = dt[: min(n_t, n_r)]
+    upper = np.minimum(4.0 * n_r * dt_pad * dr[0], 4.0 * n_t * dr * dt[0])
+    upper[(dt_pad == 0.0) | (dr == 0.0)] = 0.0
+    return upper
+
+
+@pytest.mark.parametrize("n", [1, 2, 25, 49, 100])
+def test_equal_size_middle_regime_matches_four_n(n):
+    # at eta = 1 the edge (1 + sqrt(eta))^2 is exactly 4, so square panels
+    # keep every bit of the hard-coded bound, zero tail included
+    rng = np.random.default_rng(n)
+    dt = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
+    dr = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
+    dt[n // 2 + 1 :] = 0.0
+    dt, dr = dt / dt.sum(), dr / dr.sum()
+    table = per_eig_bounds(dt, dr)
+    assert table.regime == REGIME_NT_APPROX_NR
+    assert np.array_equal(table.upper, four_n_upper(dt, dr))
+    assert np.array_equal(table.lower, np.zeros(n))
+
+
+@pytest.mark.parametrize("side_t, side_r", [(2.0, 4.0), (4.0, 2.0), (3.0, 6.0)])
+def test_rectangular_middle_regime_holds_over_monte_carlo(side_t, side_r):
+    # 25 x 81, 81 x 25 and 49 x 169 elements: eta between 0.1 and 10, where
+    # the multiplier is the edge of ||H||^2, (sqrt(n_t) + sqrt(n_r))^2
+    geom_t = RisGeometry(side_t, side_t, 0.5, 0.5)
+    geom_r = RisGeometry(side_r, side_r, 0.5, 0.5)
+    ensemble = run_ensemble(geom_t, geom_r, realizations=200, seed=2024)
+    dt, dr = ensemble.dt, ensemble.dr
+    table = per_eig_bounds(dt, dr)
+    assert table.regime == REGIME_NT_APPROX_NR
+    edge = (np.sqrt(dt.size) + np.sqrt(dr.size)) ** 2
+    k = min(dt.size, dr.size)
+    expected = edge * np.minimum(dt[:k] * dr[0], dr[:k] * dt[0])
+    assert table.upper[:k] == pytest.approx(expected, rel=1e-12)
+    assert np.all(ensemble.eig_samples <= table.upper * (1.0 + DEFAULT_SLACK))
 
 
 def test_infinite_bounds_never_violate():
@@ -100,7 +146,7 @@ def test_infinite_bounds_never_violate():
 def test_violations_are_reported_with_indices():
     samples = np.array([[2.0, 1.0], [0.5, 0.4]])
     ensemble = ChannelEnsemble(
-        n_t=2, n_r=2, seed=0, realizations=2, eig_samples=samples
+        n_t=2, n_r=2, realizations=2, eig_samples=samples
     )
     table = BoundTable(
         regime=REGIME_NT_APPROX_NR,
