@@ -19,7 +19,7 @@ import numpy as np
 
 from .correlation import (
     DEFAULT_MAX_ELEMENTS,
-    RANK_TOL,
+    NEGATIVE_CLAMP_REL,
     effective_rank,
     geometry_spectrum,
 )
@@ -89,7 +89,7 @@ def composite_eigs(dt: np.ndarray, dr: np.ndarray, hw: np.ndarray) -> np.ndarray
     gram = a.conj().T @ a if dt.size < dr.size else a @ a.conj().T
     eigs = np.sort(np.linalg.eigvalsh(gram))[::-1]
     top = max(float(eigs[0]), 0.0)
-    floor = -NEGATIVE_CLAMP_REL_COMPOSITE * top
+    floor = -NEGATIVE_CLAMP_REL * top
     if eigs[-1] < floor:
         raise NumericError(
             f"composite eigenvalue {eigs[-1]:.3e} below clamp floor {floor:.3e}",
@@ -97,9 +97,6 @@ def composite_eigs(dt: np.ndarray, dr: np.ndarray, hw: np.ndarray) -> np.ndarray
         )
     eigs = np.where(eigs < 0.0, 0.0, eigs)
     return np.concatenate([eigs, np.zeros(dr.size - eigs.size)])
-
-
-NEGATIVE_CLAMP_REL_COMPOSITE = 1e-10
 
 
 def ensemble_from_spectra(
@@ -125,8 +122,8 @@ def ensemble_from_spectra(
     n_t, n_r = dt.size, dr.size
 
     if dt[0] > 0 and dr[0] > 0:
-        r_t = effective_rank(dt, RANK_TOL)
-        r_r = effective_rank(dr, RANK_TOL)
+        r_t = effective_rank(dt)
+        r_r = effective_rank(dr)
     else:
         r_t, r_r = n_t, n_r
     dt_used = dt[:r_t]

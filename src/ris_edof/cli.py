@@ -42,7 +42,7 @@ from .edof import (
 )
 from .errors import NumericError, SizeGuardError, ValidationError
 from .geometry import RisGeometry, asymptotic_dof
-from .spectral_bounds import check_bounds, per_eig_bounds
+from .spectral_bounds import DEFAULT_SLACK, check_bounds, per_eig_bounds
 
 OUTPUT_DIR_ENV = "RIS_EDOF_OUT"
 ALLOW_LARGE_MAX_ELEMENTS = 100_000
@@ -54,9 +54,11 @@ SNR_GRID_TOL = 1e-9
 # beyond any physical link). Near +3080 dB the dB -> linear conversion
 # overflows.
 SNR_DB_LIMIT = 100.0
-# Largest SNR grid accepted: +-50 dB at 0.01 dB. The grid is built as a list,
-# so a tiny step would otherwise ask for billions of points.
-SNR_GRID_MAX_POINTS = 10_001
+# Largest SNR grid and largest cdf point count accepted: +-50 dB at 0.01 dB.
+# The SNR grid is built as a list, so a tiny step would otherwise ask for
+# billions of points; 10,001 closed-form CDF points at N = 16 take about 40
+# minutes on a 2-core VM.
+MAX_GRID_POINTS = 10_001
 
 # Reference-dataset columns: element spacings (x, z) in wavelengths.
 COLUMN_SPACINGS = {
@@ -169,9 +171,14 @@ def _check_options(options: dict) -> None:
         )
     if "points" in options:
         points = options["points"]
-        if not isinstance(points, int) or isinstance(points, bool) or points < 2:
+        if (
+            not isinstance(points, int)
+            or isinstance(points, bool)
+            or not 2 <= points <= MAX_GRID_POINTS
+        ):
             raise ValidationError(
-                f"options.points must be an integer >= 2, got {points!r}",
+                f"options.points must be an integer in [2, {MAX_GRID_POINTS}], "
+                f"got {points!r}",
                 field="options.points",
             )
     if "snr_db" in options and abs(_option_number(options, "snr_db")) > SNR_DB_LIMIT:
@@ -241,10 +248,10 @@ def parse_config(raw: dict, command: str) -> RunConfig:
     # the point count as a float: floor(steps + SNR_GRID_TOL) + 1 exceeds the
     # cap exactly when this holds, and an overflowing count reads inf
     steps = (stop - start) / step
-    if steps + SNR_GRID_TOL >= SNR_GRID_MAX_POINTS:
+    if steps + SNR_GRID_TOL >= MAX_GRID_POINTS:
         raise ValidationError(
             f"snr_grid_db has {steps + 1:.6g} points; at most "
-            f"{SNR_GRID_MAX_POINTS} are allowed",
+            f"{MAX_GRID_POINTS} are allowed",
             field="snr_grid_db",
         )
 
@@ -368,7 +375,7 @@ def _mean(config, geom_t, geom_r):
 
 
 def _bounds_report(config, geom_t, geom_r):
-    slack = float(config.options.get("slack", 0.10))
+    slack = float(config.options.get("slack", DEFAULT_SLACK))
     ensemble = _ensemble(config, geom_t, geom_r)
     table = per_eig_bounds(ensemble.dt, ensemble.dr, slack=slack)
     violations = check_bounds(ensemble, table)
@@ -532,12 +539,13 @@ def _load_raw_config(path: Path | None) -> dict:
 
 
 def _jobs(args: argparse.Namespace, config: RunConfig):
-    """The product to run, its jobs (file stem, geom_t, geom_r), the manifest
-    stem and the manifest's run-level extras (None: the product's extras)."""
+    """The product to run, its jobs (column or None, file stem, geom_t,
+    geom_r), the manifest stem and the manifest's run-level extras (None:
+    the product's extras)."""
     target = getattr(args, "target", None)
     if target is None:
         stem = args.command.replace("-", "_")
-        jobs = [(stem, config.geometry_t, config.geometry_r)]
+        jobs = [(None, stem, config.geometry_t, config.geometry_r)]
         return _COMMANDS[args.command][0], jobs, stem, None
 
     product, aperture, fixed_column, stem = _TARGETS[target]
@@ -558,7 +566,7 @@ def _jobs(args: argparse.Namespace, config: RunConfig):
         col: RisGeometry(aperture, aperture, *COLUMN_SPACINGS[col]) for col in columns
     }
     jobs = [
-        (stem.format(target=target, column=col), geom, geom)
+        (col, stem.format(target=target, column=col), geom, geom)
         for col, geom in geometries.items()
     ]
     described = config.describe()
@@ -593,8 +601,9 @@ def _run(args: argparse.Namespace) -> int:
 
     product, jobs, manifest_stem, extras = _jobs(args, config)
     outputs: list[Path] = []
-    for stem, geom_t, geom_r in jobs:
-        header, rows, product_extras = product(config, geom_t, geom_r)
+    job_extras = {}
+    for column, stem, geom_t, geom_r in jobs:
+        header, rows, job_extras[column] = product(config, geom_t, geom_r)
         if header is None:
             path = out_dir / f"{stem}.json"
             _write_json(path, rows)
@@ -602,13 +611,17 @@ def _run(args: argparse.Namespace) -> int:
             path = out_dir / f"{stem}.csv"
             write_csv(path, header, rows)
         outputs.append(path)
+    if extras is None:
+        extras = job_extras[None]
+    else:
+        extras["column_extras"] = job_extras
     write_manifest(
         out_dir / f"{manifest_stem}_manifest.json",
         args.command,
         config,
         outputs,
         started,
-        extra=product_extras if extras is None else extras,
+        extra=extras,
     )
     return 0
 

@@ -32,8 +32,9 @@ import numpy as np
 from .errors import NumericError, SizeGuardError, ValidationError
 from .geometry import RisGeometry
 
-# Eigenvalues of R more negative than NEGATIVE_CLAMP_REL * alpha_1 indicate a
-# broken matrix rather than rounding noise and are treated as an error.
+# Eigenvalues of R, or of a composite channel draw, more negative than
+# NEGATIVE_CLAMP_REL times the largest indicate a broken matrix rather than
+# rounding noise and are treated as an error.
 NEGATIVE_CLAMP_REL = 1e-10
 
 DEFAULT_MAX_ELEMENTS = 10_000
@@ -201,16 +202,12 @@ def normalized_spectrum(spec: Spectrum, n: int) -> np.ndarray:
 RANK_TOL = 1e-12
 
 
-def effective_rank(values: np.ndarray, rel_tol: float) -> int:
-    """Number of values above rel_tol times the largest value."""
-    if not 0.0 < rel_tol < 1.0:
-        raise ValidationError(
-            f"rel_tol must lie in (0, 1), got {rel_tol}", field="rel_tol"
-        )
+def effective_rank(values: np.ndarray) -> int:
+    """Number of values above RANK_TOL times the largest value."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return 0
-    return int(np.sum(values > rel_tol * values[0]))
+    return int(np.sum(values > RANK_TOL * values[0]))
 
 
 def geometry_spectrum(

@@ -8,9 +8,9 @@ The discrete capacity of n_s subchannels at linear receive SNR rho is
 with gamma_k the mean eigenvalue profile of the normalized composite
 channel. Its continuous counterpart h(N_s) integrates the same integrand
 over a monotone piecewise-linear interpolant gamma(x); the EDoF is the
-maximizer of h over [1, rank], located by a coarse grid plus golden-section
-refinement (the stationarity condition is necessary but not sufficient, and
-flat spectra put the optimum on the boundary).
+maximizer of h over [1, rank], located by one golden-section search, since
+h is unimodal (below). The stationarity condition alone does not locate
+it: flat spectra put the optimum on the boundary.
 
 h is the exact integral of the interpolant. gamma is linear between unit
 knots, so with a = rho * n_t * n_r / N_s the gain u = a * gamma is linear
@@ -32,15 +32,29 @@ fractional end segment [floor(x), x] uses the same formulas, scaled by its
 length. No quadrature lattice is left, so h at any point costs one log1p
 per knot and one atanh per segment.
 
-The coarse scan evaluates h at every coarse point in one blocked pass of
-at most SCAN_BLOCK_ELEMENTS values (one row of knots per point) and takes
-the first maximum. Every point's h is a sequential running sum along its
-own row, with the same elementwise operations as a one-point evaluation, so
-it does not depend on the block size or on the other points in its block:
-the scan, h_and_derivative and the golden-section search see the same bits
-for the same point, and no screen band or confirmation step is needed. (A
-pairwise sum over rows padded to the block's width would change the
-association, and with it the last bits, from block to block.)
+Why h is unimodal. Write a = rho * n_t * n_r / x, v = a * gamma(x) and
+w(t) = a * gamma(t), so that h(x) ln 2 = int_1^x ln(1 + w) dt and
+
+    S(x) = x * h'(x) * ln 2 = x ln(1 + v) - int_1^x w / (1 + w) dt
+
+has the sign of h'. S(1) = ln(1 + v) > 0, and
+
+    S' = ln(1 + v) - 2v / (1 + v) + x a gamma'(x) / (1 + v)
+         + (1/x) int_1^x w / (1 + w)^2 dt,
+
+where the gamma' term is <= 0 on both sides of a knot. At a zero of S put
+s = w / (1 + w): then w / (1 + w)^2 = s - s^2 and (1/x) int s = ln(1 + v),
+and Cauchy-Schwarz gives (1/x) int s^2 >= ln^2(1 + v), so
+
+    S' <= -[ln^2(1 + v) - 2 ln(1 + v) + 2v / (1 + v)].
+
+The bracket is 0 at v = 0 and its derivative is
+2 (ln(1 + v) - v / (1 + v)) / (1 + v) > 0, so S' < 0 at every zero of S
+with v > 0. A zero with v = 0 needs gamma = 0 on [1, x], so gamma_1 = 0,
+which from_values refuses. Hence S changes sign at most once, from + to -,
+for every non-increasing gamma >= 0 with gamma_1 > 0 and rho > 0: h rises
+to its maximum, then falls. At rho = 0 or gamma_1 = 0, h is 0 everywhere,
+and the search, which keeps the left point on ties, returns the left end.
 """
 
 import math
@@ -48,16 +62,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import RANK_TOL, effective_rank
+from .correlation import effective_rank
 from .errors import NumericError, ValidationError
 
 LN2 = math.log(2.0)
 
-COARSE_STEP = 0.25
 GOLDEN_TOL = 1e-6
-# Largest block of the coarse scan, in float64 values per work array (1 MB).
-# Blocks are sized by the full rank so no block grows with it.
-SCAN_BLOCK_ELEMENTS = 2**17
 
 
 @dataclass
@@ -98,7 +108,7 @@ class EigenvalueProfile:
         values = np.asarray(values, dtype=float)
         if values.size == 0 or values[0] <= 0:
             raise ValidationError("profile needs a positive leading value")
-        return cls(gamma=values[: effective_rank(values, RANK_TOL)])
+        return cls(gamma=values[: effective_rank(values)])
 
 
 @dataclass
@@ -141,77 +151,38 @@ def capacity(
     return float(np.log1p(gains).sum() / LN2)
 
 
-def _trapezoid_gap(a, g0, g1, z=None, c=None) -> np.ndarray:
+def _trapezoid_gap(a, g0, g1) -> np.ndarray:
     """c = atanh(z)/z - 1 on segments where u = a * gamma runs from a * g0
     to a * g1, with z = (u1 - u0) / (2 + u0 + u1); 0 where z is 0.
 
-    z is formed as (g1 - g0) / (2/a + g0 + g1), so a zero gain gives
-    2/a = inf and z = 0, the zero-gain limit. z stays above -1 unless a
-    knot of exactly 0 follows one with a * g0 above ~1e16, which a profile
-    cut at RANK_TOL never has. z and c are optional output arrays, as for
-    numpy ufuncs.
+    z is formed as (g1 - g0) / (2/a + g0 + g1), with 2/a taken in numpy so
+    that a zero gain gives 2/a = inf and z = 0, the zero-gain limit. z stays
+    above -1 unless a knot of exactly 0 follows one with a * g0 above ~1e16,
+    which a profile cut at RANK_TOL never has.
     """
     with np.errstate(divide="ignore", over="ignore"):
-        z = np.add(2.0 / a, g0 + g1, out=z)
-    np.divide(g1 - g0, z, out=z)
-    c = np.arctanh(z, out=c)
-    c -= z
+        z = np.divide(2.0, a) + (g0 + g1)
+    z = (g1 - g0) / z
+    c = np.arctanh(z) - z
     np.divide(c, z, out=c, where=z != 0.0)
     return c
 
 
-def _h_values(
-    profile: EigenvalueProfile, rho: float, nt_nr: float, xs: np.ndarray
-) -> np.ndarray:
-    """Exact h, in bits, at the ascending points xs.
-
-    Points go in blocks of rows; row j holds the knots 1..floor(x_j) at the
-    gain a_j = rho * nt_nr / x_j. Summing l_k + c_k over the full segments
-    and correcting the two ends,
-    sum_k (l_k + l_{k+1}) / 2 + c_k = sum_k (l_k + c_k) - (l_1 - l_m) / 2,
-    leaves one running sum per row. Each work array holds at most
-    SCAN_BLOCK_ELEMENTS values (or one row) and is reused by every block,
-    since fresh arrays of that size cost page faults on every block. Every
-    array a transcendental function reads or writes is contiguous, as for
-    a single point.
-    """
-    gamma = profile.gamma
-    snr_gain = rho * nt_nr
-    rows = max(1, SCAN_BLOCK_ELEMENTS // profile.rank)
-    size = min(rows, xs.size) * profile.rank
-    knots, z, gaps = np.empty(size), np.empty(size), np.empty(size)
-    h = np.empty(xs.size)
-    for lo in range(0, xs.size, rows):
-        x = xs[lo : lo + rows]
-        a = snr_gain / x
-        m = x.astype(np.intp)  # the knot floor(x), 1-based
-        n, width = x.size, int(m.max())
-        on = np.arange(n)
-
-        logs = knots[: n * width].reshape(n, width)
-        np.multiply.outer(a, gamma[:width], out=logs)
-        np.log1p(logs, out=logs)
-        terms = _trapezoid_gap(
-            a[:, None],
-            gamma[: width - 1],
-            gamma[1:width],
-            z[: n * (width - 1)].reshape(n, width - 1),
-            gaps[: n * (width - 1)].reshape(n, width - 1),
-        )
-        terms += logs[:, :-1]
-        # running sums, 0 for a row with no full segment; z is spent, so
-        # its array holds them
-        sums = z[: n * width].reshape(n, width)
-        sums[:, 0] = 0.0
-        np.cumsum(terms, axis=1, out=sums[:, 1:])
-        l_m = logs[on, m - 1]
-        full = sums[on, m - 1] - 0.5 * (logs[:, 0] - l_m)
-
-        g_m = gamma[m - 1]
-        g_x = profile.gamma_at(x)
-        tail = 0.5 * (l_m + np.log1p(a * g_x)) + _trapezoid_gap(a, g_m, g_x)
-        h[lo : lo + rows] = (full + (x - m) * tail) / LN2
-    return h
+def _h(profile: EigenvalueProfile, rho: float, nt_nr: float, x: float):
+    """Exact h, in bits, at one point x, with the segments it is built from:
+    floor(x) = m and, at the knots 1..m and at x, the gains u = a * gamma
+    and l = log1p(u), with the trapezoid gap c of each segment between them
+    (the last one, [m, x], may be empty). h is the sum of the full
+    segments' means of ln(1 + u) plus x - m times the end segment's."""
+    a = rho * nt_nr / x
+    m = int(x)
+    g = np.append(profile.gamma[:m], profile.gamma_at(x))
+    u = a * g
+    logs = np.log1p(u)
+    gaps = _trapezoid_gap(a, g[:-1], g[1:])
+    means = 0.5 * (logs[:-1] + logs[1:]) + gaps
+    h = (means[:-1].sum() + (x - m) * means[-1]) / LN2
+    return float(h), m, u, logs, gaps
 
 
 def h_and_derivative(
@@ -220,33 +191,26 @@ def h_and_derivative(
     """Continuous capacity h(n_s) and its derivative, both exact for the
     interpolant (see the module docstring).
 
-    h comes from the same batch routine as the coarse scan, so it has the
-    same bits as the scan's value at n_s. The derivative is the boundary
-    term log2(1 + a * gamma(n_s)) minus the integral of the saturation
-    term u / (1 + u), divided by n_s * ln 2, since a = rho * nt_nr / n_s.
+    h comes from _h, as in the golden-section search, so it has the same
+    bits at n_s. The derivative is the boundary term
+    log2(1 + a * gamma(n_s)) minus the integral of the saturation term
+    u / (1 + u), divided by n_s * ln 2, since a = rho * nt_nr / n_s.
     """
     if n_s < 1.0 or n_s > profile.rank + 1e-9:
         raise ValidationError(
             f"n_s = {n_s} outside [1, rank = {profile.rank}]", field="n_s"
         )
-    x = np.array([min(float(n_s), float(profile.rank))])
-    h_val = float(_h_values(profile, rho, nt_nr, x)[0])
-
-    a = rho * nt_nr / x
-    m = int(x[0])
-    g = np.append(profile.gamma[:m], profile.gamma_at(x))
-    u = a * g
-    logs = np.log1p(u)
-    sat = u[:-1] + 0.5 * (logs[1:] - logs[:-1])
-    sat -= _trapezoid_gap(a, g[:-1], g[1:])
-    sat /= 1.0 + u[:-1]
-    integral = sat[:-1].sum() + (x[0] - m) * sat[-1]
-    dh = (logs[-1] - integral / x[0]) / LN2
-    return h_val, float(dh)
+    x = min(float(n_s), float(profile.rank))
+    h, m, u, logs, gaps = _h(profile, rho, nt_nr, x)
+    sat = (u[:-1] + 0.5 * (logs[1:] - logs[:-1]) - gaps) / (1.0 + u[:-1])
+    integral = sat[:-1].sum() + (x - m) * sat[-1]
+    dh = (logs[-1] - integral / x) / LN2
+    return h, float(dh)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer of a unimodal f on [lo, hi]."""
+    """Golden-section maximizer of a unimodal f on [lo, hi]. On a tie the
+    left point is kept, so a constant f gives the left end."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     inv_phi_sq = (3.0 - math.sqrt(5.0)) / 2.0
     span = hi - lo
@@ -257,7 +221,7 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     d = lo + inv_phi * span
     yc, yd = f(c), f(d)
     for _ in range(steps):
-        if yc > yd:
+        if yc >= yd:
             hi, d, yd = d, c, yc
             span *= inv_phi
             c = lo + inv_phi_sq * span
@@ -270,37 +234,23 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _coarse_grid(rank: int) -> np.ndarray:
-    """Coarse scan points 1, 1 + COARSE_STEP, ..., rank."""
-    grid = np.arange(1.0, rank + COARSE_STEP / 2, COARSE_STEP)
-    grid[-1] = min(grid[-1], float(rank))
-    return grid
-
-
 def solve_edof(profile: EigenvalueProfile, rho: float, nt_nr: float) -> EdofResult:
     """Maximize h over [1, rank] and report the EDoF.
 
-    The integer EDoF is the rounded continuous optimum, locally hill-climbed
-    on the discrete capacity so it always sits on a discrete local maximum.
+    h is unimodal (see the module docstring), so one golden-section search
+    over the whole range finds its maximizer. The integer EDoF is the
+    rounded continuous optimum, locally hill-climbed on the discrete
+    capacity so it always sits on a discrete local maximum.
     """
     rank = profile.rank
 
     def h_of(x: float) -> float:
-        return float(_h_values(profile, rho, nt_nr, np.array([x]))[0])
+        return _h(profile, rho, nt_nr, x)[0]
 
-    if rank == 1:
-        n_star = 1.0
-    else:
-        grid = _coarse_grid(rank)
-        best = int(np.argmax(_h_values(profile, rho, nt_nr, grid)))
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, grid.size - 1)]
-        n_star = _golden_max(h_of, lo, hi, GOLDEN_TOL)
-
+    n_star = _golden_max(h_of, 1.0, float(rank), GOLDEN_TOL)
     _, residual = h_and_derivative(profile, rho, nt_nr, n_star)
 
-    n_int = int(round(n_star))
-    n_int = min(max(n_int, 1), rank)
+    n_int = int(round(n_star))  # n_star lies in [1, rank], so n_int does too
     cap = capacity(profile, rho, nt_nr, n_int)
     improved = True
     while improved:

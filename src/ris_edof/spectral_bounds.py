@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_mc import ChannelEnsemble
-from .correlation import RANK_TOL, effective_rank
+from .correlation import effective_rank
 from .errors import ValidationError
 
 REGIME_NT_MUCH_LESS = "nt_much_less"
@@ -69,7 +69,7 @@ def _smallest_significant(values: np.ndarray) -> float:
     Using the literal smallest (often a clamped 0) would collapse every
     lower bound to 0 uninformatively.
     """
-    rank = effective_rank(values, RANK_TOL)
+    rank = effective_rank(values)
     if rank == 0:
         raise ValidationError("spectrum has no significant eigenvalues")
     return float(values[rank - 1])

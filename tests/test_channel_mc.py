@@ -87,8 +87,8 @@ def test_worker_count_does_not_change_results():
 def test_rank_bounded_by_spectra():
     geom_t = RisGeometry(2, 2, 0.5, 0.5)
     ensemble = run_ensemble(geom_t, SMALL, realizations=5, seed=3)
-    r_t = effective_rank(ensemble.dt, 1e-12)
-    r_r = effective_rank(ensemble.dr, 1e-12)
+    r_t = effective_rank(ensemble.dt)
+    r_r = effective_rank(ensemble.dr)
     for row in ensemble.eig_samples:
         assert np.sum(row > 1e-14 * max(row[0], 1e-300)) <= min(r_t, r_r)
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from ris_edof.cli import SNR_GRID_MAX_POINTS, main, parse_config
+from ris_edof.cli import MAX_GRID_POINTS, main, parse_config
 from ris_edof.errors import ValidationError
 
 TINY = {
@@ -151,7 +151,7 @@ def test_snr_grid_point_count_is_capped(step):
 
 def test_snr_grid_at_the_point_cap_is_accepted():
     finest = parse_config({"snr_grid_db": [-50, 50, 0.01]}, "edof-sweep")
-    assert len(finest.snr_grid_db) == SNR_GRID_MAX_POINTS
+    assert len(finest.snr_grid_db) == MAX_GRID_POINTS
 
 
 @pytest.mark.parametrize("index", [0, 1, 2])
@@ -423,6 +423,8 @@ def test_out_of_range_snr_grid_exits_2(tmp_path, capsys, grid):
         ("cdf", {"points": 0}, "options.points"),
         ("cdf", {"points": 2.5}, "options.points"),
         ("bounds-audit", {"slack": 10**400}, "options.slack"),
+        ("cdf", {"points": 10_002}, "options.points"),
+        ("cdf", {"points": 10**20}, "options.points"),
     ],
 )
 def test_bad_option_exits_2_naming_field(tmp_path, capsys, command, options, field):
@@ -466,6 +468,25 @@ def test_reproduce_manifest_records_column_geometry(tmp_path):
     }
     assert "geometry_t" not in manifest["config"]
     assert "geometry_r" not in manifest["config"]
+
+
+def test_reproduce_manifest_records_column_extras(tmp_path, monkeypatch):
+    monkeypatch.setattr("ris_edof.cli.QUICK_REALIZATIONS", 2)
+    out = tmp_path / "o"
+    code = main(
+        ["reproduce", "--target", "table2", "--column", "half-lambda", "--quick",
+         "--out", str(out)]
+    )
+    assert code == 0
+    manifest = json.loads((out / "reproduce_table2_manifest.json").read_text())
+    assert manifest["config"]["realizations"] == 2
+    (column,) = manifest["column_extras"]
+    assert column == "half-lambda"
+    eigsum = manifest["column_extras"][column]["eigsum_mean"]
+    # the mean of the per-draw eigenvalue sums is the sum of the mean profile
+    header, rows = read_csv(out / "table2_half-lambda.csv")
+    means = [float(row[header.index("mean")]) for row in rows]
+    assert eigsum == pytest.approx(sum(means), rel=1e-9)
 
 
 @pytest.mark.parametrize("command", ["corr-eigs", "channel-eigs"])

@@ -149,7 +149,7 @@ def test_blocked_spectrum_matches_dense_oracle(n_x, n_z, spacing_x, spacing_z):
     # a value within the measured deviation of the rank threshold may land
     # on either side of it; otherwise the ranks must agree
     if np.all(np.abs(dense - 1e-12 * dense[0]) > 2 * deviation):
-        assert effective_rank(blocked, 1e-12) == effective_rank(dense, 1e-12)
+        assert effective_rank(blocked) == effective_rank(dense)
 
 
 def test_spectrum_peak_memory_below_half_dense_matrix():
@@ -165,14 +165,11 @@ def test_spectrum_peak_memory_below_half_dense_matrix():
 
 
 def test_effective_rank_examples():
-    assert effective_rank(np.array([0.5, 0.5, 0.0, 0.0]), 1e-12) == 2
-    assert effective_rank(np.array([1.0]), 0.5) == 1
-    with pytest.raises(ValidationError):
-        effective_rank(np.array([1.0]), 1.5)
+    assert effective_rank(np.array([0.5, 0.5, 0.0, 0.0])) == 2
 
 
 def test_flagship_effective_rank_between_dof_and_n(half_spectrum):
-    rank = effective_rank(half_spectrum, 1e-12)
+    rank = effective_rank(half_spectrum)
     assert 452 < rank < 625
     # recorded value from the frozen solver output; allow LAPACK jitter
     assert abs(rank - 624) <= 2

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ris_edof import edof
 from ris_edof.channel_mc import ensemble_stats, run_ensemble
@@ -323,7 +325,7 @@ def test_h_matches_fine_trapezoid(small_mc_profile):
             assert 3.9 < ratio < 4.1
 
 
-# --- coarse scan vs the point-by-point scan
+# --- golden-section search over [1, rank] vs the old 1/4-grid scan
 
 SCAN_SNRS_DB = (-10.0, 0.0, 10.0, 20.0, 40.0)
 
@@ -339,27 +341,60 @@ def scan_profiles(small_mc_profile):
     return profiles
 
 
-@pytest.mark.parametrize("blocks", ["default", "one-row", "ragged"])
-def test_coarse_scan_matches_exhaustive_scan(small_mc_profile, monkeypatch, blocks):
+def grid_scan_maximizer(profile, rho, nt_nr):
+    """The exhaustive solver: h at every point of the 1/4 grid on
+    [1, rank], the first argmax, then golden section inside its bracket."""
+    grid = np.arange(1.0, profile.rank + 0.125, 0.25)
+    values = [h_and_derivative(profile, rho, nt_nr, x)[0] for x in grid]
+    best = int(np.argmax(values))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    return edof._golden_max(
+        lambda x: h_and_derivative(profile, rho, nt_nr, x)[0], lo, hi, edof.GOLDEN_TOL
+    )
+
+
+def test_golden_search_matches_grid_scan(small_mc_profile):
     for profile, nt_nr in scan_profiles(small_mc_profile):
-        if blocks == "one-row":
-            monkeypatch.setattr(edof, "SCAN_BLOCK_ELEMENTS", 1)
-        elif blocks == "ragged":
-            # two rows per block; the grid has 4 * rank - 3 points, an odd
-            # count, so the last block holds one row
-            monkeypatch.setattr(edof, "SCAN_BLOCK_ELEMENTS", 2 * profile.rank)
-        grid = edof._coarse_grid(profile.rank)
         for snr_db in SCAN_SNRS_DB:
             rho = snr_db_to_linear(snr_db)
-            oracle = [h_and_derivative(profile, rho, nt_nr, x)[0] for x in grid]
-            scanned = edof._h_values(profile, rho, nt_nr, grid)
-            assert np.array_equal(scanned, oracle)
+            old = grid_scan_maximizer(profile, rho, nt_nr)
+            new = solve_edof(profile, rho, nt_nr).n_s_star
+            h_old = h_and_derivative(profile, rho, nt_nr, old)[0]
+            h_new = h_and_derivative(profile, rho, nt_nr, new)[0]
+            assert h_new >= h_old - 1e-12 * abs(h_old)
+            assert abs(new - old) < 1e-3
 
-            def h_of(x):
-                return h_and_derivative(profile, rho, nt_nr, x)[0]
 
-            best = int(np.argmax(oracle))
-            lo = grid[max(best - 1, 0)]
-            hi = grid[min(best + 1, grid.size - 1)]
-            n_star = edof._golden_max(h_of, lo, hi, edof.GOLDEN_TOL)
-            assert solve_edof(profile, rho, nt_nr).n_s_star == n_star
+def test_zero_snr_keeps_left_end():
+    # h is 0 everywhere; the search keeps the left point on every tie
+    for profile in (synthetic_profile(40, seed=8), step_profile(m=10, total=20)):
+        result = solve_edof(profile, 0.0, 400.0)
+        assert result.n_s_star < 1.25
+        assert result.n_s_int == 1
+
+
+@st.composite
+def plateau_profiles(draw):
+    """Non-increasing profiles built from plateaus whose levels span up to
+    10 decades, optionally followed by a tail of exact zeros."""
+    exponents = draw(st.lists(st.floats(-10.0, 0.0), min_size=1, max_size=6))
+    lengths = draw(
+        st.lists(st.integers(1, 12), min_size=len(exponents), max_size=len(exponents))
+    )
+    levels = sorted((10.0**e for e in exponents), reverse=True)
+    values = np.repeat(np.array(levels) / levels[0], lengths)
+    zeros = draw(st.integers(0, 8))
+    return EigenvalueProfile(gamma=np.append(values, np.zeros(zeros)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(profile=plateau_profiles(), snr_db=st.floats(-150.0, 90.0))
+def test_h_is_unimodal(profile, snr_db):
+    # differences of h that stand above rounding change sign at most once,
+    # from rising to falling
+    rho = snr_db_to_linear(snr_db)
+    xs = np.linspace(1.0, profile.rank, 8 * profile.rank - 7)
+    h = np.array([h_and_derivative(profile, rho, 400.0, x)[0] for x in xs])
+    steps = np.diff(h)
+    signs = np.sign(steps[np.abs(steps) > 1e-12 * np.abs(h).max()])
+    assert not np.any((signs[:-1] < 0) & (signs[1:] > 0))
