@@ -9,8 +9,19 @@ ends, the CDF of a uniformly chosen eigenvalue of Dr_n H Dt_n H^H is
 The paper divides sum_n det K^(n), with K^(n) the matrix P with row n taken
 from E, by a Vandermonde normalizer. By the matrix determinant lemma
 det K^(n) = det P * (E P^-1)_nn, and det P is that normalizer, since
-P = V_a diag((-a)^k / k!) V_b^T with V_a[i, k] = (1/dr_i)^k and
-V_b[j, k] = (1/dt_j)^k; one inverse of P replaces the N determinants.
+
+    P = V_a C V_b^T,   V_a[i, k] = (1/dr_i)^k,   V_b[j, k] = (1/dt_j)^k,
+    C = diag((-a)^k / k!).
+
+Hence P^-1 = V_b^-T C^-1 V_a^-1 and
+
+    tr(E P^-1) = sum_k k! / (-a)^k * (V_a^-1 E V_b^-T)[k, k].
+
+Only E and C depend on a. unordered_cdf inverts V_a and V_b once per call,
+in closed form (Lagrange interpolation: one synthetic division of the node
+polynomial per column, O(N^2)), at the highest precision any of its points
+needs. Each point then costs N^2 exponentials and one O(N^3) contraction;
+P itself is never formed or inverted.
 
 The kernel arguments are the *reciprocals* of the spectrum values; this is
 the convention under which the N = 1 case reduces to the exact exponential
@@ -19,11 +30,24 @@ Carlo sampling of the channel (the direct substitution of the spectrum
 values does not).
 
 The raw expression spans [0, 1/N] rather than [0, 1], so the returned CDF is
-affinely renormalized by its values at a -> 0 and a -> infinity. P is as
-ill-conditioned as its Vandermonde factors: the trace cancels through roughly
-N(N-1)/2 * |log10(a * x)| digits near both ends of the support, far beyond
-double precision for N >= 4, so the kernels and the inverse are evaluated
-with mpmath at an adaptively chosen precision.
+affinely renormalized by its values at a -> 0 and a -> infinity:
+
+- F_raw(infinity) is taken as exactly 1/N. The closed form is scale-free,
+  so take dr_1 = dt_1 = 1. At a = HUGE_ALPHA_FACTOR every a * x_ij is at
+  least 1e6, so |E_ij| <= exp(-1e6) ~ 10^-434294. For double-precision
+  spectra separated by MIN_RELATIVE_SEPARATION and N <= N_GUARD, no entry
+  of P^-1 exceeds about 10^21000, so tr(E P^-1) / N^2 lies far below half
+  an ulp of 1/N and the evaluated float is 1/N itself.
+- F_raw(0+) is still evaluated, at TINY_ALPHA_FACTOR * dr_1 * dt_1. Its
+  exact limit is 0, but the evaluated value (2.97e-9 at N = 16,
+  1.5 wavelengths at half-wavelength spacing) is what the recorded CDF
+  values are normalized by; the exact limit would shift them by up to
+  ~5e-8.
+
+Near both ends of the support the trace cancels through many digits, far
+beyond double precision for N >= 4, so the inverses and the contraction run
+in mpmath. _required_dps budgets N(N-1)/2 * |log10(a * x)| digits, the
+cancellation of the full P^-1; the factored trace needs no more.
 """
 
 import logging
@@ -120,7 +144,7 @@ def _maybe_jitter(vals: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _required_dps(n: int, alpha: float, x_geo_mean: float, x_max: float) -> int:
-    """Working precision for the kernel inverse at one evaluation point.
+    """Working precision for the closed form at one evaluation point.
 
     Cancellation deepens like N(N-1)/2 decimal digits per decade that
     alpha * x sits away from O(1), in both directions.
@@ -136,55 +160,77 @@ def _required_dps(n: int, alpha: float, x_geo_mean: float, x_max: float) -> int:
     return 30 + int(1.2 * depth) + 2 * n
 
 
-def _raw_cdf(pair: EigenProfilePair, alpha: float) -> float:
-    """Closed form 1/N - tr(E P^-1) / N^2, un-normalized (spans [0, 1/N])."""
-    n = pair.n_r
-    av = [mp.mpf(1) / mp.mpf(float(v)) for v in pair.dr_vals]
-    bv = [mp.mpf(1) / mp.mpf(float(v)) for v in pair.dt_vals]
-    logs = [math.log(float(a * b)) for a in av for b in bv]
+@dataclass(frozen=True)
+class _Kernel:
+    """What every evaluation point of one unordered_cdf call shares: the
+    nodes 1/dr_i and 1/dt_j, the rows of their Vandermonde inverses, and the
+    geometric mean and maximum of x_ij that set the precision."""
+
+    a_nodes: list
+    b_nodes: list
+    inv_a: list
+    inv_b: list
+    x_geo_mean: float
+    x_max: float
+
+
+def _vandermonde_inverse(nodes: list, field: str) -> list:
+    """Rows k of V^-1 for V[i, k] = nodes[i]**k, at the working precision.
+
+    Column i holds the coefficients of the Lagrange polynomial
+    prod_{j != i} (t - x_j) / (x_i - x_j): one synthetic division of the
+    node polynomial prod_j (t - x_j) by (t - x_i).
+    """
+    n = len(nodes)
+    master = [mp.mpf(1)]  # coefficients, constant term first
+    for x in nodes:
+        master = [lo - x * hi for lo, hi in zip([0, *master], [*master, 0])]
+    rows = [[None] * n for _ in range(n)]
+    for i, x in enumerate(nodes):
+        denom = mp.fprod(x - y for j, y in enumerate(nodes) if j != i)
+        if denom == 0:
+            raise NumericError(
+                "kernel matrix P is numerically singular: two values of "
+                f"{field} coincide at {mp.mp.dps} digits",
+                {"field": field, "dps": mp.mp.dps},
+            )
+        coef = mp.mpf(1)
+        rows[n - 1][i] = coef / denom
+        for k in range(n - 1, 0, -1):
+            coef = master[k] + x * coef
+            rows[k - 1][i] = coef / denom
+    return rows
+
+
+def _kernel(pair: EigenProfilePair, alphas) -> _Kernel:
+    """Invert V_a and V_b at the highest precision that any of `alphas`
+    needs."""
+    a_nodes = [mp.mpf(1) / mp.mpf(float(v)) for v in pair.dr_vals]
+    b_nodes = [mp.mpf(1) / mp.mpf(float(v)) for v in pair.dt_vals]
+    logs = [math.log(float(a * b)) for a in a_nodes for b in b_nodes]
     x_geo_mean = math.exp(sum(logs) / len(logs))
     x_max = math.exp(max(logs))
+    dps = max(_required_dps(pair.n_r, a, x_geo_mean, x_max) for a in alphas)
+    with mp.workdps(dps):
+        inv_a = _vandermonde_inverse(a_nodes, "dr_vals")
+        inv_b = _vandermonde_inverse(b_nodes, "dt_vals")
+    return _Kernel(a_nodes, b_nodes, inv_a, inv_b, x_geo_mean, x_max)
 
-    with mp.workdps(_required_dps(n, alpha, x_geo_mean, x_max)):
+
+def _raw_cdf(kernel: _Kernel, alpha: float) -> float:
+    """Closed form 1/N - tr(E P^-1) / N^2 at one point, un-normalized
+    (spans [0, 1/N])."""
+    n = len(kernel.a_nodes)
+    with mp.workdps(_required_dps(n, alpha, kernel.x_geo_mean, kernel.x_max)):
         z = mp.mpf(alpha)
-        poly = [
-            [
-                mp.fsum((-z * av[i] * bv[j]) ** k / mp.factorial(k) for k in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        try:
-            poly_inv = mp.inverse(mp.matrix(poly))
-        except ZeroDivisionError as exc:
-            raise NumericError(
-                f"kernel matrix P is numerically singular at alpha = {alpha!r}",
-                {"alpha": alpha, "dps": mp.mp.dps},
-            ) from exc
-        trace = mp.fsum(
-            mp.exp(-av[i] * bv[j] * z) * poly_inv[j, i]
-            for i in range(n)
-            for j in range(n)
-        )
+        expo = [[mp.exp(-a * b * z) for b in kernel.b_nodes] for a in kernel.a_nodes]
+        trace = mp.mpf(0)
+        weight = mp.mpf(1)  # k! / (-alpha)^k, the diagonal of C^-1
+        for k, (row_a, row_b) in enumerate(zip(kernel.inv_a, kernel.inv_b)):
+            diag = mp.fdot(row_a, [mp.fdot(row, row_b) for row in expo])
+            trace += weight * diag
+            weight = weight * (k + 1) / -z
         return float(mp.mpf(1) / n - trace / (n * n))
-
-
-def _endpoints(pair: EigenProfilePair) -> tuple[float, float]:
-    scale = float(pair.dr_vals[0] * pair.dt_vals[0])
-    raw_lo = _raw_cdf(pair, TINY_ALPHA_FACTOR * scale)
-    raw_hi = _raw_cdf(pair, HUGE_ALPHA_FACTOR * scale)
-    logger.debug(
-        "raw CDF endpoints: F(0+) = %.6g, F(inf) = %.6g (1/N = %.6g)",
-        raw_lo,
-        raw_hi,
-        1.0 / pair.n_r,
-    )
-    if raw_hi - raw_lo <= 0:
-        raise NumericError(
-            f"degenerate raw CDF span [{raw_lo!r}, {raw_hi!r}]",
-            {"raw_lo": raw_lo, "raw_hi": raw_hi},
-        )
-    return raw_lo, raw_hi
 
 
 def unordered_cdf(pair: EigenProfilePair, alpha) -> float | np.ndarray:
@@ -197,20 +243,28 @@ def unordered_cdf(pair: EigenProfilePair, alpha) -> float | np.ndarray:
             f"analytic CDF guard: N = {pair.n_r} exceeds {N_GUARD}"
         )
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if np.any(alphas < 0):
-        raise ValidationError("alpha must be non-negative", field="alpha")
+    if not np.all(alphas >= 0):
+        raise ValidationError(
+            "alpha must be non-negative and not NaN", field="alpha"
+        )
 
-    raw_lo, raw_hi = _endpoints(pair)
-    span = raw_hi - raw_lo
-    out = np.empty(alphas.shape)
     scale = float(pair.dr_vals[0] * pair.dt_vals[0])
-    for idx, a in enumerate(alphas):
-        if a == 0.0:
-            out[idx] = 0.0
-        elif a >= HUGE_ALPHA_FACTOR * scale:
-            out[idx] = 1.0
-        else:
-            out[idx] = min(max((_raw_cdf(pair, a) - raw_lo) / span, 0.0), 1.0)
+    tiny = TINY_ALPHA_FACTOR * scale
+    inside = (alphas > 0) & (alphas < HUGE_ALPHA_FACTOR * scale)
+    kernel = _kernel(pair, [tiny, *alphas[inside]])
+    raw_lo = _raw_cdf(kernel, tiny)
+    logger.debug("raw CDF endpoints: F(0+) = %.6g, F(inf) = 1/N", raw_lo)
+    span = 1.0 / pair.n_r - raw_lo
+    if span <= 0:
+        raise NumericError(
+            f"degenerate raw CDF span: F(0+) = {raw_lo!r} is not below 1/N",
+            {"raw_lo": raw_lo, "n": pair.n_r},
+        )
+    # 0 at alpha = 0, 1 from HUGE_ALPHA_FACTOR * scale on
+    out = np.where(alphas > 0, 1.0, 0.0)
+    for idx in np.flatnonzero(inside):
+        raw = _raw_cdf(kernel, alphas[idx])
+        out[idx] = min(max((raw - raw_lo) / span, 0.0), 1.0)
     if np.isscalar(alpha) or np.asarray(alpha).ndim == 0:
         return float(out[0])
     return out

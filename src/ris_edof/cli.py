@@ -56,8 +56,8 @@ SNR_GRID_TOL = 1e-9
 SNR_DB_LIMIT = 100.0
 # Largest SNR grid and largest cdf point count accepted: +-50 dB at 0.01 dB.
 # The SNR grid is built as a list, so a tiny step would otherwise ask for
-# billions of points; 10,001 closed-form CDF points at N = 16 take about 40
-# minutes on a 2-core VM.
+# billions of points; 10,001 closed-form CDF points at N = 16 take about 25
+# minutes on a 2-core VM (200 points: 30 s).
 MAX_GRID_POINTS = 10_001
 
 # Reference-dataset columns: element spacings (x, z) in wavelengths.

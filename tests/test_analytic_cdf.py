@@ -6,12 +6,15 @@ import pytest
 
 from ris_edof import analytic_cdf
 from ris_edof.analytic_cdf import (
+    HUGE_ALPHA_FACTOR,
     EigenProfilePair,
     cdf_table,
     inverse_cdf_profile,
     unordered_cdf,
 )
+from ris_edof.correlation import geometry_spectrum
 from ris_edof.errors import NumericError, SizeGuardError, ValidationError
+from ris_edof.geometry import RisGeometry
 
 
 def pooled_eigenvalue_draws(dt, dr, draws, seed):
@@ -48,17 +51,23 @@ def jittered(values, seed):
     return values * (1 + rng.uniform(-1, 1, values.size) * 1e-6)
 
 
+def nodes_and_dps(pair, alpha):
+    """The kernel nodes 1/dr_i, 1/dt_j and the working precision at alpha."""
+    av = [mp.mpf(1) / mp.mpf(float(v)) for v in pair.dr_vals]
+    bv = [mp.mpf(1) / mp.mpf(float(v)) for v in pair.dt_vals]
+    logs = [math.log(float(a * b)) for a in av for b in bv]
+    dps = analytic_cdf._required_dps(
+        pair.n_r, alpha, math.exp(sum(logs) / len(logs)), math.exp(max(logs))
+    )
+    return av, bv, dps
+
+
 def determinant_sum_cdf(pair, alpha):
     """The closed form as the paper writes it: 1/N - Q0 / N^2 * sum_n det K^(n),
     with K^(n) the (N-1)!-scaled truncated-exponential kernel whose row n is
     the exponential kernel, and 1 / Q0 the Vandermonde normalizer."""
     n = pair.n_r
-    av = [mp.mpf(1) / mp.mpf(float(v)) for v in pair.dr_vals]
-    bv = [mp.mpf(1) / mp.mpf(float(v)) for v in pair.dt_vals]
-    logs = [math.log(float(a * b)) for a in av for b in bv]
-    dps = analytic_cdf._required_dps(
-        n, alpha, math.exp(sum(logs) / len(logs)), math.exp(max(logs))
-    )
+    av, bv, dps = nodes_and_dps(pair, alpha)
     with mp.workdps(dps):
         z = mp.mpf(alpha)
         vand_a = mp.mpf(1)
@@ -93,27 +102,94 @@ def determinant_sum_cdf(pair, alpha):
         return float(mp.mpf(1) / n - total / (q_inv * n * n))
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_trace_form_matches_determinant_sum(n):
-    rng = np.random.default_rng(300 + n)
+def raw_cdf(pair, alphas):
+    """The factored closed form at each of `alphas`, sharing one kernel."""
+    kernel = analytic_cdf._kernel(pair, alphas)
+    return [analytic_cdf._raw_cdf(kernel, alpha) for alpha in alphas]
+
+
+def full_inverse_raw_cdf(pair, alpha):
+    """The closed form from the whole kernel: P built entry by entry from its
+    truncated exponential series and inverted by LU."""
+    n = pair.n_r
+    av, bv, dps = nodes_and_dps(pair, alpha)
+    with mp.workdps(dps):
+        z = mp.mpf(alpha)
+        poly = [
+            [
+                mp.fsum((-z * av[i] * bv[j]) ** k / mp.factorial(k) for k in range(n))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        poly_inv = mp.inverse(mp.matrix(poly))
+        trace = mp.fsum(
+            mp.exp(-av[i] * bv[j] * z) * poly_inv[j, i]
+            for i in range(n)
+            for j in range(n)
+        )
+        return float(mp.mpf(1) / n - trace / (n * n))
+
+
+def random_pair(n, seed):
+    rng = np.random.default_rng(seed)
     dt = rng.uniform(0.01, 1.0, n)
     dr = rng.uniform(0.01, 1.0, n)
-    pair = EigenProfilePair.from_values(dt / dt.sum(), dr / dr.sum())
+    return EigenProfilePair.from_values(dt / dt.sum(), dr / dr.sum())
+
+
+def oracle_pair(case, n):
+    """A random N = n pair, or both ends the spectrum of a case x case
+    (wavelengths) panel at half-wavelength spacing."""
+    if case == "random":
+        return random_pair(n, 400 + n)
+    spectrum = geometry_spectrum(RisGeometry(case, case, 0.5, 0.5))
+    spectrum = spectrum[spectrum > 0]
+    assert spectrum.size == n
+    return EigenProfilePair.from_values(spectrum, spectrum)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_trace_form_matches_determinant_sum(n):
+    pair = random_pair(n, 300 + n)
     scale = float(pair.dr_vals[0] * pair.dt_vals[0])
-    for factor in np.geomspace(1e-8, 1e6, 8):
-        alpha = float(factor * scale)
-        expected = determinant_sum_cdf(pair, alpha)
-        assert analytic_cdf._raw_cdf(pair, alpha) == pytest.approx(expected, abs=1e-12)
+    alphas = [float(factor * scale) for factor in np.geomspace(1e-8, 1e6, 8)]
+    for alpha, raw in zip(alphas, raw_cdf(pair, alphas)):
+        assert raw == pytest.approx(determinant_sum_cdf(pair, alpha), abs=1e-12)
 
 
-def test_singular_kernel_is_numeric_error(monkeypatch):
-    def singular(*args, **kwargs):
-        raise ZeroDivisionError("matrix is numerically singular")
+@pytest.mark.parametrize(("case", "n"), [("random", 4), (1.0, 9), (1.5, 16)])
+def test_factored_trace_matches_full_inverse(case, n):
+    pair = oracle_pair(case, n)
+    scale = float(pair.dr_vals[0] * pair.dt_vals[0])
+    alphas = [float(factor * scale) for factor in np.geomspace(1e-8, 1e6, 12)]
+    for alpha, raw in zip(alphas, raw_cdf(pair, alphas)):
+        assert abs(raw - full_inverse_raw_cdf(pair, alpha)) <= 1e-14
 
-    monkeypatch.setattr(analytic_cdf.mp, "inverse", singular)
+
+@pytest.mark.parametrize(("case", "n"), [("random", 2), (1.0, 9), (1.5, 16)])
+def test_raw_cdf_at_huge_alpha_is_exactly_one_over_n(case, n):
+    # unordered_cdf takes the upper normalizer as 1/N without evaluating it
+    pair = oracle_pair(case, n)
+    alpha = HUGE_ALPHA_FACTOR * float(pair.dr_vals[0] * pair.dt_vals[0])
+    assert full_inverse_raw_cdf(pair, alpha) == 1.0 / n
+
+
+def test_singular_kernel_is_numeric_error():
     pair = EigenProfilePair.from_values([0.7, 0.3], [0.6, 0.4])
+    # coincident values, which construction would refuse, make the
+    # Vandermonde factor of P singular
+    pair.dr_vals = np.array([0.5, 0.5])
     with pytest.raises(NumericError, match="singular"):
         unordered_cdf(pair, 0.5)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), np.array([0.1, np.nan, 0.3])])
+def test_nan_alpha_is_validation_error(alpha):
+    pair = EigenProfilePair.from_values([0.7, 0.3], [0.6, 0.4])
+    with pytest.raises(ValidationError) as info:
+        unordered_cdf(pair, alpha)
+    assert info.value.field == "alpha"
 
 
 def test_pair_requires_positive_distinct_values():
