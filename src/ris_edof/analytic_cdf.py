@@ -47,13 +47,15 @@ affinely renormalized by its values at a -> 0 and a -> infinity:
 Near both ends of the support the trace cancels through many digits, far
 beyond double precision for N >= 4, so the inverses and the contraction run
 in mpmath. _required_dps budgets N(N-1)/2 * |log10(a * x)| digits, the
-cancellation of the full P^-1; the factored trace needs no more.
+cancellation of the full P^-1. The factored trace needs far less: at N = 16
+(1.5 wavelengths at half-wavelength spacing) a fifth of that budget gives
+bit-equal values at 1e-8, 1e-5 and 1e3 * dr_1 * dt_1, and a tenth gives
+garbage (about -1.7e34).
 """
 
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -273,43 +275,8 @@ def unordered_cdf(pair: EigenProfilePair, alpha) -> float | np.ndarray:
 def cdf_table(
     pair: EigenProfilePair, num: int = 200
 ) -> tuple[np.ndarray, np.ndarray]:
-    """CDF values on a log-spaced grid from 1e-5 to 1e3 times dr_1 * dt_1,
-    ready for inversion."""
+    """CDF values on a log-spaced grid from 1e-5 to 1e3 times dr_1 * dt_1."""
     scale = float(pair.dr_vals[0] * pair.dt_vals[0])
     alphas = np.geomspace(1e-5 * scale, 1e3 * scale, num)
     return alphas, unordered_cdf(pair, alphas)
 
-
-def inverse_cdf_profile(
-    alphas: np.ndarray, f_values: np.ndarray, n: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Continuous eigenvalue profile gamma(x) = F^-1(1 - x/n) on [1, n].
-
-    The tabulated CDF must be non-decreasing; gamma(n) maps to F^-1(0) = 0
-    because the normalized CDF anchors F(0) = 0.
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    f_values = np.asarray(f_values, dtype=float)
-    if alphas.shape != f_values.shape or alphas.ndim != 1:
-        raise ValidationError("alphas and f_values must be 1-D and equal length")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}", field="n")
-    diffs = np.diff(f_values)
-    if np.any(diffs < -1e-9):
-        raise NumericError(
-            f"tabulated CDF decreases by {float(-diffs.min()):.3e}; "
-            "refusing to invert"
-        )
-    # Anchor the normalized origin and squash rounding-level wiggles.
-    f_mono = np.maximum.accumulate(np.concatenate([[0.0], f_values]))
-    a_grid = np.concatenate([[0.0], alphas])
-
-    def gamma(x):
-        x_arr = np.clip(np.asarray(x, dtype=float), 1.0, float(n))
-        p = 1.0 - x_arr / float(n)
-        vals = np.interp(p, f_mono, a_grid)
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return float(vals)
-        return vals
-
-    return gamma

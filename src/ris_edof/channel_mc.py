@@ -17,33 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import (
-    DEFAULT_MAX_ELEMENTS,
-    NEGATIVE_CLAMP_REL,
-    effective_rank,
-    geometry_spectrum,
-)
+from .correlation import NEGATIVE_CLAMP_REL, effective_rank
 from .errors import NumericError, ValidationError
-from .geometry import RisGeometry
 
 
 @dataclass
 class ChannelEnsemble:
     """Per-realization sorted eigenvalue vectors of the composite channel."""
 
-    n_t: int
-    n_r: int
-    realizations: int
-    eig_samples: np.ndarray  # shape (realizations, n_r), rows non-increasing
-    dt: np.ndarray | None = None  # normalized transmit spectrum, length n_t
-    dr: np.ndarray | None = None  # normalized receive spectrum, length n_r
+    eig_samples: np.ndarray  # shape (realizations, len(dr)), rows non-increasing
+    dt: np.ndarray  # normalized transmit spectrum
+    dr: np.ndarray  # normalized receive spectrum
 
-    def __post_init__(self):
-        if self.eig_samples.shape != (self.realizations, self.n_r):
-            raise ValidationError(
-                f"eig_samples shape {self.eig_samples.shape} does not match "
-                f"(realizations, n_r) = ({self.realizations}, {self.n_r})"
-            )
+    @property
+    def realizations(self) -> int:
+        return self.eig_samples.shape[0]
 
 
 @dataclass
@@ -73,8 +61,8 @@ def sample_hw(n_r: int, n_t: int, stream: np.random.Generator) -> np.ndarray:
 def composite_eigs(dt: np.ndarray, dr: np.ndarray, hw: np.ndarray) -> np.ndarray:
     """Non-increasing eigenvalues of Dr_n H Dt_n H^H for one draw of H.
 
-    Always len(dr) values; when len(dt) < len(dr) the trailing
-    len(dr) - len(dt) of them are exact zeros.
+    min(len(dt), len(dr)) values. When len(dt) < len(dr), the remaining
+    len(dr) - len(dt) eigenvalues are exact zeros and are not returned.
     """
     dt = np.asarray(dt, dtype=float)
     dr = np.asarray(dr, dtype=float)
@@ -84,10 +72,9 @@ def composite_eigs(dt: np.ndarray, dr: np.ndarray, hw: np.ndarray) -> np.ndarray
             f"({dr.size}, {dt.size})"
         )
     a = np.sqrt(dr)[:, None] * hw * np.sqrt(dt)[None, :]
-    # A^H A shares the nonzero spectrum of A A^H; solve the smaller Gram and
-    # pad with the zeros the larger one has
+    # A^H A shares the nonzero spectrum of A A^H; solve the smaller Gram
     gram = a.conj().T @ a if dt.size < dr.size else a @ a.conj().T
-    eigs = np.sort(np.linalg.eigvalsh(gram))[::-1]
+    eigs = np.linalg.eigvalsh(gram)[::-1]
     top = max(float(eigs[0]), 0.0)
     floor = -NEGATIVE_CLAMP_REL * top
     if eigs[-1] < floor:
@@ -95,8 +82,7 @@ def composite_eigs(dt: np.ndarray, dr: np.ndarray, hw: np.ndarray) -> np.ndarray
             f"composite eigenvalue {eigs[-1]:.3e} below clamp floor {floor:.3e}",
             {"min": float(eigs[-1]), "top": top},
         )
-    eigs = np.where(eigs < 0.0, 0.0, eigs)
-    return np.concatenate([eigs, np.zeros(dr.size - eigs.size)])
+    return np.where(eigs < 0.0, 0.0, eigs)
 
 
 def ensemble_from_spectra(
@@ -110,7 +96,7 @@ def ensemble_from_spectra(
     """Monte Carlo ensemble over H for fixed normalized spectra.
 
     Eigenvalues below RANK_TOL * largest are dropped from the per-realization
-    solve (they contribute nothing at double precision); output vectors are
+    solve (they contribute nothing at double precision); each row is
     zero-padded back to length len(dr).
     """
     if realizations < 1:
@@ -119,55 +105,21 @@ def ensemble_from_spectra(
         )
     dt = np.asarray(dt, dtype=float)
     dr = np.asarray(dr, dtype=float)
-    n_t, n_r = dt.size, dr.size
-
-    if dt[0] > 0 and dr[0] > 0:
-        r_t = effective_rank(dt)
-        r_r = effective_rank(dr)
-    else:
-        r_t, r_r = n_t, n_r
-    dt_used = dt[:r_t]
-    dr_used = dr[:r_r]
+    dt_used = dt[: effective_rank(dt)]
+    dr_used = dr[: effective_rank(dr)]
 
     def one(index: int) -> np.ndarray:
-        hw = sample_hw(r_r, r_t, realization_stream(seed, index))
-        eigs = composite_eigs(dt_used, dr_used, hw)
-        if r_r < n_r:
-            eigs = np.concatenate([eigs, np.zeros(n_r - r_r)])
-        return eigs
+        hw = sample_hw(dr_used.size, dt_used.size, realization_stream(seed, index))
+        return composite_eigs(dt_used, dr_used, hw)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(one, range(realizations)))
     else:
         rows = [one(i) for i in range(realizations)]
-
-    return ChannelEnsemble(
-        n_t=n_t,
-        n_r=n_r,
-        realizations=realizations,
-        eig_samples=np.vstack(rows),
-        dt=dt,
-        dr=dr,
-    )
-
-
-def run_ensemble(
-    geom_t: RisGeometry,
-    geom_r: RisGeometry,
-    realizations: int,
-    seed: int,
-    *,
-    threads: int = 1,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> ChannelEnsemble:
-    """Build both correlation spectra and run the Monte Carlo ensemble."""
-    dt = geometry_spectrum(geom_t, max_elements=max_elements)
-    if geom_r == geom_t:
-        dr = dt
-    else:
-        dr = geometry_spectrum(geom_r, max_elements=max_elements)
-    return ensemble_from_spectra(dt, dr, realizations, seed, threads=threads)
+    samples = np.zeros((realizations, dr.size))
+    samples[:, : rows[0].size] = rows
+    return ChannelEnsemble(samples, dt, dr)
 
 
 def ensemble_stats(ensemble: ChannelEnsemble) -> EigStats:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .analytic_cdf import EigenProfilePair, cdf_table
-from .channel_mc import ensemble_stats, run_ensemble
+from .channel_mc import ensemble_from_spectra, ensemble_stats
 from .correlation import DEFAULT_MAX_ELEMENTS, geometry_spectrum
 from .edof import (
     EigenvalueProfile,
@@ -335,14 +335,19 @@ def _indexed(*columns):
     return ((k + 1, *values) for k, values in enumerate(zip(*columns)))
 
 
+def _spectra(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
+    """Normalized spectra (dt, dr) of the two panels; a geometry shared by
+    both panels is built once."""
+    dt = geometry_spectrum(geom_t, max_elements=config.max_elements)
+    if geom_r == geom_t:
+        return dt, dt
+    return dt, geometry_spectrum(geom_r, max_elements=config.max_elements)
+
+
 def _ensemble(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
-    return run_ensemble(
-        geom_t,
-        geom_r,
-        config.realizations,
-        config.seed,
-        threads=config.threads,
-        max_elements=config.max_elements,
+    dt, dr = _spectra(config, geom_t, geom_r)
+    return ensemble_from_spectra(
+        dt, dr, config.realizations, config.seed, threads=config.threads
     )
 
 
@@ -351,7 +356,7 @@ def _mean_profile(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
     ensemble = _ensemble(config, geom_t, geom_r)
     stats = ensemble_stats(ensemble)
     profile = EigenvalueProfile.from_values(stats.mean_profile)
-    return profile, float(ensemble.n_t * ensemble.n_r)
+    return profile, float(ensemble.dt.size * ensemble.dr.size)
 
 
 # Products: (config, geom_t, geom_r) -> (header, rows, manifest extras).
@@ -378,7 +383,7 @@ def _bounds_report(config, geom_t, geom_r):
     slack = float(config.options.get("slack", DEFAULT_SLACK))
     ensemble = _ensemble(config, geom_t, geom_r)
     table = per_eig_bounds(ensemble.dt, ensemble.dr, slack=slack)
-    violations = check_bounds(ensemble, table)
+    violations = check_bounds(ensemble.eig_samples, table)
     report = {
         "regime": table.regime,
         "slack": slack,
@@ -395,8 +400,7 @@ def _cdf(config, geom_t, geom_r):
             f"{geom_t.n} and geometry_r {geom_r.n}",
             field="geometry_r",
         )
-    dt = geometry_spectrum(geom_t, max_elements=config.max_elements)
-    dr = geometry_spectrum(geom_r, max_elements=config.max_elements)
+    dt, dr = _spectra(config, geom_t, geom_r)
     pair = EigenProfilePair.from_values(dt[dt > 0], dr[dr > 0])
     alphas, f_vals = cdf_table(pair, num=points)
     return ["alpha", "F"], zip(alphas, f_vals), {}
@@ -503,7 +507,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument(
             "--threads", type=int, default=1,
-            help="worker cap (at most the CPU count)",
+            help=(
+                "Monte Carlo worker threads (at most the CPU count); outputs "
+                "do not depend on it, but do depend on the BLAS thread count. "
+                "Workers share the cores with BLAS threads: on 2 cores, fig8 "
+                "half-lambda --quick took 17-20 s with 1 worker and 24 s with "
+                "2 under default OpenBLAS threading, and 22 s vs 11 s with "
+                "OPENBLAS_NUM_THREADS=1"
+            ),
         )
         p.add_argument("--out", type=Path, help="output directory")
         p.add_argument(

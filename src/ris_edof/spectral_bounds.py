@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_mc import ChannelEnsemble
 from .correlation import effective_rank
 from .errors import ValidationError
 
@@ -115,19 +114,19 @@ def per_eig_bounds(
     return BoundTable(regime=regime, lower=lower, upper=upper, slack=slack)
 
 
-def check_bounds(ensemble: ChannelEnsemble, table: BoundTable) -> list[BoundViolation]:
-    """Audit every sample in the ensemble against the slackened bounds.
+def check_bounds(samples: np.ndarray, table: BoundTable) -> list[BoundViolation]:
+    """Audit every sample (one row per realization) against the slackened
+    bounds.
 
-    An empty list means the ensemble respects the bounds.
+    An empty list means the samples respect the bounds.
     """
-    if table.upper.size != ensemble.n_r:
+    if table.upper.size != samples.shape[1]:
         raise ValidationError(
-            f"bound table has {table.upper.size} rows but ensemble n_r = "
-            f"{ensemble.n_r}"
+            f"bound table has {table.upper.size} rows but samples have "
+            f"{samples.shape[1]} eigenvalues each"
         )
     hi = table.upper * (1.0 + table.slack)
     lo = table.lower * (1.0 - table.slack)
-    samples = ensemble.eig_samples
     return [
         BoundViolation(
             k=int(idx) + 1,

@@ -9,7 +9,6 @@ from ris_edof.analytic_cdf import (
     HUGE_ALPHA_FACTOR,
     EigenProfilePair,
     cdf_table,
-    inverse_cdf_profile,
     unordered_cdf,
 )
 from ris_edof.correlation import geometry_spectrum
@@ -260,34 +259,3 @@ def test_scale_covariance():
     f_scaled = unordered_cdf(scaled, 3.0 * alphas)
     assert np.max(np.abs(f_base - f_scaled)) < 1e-6
 
-
-def test_inverse_profile_monotone_and_anchored():
-    pair = EigenProfilePair.from_values([0.4, 0.3, 0.2, 0.1], [0.38, 0.31, 0.2, 0.11])
-    alphas, f_vals = cdf_table(pair, num=150)
-    gamma = inverse_cdf_profile(alphas, f_vals, n=4)
-    xs = np.linspace(1, 4, 50)
-    vals = gamma(xs)
-    assert np.all(np.diff(vals) <= 1e-12)
-    assert gamma(4.0) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_inverse_profile_matches_pooled_quantiles():
-    # gamma(x) = F^-1(1 - x/n), so gamma at x is the (1 - x/n) quantile of
-    # the pooled unordered-eigenvalue distribution; check it against Monte
-    # Carlo at every interior evaluation point
-    dt = jittered([0.4, 0.3, 0.2, 0.1], seed=4)
-    dr = jittered([0.4, 0.3, 0.2, 0.1], seed=5)
-    pair = EigenProfilePair.from_values(dt, dr)
-    alphas, f_vals = cdf_table(pair, num=300)
-    gamma = inverse_cdf_profile(alphas, f_vals, n=4)
-    pool = pooled_eigenvalue_draws(dt, dr, draws=40_000, seed=9)
-    for x in (1.0, 1.5, 2.0, 3.0):
-        empirical = np.quantile(pool, 1.0 - x / 4.0)
-        assert gamma(x) == pytest.approx(empirical, rel=0.10)
-
-
-def test_inverse_profile_rejects_decreasing_cdf():
-    with pytest.raises(NumericError):
-        inverse_cdf_profile(
-            np.array([0.1, 0.2, 0.3]), np.array([0.2, 0.5, 0.1]), n=3
-        )

@@ -8,7 +8,6 @@ from ris_edof.channel_mc import (
     ensemble_from_spectra,
     ensemble_stats,
     realization_stream,
-    run_ensemble,
     sample_hw,
 )
 from ris_edof.correlation import effective_rank, geometry_spectrum
@@ -16,6 +15,17 @@ from ris_edof.errors import ValidationError
 from ris_edof.geometry import RisGeometry
 
 SMALL = RisGeometry(3, 3, 0.5, 0.5)  # 49 elements
+
+
+def mc(geom_t, geom_r, realizations, seed, threads=1):
+    """Monte Carlo ensemble over the two panels' correlation spectra."""
+    return ensemble_from_spectra(
+        geometry_spectrum(geom_t),
+        geometry_spectrum(geom_r),
+        realizations,
+        seed,
+        threads=threads,
+    )
 
 
 def test_stream_is_deterministic_per_index():
@@ -58,9 +68,11 @@ def test_rectangular_draw_uses_smaller_gram():
     eigs = composite_eigs(dt, dr, hw)
     a = np.sqrt(dr)[:, None] * hw * np.sqrt(dt)[None, :]
     full = np.sort(np.linalg.eigvalsh(a @ a.conj().T))[::-1]
-    assert eigs.shape == (dr.size,)
-    assert np.max(np.abs(eigs - full)) <= 1e-12 * full[0]
-    assert np.all(eigs[dt.size:] == 0.0)
+    # the 16 x 16 Gram: its values lead the 49 x 49 spectrum, whose other 33
+    # are zero up to rounding
+    assert eigs.shape == (dt.size,)
+    assert np.max(np.abs(eigs - full[: dt.size])) <= 1e-12 * full[0]
+    assert np.max(np.abs(full[dt.size:])) <= 1e-12 * full[0]
     assert np.all(np.diff(eigs) <= 0)
 
 
@@ -75,18 +87,30 @@ def test_trace_identity_per_realization():
 
 def test_run_ensemble_rejects_zero_realizations():
     with pytest.raises(ValidationError):
-        run_ensemble(SMALL, SMALL, realizations=0, seed=1)
+        ensemble_from_spectra(np.ones(1), np.ones(1), realizations=0, seed=1)
 
 
-def test_worker_count_does_not_change_results():
-    one = run_ensemble(SMALL, SMALL, realizations=12, seed=9, threads=1)
-    many = run_ensemble(SMALL, SMALL, realizations=12, seed=9, threads=4)
+@pytest.mark.parametrize(
+    "geom_t, geom_r",
+    [
+        (SMALL, SMALL),
+        # 25 -> 169 elements; the receive rank at RANK_TOL is 112, so each
+        # row pads from at most 25 solved values straight to 169
+        (RisGeometry(2, 2, 0.5, 0.5), RisGeometry(2, 2, 1 / 6, 1 / 6)),
+    ],
+    ids=["3-half", "2-half-to-2-sixth"],
+)
+def test_worker_count_does_not_change_results(geom_t, geom_r):
+    one = mc(geom_t, geom_r, realizations=12, seed=9, threads=1)
+    many = mc(geom_t, geom_r, realizations=12, seed=9, threads=2)
     assert np.array_equal(one.eig_samples, many.eig_samples)
+    assert one.eig_samples.shape == (12, geom_r.n)
+    assert np.all(one.eig_samples[:, geom_t.n:] == 0.0)
 
 
 def test_rank_bounded_by_spectra():
     geom_t = RisGeometry(2, 2, 0.5, 0.5)
-    ensemble = run_ensemble(geom_t, SMALL, realizations=5, seed=3)
+    ensemble = mc(geom_t, SMALL, realizations=5, seed=3)
     r_t = effective_rank(ensemble.dt)
     r_r = effective_rank(ensemble.dr)
     for row in ensemble.eig_samples:
@@ -94,16 +118,15 @@ def test_rank_bounded_by_spectra():
 
 
 def test_rows_sorted_and_nonnegative():
-    ensemble = run_ensemble(SMALL, SMALL, realizations=5, seed=3)
+    ensemble = mc(SMALL, SMALL, realizations=5, seed=3)
     assert np.all(ensemble.eig_samples >= 0)
     assert np.all(np.diff(ensemble.eig_samples, axis=1) <= 0)
 
 
 def test_stats_on_identical_samples():
     row = np.array([[3.0, 2.0, 1.0]])
-    ensemble = ChannelEnsemble(
-        n_t=3, n_r=3, realizations=4, eig_samples=np.repeat(row, 4, axis=0)
-    )
+    flat = np.ones(3) / 3
+    ensemble = ChannelEnsemble(np.repeat(row, 4, axis=0), flat, flat)
     stats = ensemble_stats(ensemble)
     assert np.array_equal(stats.std_profile, np.zeros(3))
     assert np.array_equal(stats.mean_profile, row[0])
@@ -111,15 +134,14 @@ def test_stats_on_identical_samples():
 
 
 def test_stats_require_two_realizations():
-    ensemble = ChannelEnsemble(
-        n_t=2, n_r=2, realizations=1, eig_samples=np.ones((1, 2))
-    )
+    flat = np.ones(2) / 2
+    ensemble = ChannelEnsemble(np.ones((1, 2)), flat, flat)
     with pytest.raises(ValidationError):
         ensemble_stats(ensemble)
 
 
 def test_stats_mean_profile_non_increasing():
-    ensemble = run_ensemble(SMALL, SMALL, realizations=50, seed=11)
+    ensemble = mc(SMALL, SMALL, realizations=50, seed=11)
     stats = ensemble_stats(ensemble)
     assert np.all(np.diff(stats.mean_profile) <= 0)
     assert np.all(stats.std_profile >= 0)
@@ -136,22 +158,21 @@ def test_eigensum_scalar_channel():
 
 def test_eigensum_zero_channel_injected():
     # ensemble_stats needs two realizations
-    ensemble = ChannelEnsemble(
-        n_t=2, n_r=2, realizations=2, eig_samples=np.zeros((2, 2))
-    )
+    flat = np.ones(2) / 2
+    ensemble = ChannelEnsemble(np.zeros((2, 2)), flat, flat)
     assert ensemble_stats(ensemble).eigsum_mean == 0.0
 
 
 def test_eigensum_near_one_small_geometry():
-    ensemble = run_ensemble(SMALL, SMALL, realizations=300, seed=13)
+    ensemble = mc(SMALL, SMALL, realizations=300, seed=13)
     assert ensemble_stats(ensemble).eigsum_mean == pytest.approx(1.0, abs=0.05)
 
 
 def test_swap_symmetry_of_link_ends():
     geom_a = RisGeometry(3, 1.5, 0.5, 0.5)  # 7 x 4 grid
     geom_b = RisGeometry(1.5, 3, 0.25, 0.5)  # 7 x 7 grid
-    fwd = run_ensemble(geom_a, geom_b, realizations=500, seed=17)
-    rev = run_ensemble(geom_b, geom_a, realizations=500, seed=18)
+    fwd = mc(geom_a, geom_b, realizations=500, seed=17)
+    rev = mc(geom_b, geom_a, realizations=500, seed=18)
     top_fwd = fwd.eig_samples[:, 0]
     top_rev = rev.eig_samples[:, 0]
     ks = scipy_stats.ks_2samp(top_fwd, top_rev).statistic
@@ -162,7 +183,7 @@ def test_dense_spacing_eigenvalues_concentrate():
     # scaled-down stand-in for the dense-spacing panels: per-index spread of
     # the leading eigenvalues is far below their mean
     geom = RisGeometry(6, 6, 1 / 6, 1 / 6)
-    ensemble = run_ensemble(geom, geom, realizations=100, seed=42)
+    ensemble = mc(geom, geom, realizations=100, seed=42)
     stats = ensemble_stats(ensemble)
     ratio = stats.std_profile[:12] / stats.mean_profile[:12]
     assert ratio.max() < 0.1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ris_edof.cli import MAX_GRID_POINTS, main, parse_config
+from ris_edof.correlation import geometry_spectrum
 from ris_edof.errors import ValidationError
 
 TINY = {
@@ -311,6 +312,33 @@ def test_edof_sweep_command(tmp_path):
     assert all(float(r[6]) >= 0.0 for r in rows)
     assert all(int(r[3]) == 28 for r in rows)  # floor(pi * 9)
 
+
+HALF_1 = {"len_x": 1, "len_z": 1, "spacing_x": 0.5, "spacing_z": 0.5}
+HALF_2 = {"len_x": 2, "len_z": 2, "spacing_x": 0.5, "spacing_z": 0.5}
+
+
+@pytest.mark.parametrize(
+    "command, payload, builds",
+    [
+        ("cdf", {"geometry_t": HALF_1, "options": {"points": 2}}, 1),
+        ("edof-sweep", dict(TINY, geometry_r=HALF_2, realizations=2), 2),
+    ],
+    ids=["cdf-one-panel", "sweep-two-panels"],
+)
+def test_one_spectrum_per_distinct_panel(
+    tmp_path, monkeypatch, command, payload, builds
+):
+    built = []
+
+    def counted(geom, **kwargs):
+        built.append(geom)
+        return geometry_spectrum(geom, **kwargs)
+
+    monkeypatch.setattr("ris_edof.cli.geometry_spectrum", counted)
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(built) == builds
+    assert len(set(built)) == builds
 
 def test_env_var_output_dir(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, TINY)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_edof import edof
-from ris_edof.channel_mc import ensemble_stats, run_ensemble
+from ris_edof.channel_mc import ensemble_from_spectra, ensemble_stats
+from ris_edof.correlation import geometry_spectrum
 from ris_edof.edof import (
     EigenvalueProfile,
     capacity,
@@ -178,7 +179,8 @@ def test_sweep_rejects_empty_grid():
 @pytest.fixture(scope="module")
 def small_mc_profile():
     geom = RisGeometry(3, 3, 0.5, 0.5)
-    ensemble = run_ensemble(geom, geom, realizations=200, seed=7)
+    spectrum = geometry_spectrum(geom)
+    ensemble = ensemble_from_spectra(spectrum, spectrum, realizations=200, seed=7)
     stats = ensemble_stats(ensemble)
     profile = EigenvalueProfile.from_values(stats.mean_profile)
     return geom, profile

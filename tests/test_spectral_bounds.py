@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ris_edof.channel_mc import (
-    ChannelEnsemble,
     composite_eigs,
     ensemble_from_spectra,
     realization_stream,
-    run_ensemble,
     sample_hw,
 )
+from ris_edof.correlation import geometry_spectrum
 from ris_edof.errors import ValidationError
 from ris_edof.geometry import RisGeometry
 from ris_edof.spectral_bounds import (
@@ -119,8 +118,8 @@ def test_rectangular_middle_regime_holds_over_monte_carlo(side_t, side_r):
     # the multiplier is the edge of ||H||^2, (sqrt(n_t) + sqrt(n_r))^2
     geom_t = RisGeometry(side_t, side_t, 0.5, 0.5)
     geom_r = RisGeometry(side_r, side_r, 0.5, 0.5)
-    ensemble = run_ensemble(geom_t, geom_r, realizations=200, seed=2024)
-    dt, dr = ensemble.dt, ensemble.dr
+    dt, dr = geometry_spectrum(geom_t), geometry_spectrum(geom_r)
+    ensemble = ensemble_from_spectra(dt, dr, realizations=200, seed=2024)
     table = per_eig_bounds(dt, dr)
     assert table.regime == REGIME_NT_APPROX_NR
     edge = (np.sqrt(dt.size) + np.sqrt(dr.size)) ** 2
@@ -140,21 +139,18 @@ def test_infinite_bounds_never_violate():
         upper=np.full(3, np.inf),
         slack=0.0,
     )
-    assert check_bounds(ensemble, table) == []
+    assert check_bounds(ensemble.eig_samples, table) == []
 
 
 def test_violations_are_reported_with_indices():
     samples = np.array([[2.0, 1.0], [0.5, 0.4]])
-    ensemble = ChannelEnsemble(
-        n_t=2, n_r=2, realizations=2, eig_samples=samples
-    )
     table = BoundTable(
         regime=REGIME_NT_APPROX_NR,
         lower=np.zeros(2),
         upper=np.array([1.0, 1.0]),
         slack=0.0,
     )
-    violations = check_bounds(ensemble, table)
+    violations = check_bounds(samples, table)
     assert len(violations) == 1
     v = violations[0]
     assert (v.k, v.realization, v.kind) == (1, 0, "upper")
