@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import NEGATIVE_CLAMP_REL, effective_rank
-from .errors import NumericError, ValidationError
+from .correlation import _clamp_negative, effective_rank
+from .errors import ValidationError
 
 
 @dataclass
@@ -74,15 +74,7 @@ def composite_eigs(dt: np.ndarray, dr: np.ndarray, hw: np.ndarray) -> np.ndarray
     a = np.sqrt(dr)[:, None] * hw * np.sqrt(dt)[None, :]
     # A^H A shares the nonzero spectrum of A A^H; solve the smaller Gram
     gram = a.conj().T @ a if dt.size < dr.size else a @ a.conj().T
-    eigs = np.linalg.eigvalsh(gram)[::-1]
-    top = max(float(eigs[0]), 0.0)
-    floor = -NEGATIVE_CLAMP_REL * top
-    if eigs[-1] < floor:
-        raise NumericError(
-            f"composite eigenvalue {eigs[-1]:.3e} below clamp floor {floor:.3e}",
-            {"min": float(eigs[-1]), "top": top},
-        )
-    return np.where(eigs < 0.0, 0.0, eigs)
+    return _clamp_negative(np.linalg.eigvalsh(gram)[::-1], "composite eigenvalue")
 
 
 def ensemble_from_spectra(
@@ -97,7 +89,8 @@ def ensemble_from_spectra(
 
     Eigenvalues below RANK_TOL * largest are dropped from the per-realization
     solve (they contribute nothing at double precision); each row is
-    zero-padded back to length len(dr).
+    zero-padded back to length len(dr). The draws map over a pool of
+    `threads` workers.
     """
     if realizations < 1:
         raise ValidationError(
@@ -112,11 +105,8 @@ def ensemble_from_spectra(
         hw = sample_hw(dr_used.size, dt_used.size, realization_stream(seed, index))
         return composite_eigs(dt_used, dr_used, hw)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(realizations)))
-    else:
-        rows = [one(i) for i in range(realizations)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = list(pool.map(one, range(realizations)))
     samples = np.zeros((realizations, dr.size))
     samples[:, : rows[0].size] = rows
     return ChannelEnsemble(samples, dt, dr)

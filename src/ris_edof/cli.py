@@ -158,15 +158,12 @@ def _parse_geometry(block, where: str) -> RisGeometry:
     )
 
 
-def _option_number(options: dict, key: str) -> float:
-    return _number(options[key], f"options.{key}", f"options.{key}")
-
-
 def _check_options(options: dict) -> None:
     """Type and range checks for the per-command options."""
-    if "slack" in options and _option_number(options, "slack") < 0:
+    slack = options.get("slack", 0.0)
+    if _number(slack, "options.slack", "options.slack") < 0:
         raise ValidationError(
-            f"options.slack must be >= 0, got {options['slack']!r}",
+            f"options.slack must be >= 0, got {slack!r}",
             field="options.slack",
         )
     if "points" in options:
@@ -181,12 +178,6 @@ def _check_options(options: dict) -> None:
                 f"got {points!r}",
                 field="options.points",
             )
-    if "snr_db" in options and abs(_option_number(options, "snr_db")) > SNR_DB_LIMIT:
-        raise ValidationError(
-            f"options.snr_db must lie within [-{SNR_DB_LIMIT:g}, "
-            f"{SNR_DB_LIMIT:g}] dB, got {options['snr_db']!r}",
-            field="options.snr_db",
-        )
 
 
 def _check_seed(seed) -> int:
@@ -200,6 +191,14 @@ def parse_config(raw: dict, command: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a JSON object", field="config")
     _check_keys(raw, _TOP_KEYS, "config")
+    if command == "reproduce":
+        for key in ("geometry_t", "geometry_r"):
+            if key in raw:
+                raise ValidationError(
+                    f"reproduce runs the panels its --target and --column fix; "
+                    f"{key!r} in the config would be ignored",
+                    field=key,
+                )
 
     geometry_t = _parse_geometry(raw.get("geometry_t", DEFAULT_GEOMETRY), "geometry_t")
     geometry_r = (
@@ -211,9 +210,10 @@ def parse_config(raw: dict, command: str) -> RunConfig:
     realizations = raw.get("realizations", 1000)
     if not isinstance(realizations, int) or isinstance(realizations, bool):
         raise ValidationError("realizations must be an integer", field="realizations")
-    if realizations < 1:
+    # the Monte Carlo statistics need two draws; refuse before any is made
+    if realizations < 2:
         raise ValidationError(
-            f"realizations must be >= 1, got {realizations}", field="realizations"
+            f"realizations must be >= 2, got {realizations}", field="realizations"
         )
 
     seed = _check_seed(raw.get("seed", 42))
@@ -374,11 +374,6 @@ def _mean_std(config, geom_t, geom_r):
     return ["k", "mean", "std"], rows, {"eigsum_mean": stats.eigsum_mean}
 
 
-def _mean(config, geom_t, geom_r):
-    stats = ensemble_stats(_ensemble(config, geom_t, geom_r))
-    return ["k", "mean"], _indexed(stats.mean_profile), {}
-
-
 def _bounds_report(config, geom_t, geom_r):
     slack = float(config.options.get("slack", DEFAULT_SLACK))
     ensemble = _ensemble(config, geom_t, geom_r)
@@ -406,33 +401,29 @@ def _cdf(config, geom_t, geom_r):
     return ["alpha", "F"], zip(alphas, f_vals), {}
 
 
-def _curve_rows(profile: EigenvalueProfile, nt_nr: float, snr_db):
-    """(n_s, capacity, normalized capacity) for every n_s at one SNR."""
-    counts, caps, normalized = capacity_curve(
-        profile, snr_db_to_linear(snr_db), nt_nr
-    )
-    return zip(counts.tolist(), caps, normalized)
-
-
-def _capacity(config, geom_t, geom_r):
-    snr_db = float(config.options.get("snr_db", 10.0))
-    rows = _curve_rows(*_mean_profile(config, geom_t, geom_r), snr_db)
-    return ["n_s", "capacity", "normalized_capacity"], rows, {"snr_db": snr_db}
-
-
 def _capacity_curves(config, geom_t, geom_r):
+    """(snr_db, n_s, capacity, normalized capacity) for every n_s at every
+    point of the SNR grid."""
     profile, nt_nr = _mean_profile(config, geom_t, geom_r)
-    rows = [
-        (snr_db, *row)
-        for snr_db in range(-10, 41, 10)
-        for row in _curve_rows(profile, nt_nr, snr_db)
-    ]
+    rows = []
+    for snr_db in config.snr_grid_db:
+        counts, caps, normalized = capacity_curve(
+            profile, snr_db_to_linear(snr_db), nt_nr
+        )
+        rows += [(snr_db, *row) for row in zip(counts.tolist(), caps, normalized)]
     return ["snr_db", "n_s", "capacity", "normalized_capacity"], rows, {}
 
 
 def _sweep(config, geom_t, geom_r):
-    profile, nt_nr = _mean_profile(config, geom_t, geom_r)
     dof_ref = asymptotic_dof(geom_t)
+    if dof_ref < 1:
+        raise ValidationError(
+            f"the EDoF sweep compares against floor(pi * len_x * len_z) "
+            f"subchannels, which is 0 for geometry_t ({geom_t.len_x:g} x {geom_t.len_z:g} "
+            "wavelengths)",
+            field="geometry_t",
+        )
+    profile, nt_nr = _mean_profile(config, geom_t, geom_r)
     rows = [
         (
             row.snr_db,
@@ -455,20 +446,23 @@ _COMMANDS = {
     "channel-eigs": (_mean_std, ()),
     "bounds-audit": (_bounds_report, ("slack",)),
     "cdf": (_cdf, ("points",)),
-    "capacity-curve": (_capacity, ("snr_db",)),
+    "capacity-curve": (_capacity_curves, ()),
     "edof-sweep": (_sweep, ()),
     "reproduce": (None, ()),
 }
 
 # target -> (product, aperture in wavelengths, fixed column or None for
 # --column or DESK_COLUMNS, output file stem). Both panels run the column's
-# geometry at the aperture.
+# geometry at the aperture. Some targets are views of one product on the
+# same panels and write identical tables: fig3 = table1, fig6 = table2,
+# fig9 = fig8 and fig11 = fig10. A figure that plots a subset of a product's
+# columns reuses that product rather than adding a narrower one.
 _COLUMN_STEM = "{target}_{column}"
 _TARGETS = {
     "table1": (_spectrum, FULL_APERTURE, None, _COLUMN_STEM),
     "table2": (_mean_std, FULL_APERTURE, None, _COLUMN_STEM),
     "fig3": (_spectrum, FULL_APERTURE, None, _COLUMN_STEM),
-    "fig6": (_mean, FULL_APERTURE, None, _COLUMN_STEM),
+    "fig6": (_mean_std, FULL_APERTURE, None, _COLUMN_STEM),
     "fig7": (_capacity_curves, FULL_APERTURE, "quarter-lambda", "{target}"),
     "fig8": (_sweep, FULL_APERTURE, None, _COLUMN_STEM),
     "fig9": (_sweep, FULL_APERTURE, None, _COLUMN_STEM),
@@ -581,7 +575,7 @@ def _jobs(args: argparse.Namespace, config: RunConfig):
         for col, geom in geometries.items()
     ]
     described = config.describe()
-    # reproduce ignores the config's geometry_t/geometry_r
+    # the target fixes the panels (parse_config refuses the config's own)
     del described["geometry_t"], described["geometry_r"]
     extras = {
         "config": described,

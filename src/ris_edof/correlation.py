@@ -37,6 +37,20 @@ from .geometry import RisGeometry
 # rounding noise and are treated as an error.
 NEGATIVE_CLAMP_REL = 1e-10
 
+
+def _clamp_negative(values: np.ndarray, what: str) -> np.ndarray:
+    """Non-increasing eigenvalues with their rounding-noise negatives set to
+    zero; a value below -NEGATIVE_CLAMP_REL * max(largest, 0) raises."""
+    top = max(float(values[0]), 0.0)
+    floor = -NEGATIVE_CLAMP_REL * top
+    if values[-1] < floor:
+        raise NumericError(
+            f"{what} {values[-1]:.3e} below clamp floor {floor:.3e}",
+            {"min": float(values[-1]), "top": top},
+        )
+    return np.where(values < 0.0, 0.0, values)
+
+
 DEFAULT_MAX_ELEMENTS = 10_000
 
 PARITIES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -160,15 +174,7 @@ def eigen_decompose(corr: CorrelationMatrix) -> Spectrum:
     values = np.sort(np.concatenate(parts))[::-1]
     trace_in = float(sum(np.trace(block) for block in corr.blocks))
     min_raw = float(values[-1])
-    alpha_1 = float(values[0])
-    clamp_floor = -NEGATIVE_CLAMP_REL * max(alpha_1, 0.0)
-    if min_raw < clamp_floor:
-        raise NumericError(
-            f"eigenvalue {min_raw:.3e} below clamp floor {clamp_floor:.3e}; "
-            "matrix is not a PSD correlation kernel",
-            {"min_raw": min_raw, "alpha_1": alpha_1},
-        )
-    values = np.where(values < 0.0, 0.0, values)
+    values = _clamp_negative(values, "correlation eigenvalue")
 
     total = float(values.sum())
     if abs(total - trace_in) > 1e-10 * max(abs(trace_in), 1.0):

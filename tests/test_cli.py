@@ -6,6 +6,7 @@ import pytest
 
 from ris_edof.cli import MAX_GRID_POINTS, main, parse_config
 from ris_edof.correlation import geometry_spectrum
+from ris_edof.edof import EigenvalueProfile
 from ris_edof.errors import ValidationError
 
 TINY = {
@@ -14,6 +15,16 @@ TINY = {
     "seed": 7,
     "snr_grid_db": {"start": -10, "stop": 10, "step": 10},
 }
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fails the run (exit 1) if any Monte Carlo ensemble is drawn."""
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a Monte Carlo draw was made")
+
+    monkeypatch.setattr("ris_edof.cli.ensemble_from_spectra", refuse)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -284,14 +295,57 @@ def test_cdf_command_on_small_panel(tmp_path):
 
 
 def test_capacity_curve_command(tmp_path):
-    payload = dict(TINY, options={"snr_db": 10.0})
-    cfg = write_config(tmp_path, payload)
+    # one curve of rank rows per point of TINY's three-point SNR grid
+    cfg = write_config(tmp_path, TINY)
     out = tmp_path / "o"
     assert main(["capacity-curve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["channel-eigs", "--config", str(cfg), "--out", str(out)]) == 0
+    _, means = read_csv(out / "channel_eigs.csv")
+    rank = EigenvalueProfile.from_values([float(r[1]) for r in means]).rank
     header, rows = read_csv(out / "capacity_curve.csv")
-    assert header == ["n_s", "capacity", "normalized_capacity"]
-    normalized = [float(r[2]) for r in rows]
-    assert max(normalized) == pytest.approx(1.0)
+    assert header == ["snr_db", "n_s", "capacity", "normalized_capacity"]
+    snrs = parse_config(TINY, "capacity-curve").snr_grid_db
+    assert [float(r[0]) for r in rows] == [s for s in snrs for _ in range(rank)]
+    for i in range(len(snrs)):
+        curve = rows[i * rank:(i + 1) * rank]
+        assert [int(r[1]) for r in curve] == list(range(1, rank + 1))
+        assert max(float(r[3]) for r in curve) == 1.0
+
+
+def test_edof_sweep_on_a_panel_with_no_reference_dof_exits_2(
+    tmp_path, capsys, no_draws
+):
+    # floor(pi * 0.5 * 0.5) = 0 reference subchannels
+    payload = {
+        "geometry_t": {"len_x": 0.5, "len_z": 0.5, "spacing_x": 0.5, "spacing_z": 0.5},
+        "realizations": 4,
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["edof-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == "geometry_t"
+    assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["channel-eigs"],
+        ["capacity-curve"],
+        ["edof-sweep"],
+        ["bounds-audit"],
+        ["reproduce", "--target", "fig8", "--column", "half-lambda"],
+    ],
+    ids=["channel-eigs", "capacity-curve", "edof-sweep", "bounds-audit", "fig8"],
+)
+def test_one_realization_exits_2_before_any_draw(tmp_path, capsys, no_draws, argv):
+    cfg = write_config(tmp_path, {"realizations": 1})
+    out = tmp_path / "o"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == "realizations"
+    assert not any(out.glob("*"))
 
 
 def test_edof_sweep_command(tmp_path):
@@ -408,6 +462,34 @@ def test_reproduce_accepts_the_fixed_column(tmp_path, capsys):
     assert "--allow-large" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
+@pytest.mark.parametrize("key", ["geometry_t", "geometry_r"])
+def test_reproduce_refuses_config_geometry(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, {key: HALF_1})
+    out = tmp_path / "o"
+    code = main(
+        ["reproduce", "--target", "table1", "--column", "half-lambda",
+         "--config", str(cfg), "--out", str(out)]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == key
+    assert not any(out.glob("*"))
+
+
+def test_fig6_and_table2_write_the_same_table(tmp_path, monkeypatch):
+    monkeypatch.setattr("ris_edof.cli.QUICK_REALIZATIONS", 2)
+    out = tmp_path / "o"
+    for target in ("fig6", "table2"):
+        code = main(
+            ["reproduce", "--target", target, "--column", "half-lambda",
+             "--quick", "--out", str(out)]
+        )
+        assert code == 0
+    assert (out / "fig6_half-lambda.csv").read_bytes() == (
+        out / "table2_half-lambda.csv"
+    ).read_bytes()
+
+
 def test_reproduce_table1_half_lambda(tmp_path):
     out = tmp_path / "o"
     code = main(
@@ -444,8 +526,9 @@ def test_out_of_range_snr_grid_exits_2(tmp_path, capsys, grid):
 @pytest.mark.parametrize(
     "command, options, field",
     [
-        ("capacity-curve", {"snr_db": 4000}, "options.snr_db"),
-        ("capacity-curve", {"snr_db": "10"}, "options.snr_db"),
+        # capacity-curve takes its SNRs from snr_grid_db and has no options
+        ("capacity-curve", {"snr_db": 10}, "snr_db"),
+        ("capacity-curve", {"snr_db": 4000}, "snr_db"),
         ("bounds-audit", {"slack": "abc"}, "options.slack"),
         ("bounds-audit", {"slack": -0.1}, "options.slack"),
         ("cdf", {"points": 0}, "options.points"),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ris_edof.correlation import (
     CorrelationMatrix,
+    _clamp_negative,
     build_correlation,
     effective_rank,
     eigen_decompose,
@@ -108,6 +109,19 @@ def test_non_psd_matrix_rejected():
     )
     with pytest.raises(NumericError, match="clamp floor"):
         eigen_decompose(CorrelationMatrix(3, (entries,)))
+
+
+def test_clamp_zeroes_rounding_noise_and_refuses_below_floor():
+    clamped = _clamp_negative(np.array([2.0, 1.0, -1e-12]), "eigenvalue")
+    assert clamped.tolist() == [2.0, 1.0, 0.0]
+    with pytest.raises(NumericError, match="clamp floor"):
+        _clamp_negative(np.array([2.0, -1e-9]), "eigenvalue")
+
+
+def test_spectrum_keeps_the_pre_clamp_minimum():
+    spec = eigen_decompose(CorrelationMatrix(2, (np.diag([1.0, -1e-12]),)))
+    assert spec.min_raw_value == -1e-12
+    assert spec.values.tolist() == [1.0, 0.0]
 
 
 def test_block_orders_must_sum_to_dim():
