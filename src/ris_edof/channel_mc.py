@@ -3,9 +3,13 @@
 The composite channel is B = Dr_n H Dt_n H^H where Dt_n, Dr_n are the
 normalized correlation spectra of the two RIS panels (each summing to 1)
 and H has i.i.d. unit-variance circularly-symmetric complex Gaussian
-entries. Eigenvalues are obtained from the Hermitian square-root form
-A A^H with A = Dr_n^{1/2} H Dt_n^{1/2}, which has the same spectrum and is
-numerically symmetric.
+entries. B has the nonzero spectrum of the Gram matrix of
+A = Dr_n^{1/2} H Dt_n^{1/2}, taken on the smaller side (A A^H or A^H A).
+Each draw forms the lower triangle of that Gram matrix with LAPACK ``zherk``
+and takes its eigenvalues only with ``zheev_2stage``, both from the
+OpenBLAS that numpy loaded (see `blas`). Where that library does not export
+them, ``np.linalg.eigvalsh`` of the dense Gram product runs instead;
+`composite_kernel` names the path.
 
 Reproducibility: realization i always draws from a Philox stream keyed by
 (master seed, i), so results are bit-identical regardless of how many
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .correlation import _clamp_negative, effective_rank
 from .errors import ValidationError
 
@@ -71,10 +76,24 @@ def composite_eigs(dt: np.ndarray, dr: np.ndarray, hw: np.ndarray) -> np.ndarray
             f"hw shape {hw.shape} does not match (len(dr), len(dt)) = "
             f"({dr.size}, {dt.size})"
         )
-    a = np.sqrt(dr)[:, None] * hw * np.sqrt(dt)[None, :]
-    # A^H A shares the nonzero spectrum of A A^H; solve the smaller Gram
-    gram = a.conj().T @ a if dt.size < dr.size else a @ a.conj().T
-    return _clamp_negative(np.linalg.eigvalsh(gram)[::-1], "composite eigenvalue")
+    a = hw * np.sqrt(dr)[:, None]
+    a *= np.sqrt(dt)
+    lapack = blas.load()
+    if lapack is None:
+        # A^H A shares the nonzero spectrum of A A^H; solve the smaller Gram
+        gram = a.conj().T @ a if dt.size < dr.size else a @ a.conj().T
+        values = np.linalg.eigvalsh(gram)
+    else:
+        values = blas.gram_eigvalsh(lapack, a)
+    return _clamp_negative(values[::-1], "composite eigenvalue")
+
+
+def composite_kernel() -> dict:
+    """The library and routines that `composite_eigs` runs on."""
+    lapack = blas.load()
+    if lapack is None:
+        return {"library": "numpy.linalg", "routines": ["matmul", "eigvalsh"]}
+    return {"library": lapack.library, "routines": ["zherk", "zheev_2stage"]}
 
 
 def ensemble_from_spectra(

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .analytic_cdf import EigenProfilePair, cdf_table
-from .channel_mc import ensemble_from_spectra, ensemble_stats
+from .channel_mc import composite_kernel, ensemble_from_spectra, ensemble_stats
 from .correlation import DEFAULT_MAX_ELEMENTS, geometry_spectrum
 from .edof import (
     EigenvalueProfile,
@@ -309,6 +309,7 @@ def write_manifest(
             "python": sys.version.split()[0],
         },
         "wall_time_s": round(time.perf_counter() - started, 3),
+        "composite_kernel": composite_kernel(),
         "outputs": [
             {"file": out.name, "sha256": _sha256(out), "bytes": out.stat().st_size}
             for out in outputs
@@ -505,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "Monte Carlo worker threads (at most the CPU count); outputs "
                 "do not depend on it, but do depend on the BLAS thread count. "
                 "Workers share the cores with BLAS threads: on 2 cores, fig8 "
-                "half-lambda --quick took 17-20 s with 1 worker and 24 s with "
-                "2 under default OpenBLAS threading, and 22 s vs 11 s with "
+                "half-lambda --quick took 14 s with 1 worker and 17-19 s with "
+                "2 under default OpenBLAS threading, and 16-17 s vs 9.5 s with "
                 "OPENBLAS_NUM_THREADS=1"
             ),
         )
@@ -638,6 +639,8 @@ def _emit_error(kind: str, exit_code: int, exc: Exception) -> int:
     error = {"kind": kind, "exit_code": exit_code, "message": message}
     if getattr(exc, "field", None):
         error["field"] = exc.field
+    if getattr(exc, "diagnostics", None):
+        error["diagnostics"] = exc.diagnostics
     print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
     return exit_code
 

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from ris_edof import blas
 from ris_edof.channel_mc import (
     ChannelEnsemble,
     composite_eigs,
+    composite_kernel,
     ensemble_from_spectra,
     ensemble_stats,
     realization_stream,
     sample_hw,
 )
 from ris_edof.correlation import effective_rank, geometry_spectrum
-from ris_edof.errors import ValidationError
+from ris_edof.errors import NumericError, ValidationError
 from ris_edof.geometry import RisGeometry
 
 SMALL = RisGeometry(3, 3, 0.5, 0.5)  # 49 elements
@@ -83,6 +85,60 @@ def test_trace_identity_per_realization():
     eigs = composite_eigs(dt, dr, hw)
     direct = float(np.sum(dr[:, None] * np.abs(hw) ** 2 * dt[None, :]))
     assert eigs.sum() == pytest.approx(direct, rel=1e-9)
+
+
+def dense_gram_eigs(dt, dr, hw):
+    """Oracle: ascending eigvalsh of the smaller-side dense Gram product."""
+    a = np.sqrt(dr)[:, None] * hw * np.sqrt(dt)[None, :]
+    gram = a.conj().T @ a if dt.size < dr.size else a @ a.conj().T
+    return np.linalg.eigvalsh(gram)
+
+
+def spectrum_of(size, seed):
+    values = np.sort(np.random.default_rng(seed).random(size))[::-1]
+    return values / values.sum()
+
+
+DRAWS = {
+    "square": (spectrum_of(40, 1), spectrum_of(40, 2)),
+    "tall": (spectrum_of(9, 3), spectrum_of(31, 4)),
+    "wide": (spectrum_of(31, 5), spectrum_of(9, 6)),
+    "1x1": (np.ones(1), np.ones(1)),
+    "zero-spectrum": (np.zeros(5), spectrum_of(5, 7)),
+}
+
+
+@pytest.mark.parametrize("dt, dr", DRAWS.values(), ids=DRAWS.keys())
+def test_kernel_path_matches_dense_eigvalsh(lapack, dt, dr):
+    hw = sample_hw(dr.size, dt.size, realization_stream(3, 0))
+    before = hw.copy()
+    eigs = composite_eigs(dt, dr, hw)
+    oracle = dense_gram_eigs(dt, dr, hw)[::-1]
+    assert composite_kernel()["routines"] == ["zherk", "zheev_2stage"]
+    assert eigs.shape == (min(dt.size, dr.size),)
+    assert np.max(np.abs(eigs - oracle)) <= 1e-13 * oracle[0]
+    assert np.array_equal(hw, before)
+
+
+def test_fallback_runs_without_kernels(monkeypatch):
+    dt, dr = DRAWS["tall"]
+    hw = sample_hw(dr.size, dt.size, realization_stream(3, 1))
+    before = hw.copy()
+    monkeypatch.setattr(blas, "load", lambda: None)
+    eigs = composite_eigs(dt, dr, hw)
+    assert composite_kernel() == {
+        "library": "numpy.linalg", "routines": ["matmul", "eigvalsh"]
+    }
+    assert np.array_equal(eigs, np.maximum(dense_gram_eigs(dt, dr, hw)[::-1], 0.0))
+    assert np.array_equal(hw, before)
+
+
+def test_lapack_info_raises_numeric_error(zheev_info):
+    zheev_info(3)
+    hw = sample_hw(4, 4, realization_stream(3, 2))
+    with pytest.raises(NumericError, match="info = 3") as failure:
+        composite_eigs(np.ones(4) / 4, np.ones(4) / 4, hw)
+    assert failure.value.diagnostics["info"] == 3
 
 
 def test_run_ensemble_rejects_zero_realizations():

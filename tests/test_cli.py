@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from ris_edof import blas
 from ris_edof.cli import MAX_GRID_POINTS, main, parse_config
 from ris_edof.correlation import geometry_spectrum
 from ris_edof.edof import EigenvalueProfile
@@ -562,6 +563,38 @@ def test_unexpected_exception_exits_1_with_json(tmp_path, capsys, monkeypatch):
     assert err["error"]["exit_code"] == 1
     assert "RuntimeError" in err["error"]["message"]
     assert "boom" in err["error"]["message"]
+
+
+def _manifests_record(tmp_path, expected):
+    cfg = write_config(tmp_path, TINY)
+    for command in ("corr-eigs", "channel-eigs"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        stem = command.replace("-", "_")
+        manifest = json.loads((out / f"{stem}_manifest.json").read_text())
+        assert manifest["composite_kernel"] == expected
+
+
+def test_manifest_records_lapack_kernel(tmp_path, lapack):
+    expected = {"library": lapack.library, "routines": ["zherk", "zheev_2stage"]}
+    _manifests_record(tmp_path, expected)
+
+
+def test_manifest_records_numpy_fallback(tmp_path, monkeypatch):
+    monkeypatch.setattr(blas, "load", lambda: None)
+    expected = {"library": "numpy.linalg", "routines": ["matmul", "eigvalsh"]}
+    _manifests_record(tmp_path, expected)
+
+
+def test_lapack_failure_exits_4_with_info(tmp_path, capsys, zheev_info):
+    zheev_info(-4)
+    cfg = write_config(tmp_path, TINY)
+    code = main(["channel-eigs", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "numeric"
+    assert err["error"]["diagnostics"]["info"] == -4
+    assert err["error"]["diagnostics"]["routine"] == "zheev_2stage"
 
 
 def test_reproduce_manifest_records_column_geometry(tmp_path):
