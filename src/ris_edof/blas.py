@@ -4,14 +4,18 @@ numpy's wheels bundle an ILP64 OpenBLAS whose symbols carry a ``scipy_``
 prefix and a ``64_`` suffix. ``zherk`` forms one triangle of the Gram
 matrix, half the flops of ``a @ a.conj().T`` and with no conjugate copy;
 ``zheev_2stage`` with jobz='N' returns its eigenvalues through the two-stage
-tridiagonal reduction. The library is found as ``perfbench/run.py`` finds
-it and resolved on the first call of `load`, not at import.
+tridiagonal reduction. The library's thread-count getter and setter let
+`one_thread` pin it for a block of calls. The library is found as
+``perfbench/run.py`` finds it and resolved on the first call of `load`, not
+at import.
 """
 
+import contextlib
 import ctypes
 import functools
 import glob
 import os
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +27,9 @@ class Lapack(NamedTuple):
     library: str  # basename of the shared library
     zherk: object
     zheev_2stage: object
+    # OpenBLAS's thread-count getter and setter; None when either is missing
+    get_threads: object | None
+    set_threads: object | None
 
 
 @functools.cache
@@ -43,22 +50,55 @@ def load() -> Lapack | None:
         zherk.argtypes = [c, c, i64, i64, f64, z, i64, f64, z, i64, length, length]
         zheev.argtypes = [c, c, i64, z, i64, d, z, i64, d, i64, length, length]
         zherk.restype = zheev.restype = None
-        return Lapack(os.path.basename(path), zherk, zheev)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is None or set_ is None:
+            get = set_ = None
+        else:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+        return Lapack(os.path.basename(path), zherk, zheev, get, set_)
     return None
 
 
-def gram_eigvalsh(lapack: Lapack, a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the smaller-side Gram matrix of ``a``: A A^H
-    when ``a`` has no more rows than columns, otherwise A^H A."""
+@contextlib.contextmanager
+def one_thread(lapack: Lapack | None) -> Iterator[None]:
+    """OpenBLAS on one thread inside the block; the old count is restored
+    after it, also when the block raises. Without a setter, nothing changes."""
+    if lapack is None or lapack.set_threads is None:
+        yield
+        return
+    old = lapack.get_threads()
+    lapack.set_threads(1)
+    try:
+        yield
+    finally:
+        lapack.set_threads(old)
+
+
+def gram(lapack: Lapack, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The lower triangle of the smaller-side Gram matrix of ``a``, written
+    into ``out`` (n x n, n = min(a.shape)) and returned: A A^H when ``a`` has
+    no more rows than columns, otherwise A^H A. The strict upper triangle of
+    ``out`` keeps what it held."""
     a = np.ascontiguousarray(a, dtype=np.complex128)
     rows, cols = a.shape
     # LAPACK reads the row-major ``a`` as its cols x rows transpose F, and
     # F^H F = conj(A A^H), F F^H = conj(A^H A) have the same eigenvalues
     trans, n, k = (b"C", rows, cols) if rows <= cols else (b"N", cols, rows)
+    if out.shape != (n, n):
+        raise ValueError(f"Gram buffer shape {out.shape} is not {(n, n)}")
+    lapack.zherk(b"L", trans, ctypes.c_int64(n), ctypes.c_int64(k),
+                 ctypes.c_double(1.0), a, ctypes.c_int64(max(cols, 1)),
+                 ctypes.c_double(0.0), out, ctypes.c_int64(max(n, 1)), 1, 1)
+    return out
+
+
+def eigvalsh(lapack: Lapack, gram: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian matrix whose lower triangle
+    ``gram`` holds. The solve overwrites ``gram``."""
+    n = gram.shape[0]
     c_n, ld = ctypes.c_int64(n), ctypes.c_int64(max(n, 1))
-    gram = np.empty((n, n), dtype=np.complex128)
-    lapack.zherk(b"L", trans, c_n, ctypes.c_int64(k), ctypes.c_double(1.0), a,
-                 ctypes.c_int64(max(cols, 1)), ctypes.c_double(0.0), gram, ld, 1, 1)
     values = np.empty(n)
     rwork = np.empty(max(1, 3 * n - 2))
     info = ctypes.c_int64(0)

@@ -503,12 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads", type=int, default=1,
             help=(
-                "Monte Carlo worker threads (at most the CPU count); outputs "
-                "do not depend on it, but do depend on the BLAS thread count. "
-                "Workers share the cores with BLAS threads: on 2 cores, fig8 "
-                "half-lambda --quick took 14 s with 1 worker and 17-19 s with "
-                "2 under default OpenBLAS threading, and 16-17 s vs 9.5 s with "
-                "OPENBLAS_NUM_THREADS=1"
+                "Monte Carlo workers (at most the CPU count); outputs do not "
+                "depend on it, but do depend on the BLAS thread count through "
+                "the correlation spectrum. Each worker solves one draw while a "
+                "second thread draws the next, on an OpenBLAS pinned to one "
+                "thread: on 2 cores, fig8 half-lambda --quick took 11.2-11.4 s "
+                "with 1 worker and 9.1-9.5 s with 2"
             ),
         )
         p.add_argument("--out", type=Path, help="output directory")

@@ -38,8 +38,9 @@ def lapack() -> blas.Lapack:
 
 @pytest.fixture
 def zheev_info(lapack, monkeypatch):
-    """Call with an info value: the loader then returns a zheev_2stage whose
-    workspace query succeeds and whose solve reports that info."""
+    """Call with an info value: the loader then returns numpy's OpenBLAS
+    with a zheev_2stage whose workspace query succeeds and whose solve
+    reports that info."""
 
     def install(info: int) -> None:
         def zheev(*args):
@@ -49,7 +50,7 @@ def zheev_info(lapack, monkeypatch):
             else:
                 status.value = info
 
-        fake = blas.Lapack(lapack.library, lapack.zherk, zheev)
+        fake = lapack._replace(zheev_2stage=zheev)
         monkeypatch.setattr(blas, "load", lambda: fake)
 
     return install

@@ -127,7 +127,8 @@ def test_fallback_runs_without_kernels(monkeypatch):
     monkeypatch.setattr(blas, "load", lambda: None)
     eigs = composite_eigs(dt, dr, hw)
     assert composite_kernel() == {
-        "library": "numpy.linalg", "routines": ["matmul", "eigvalsh"]
+        "library": "numpy.linalg", "routines": ["matmul", "eigvalsh"],
+        "blas_threads": None,
     }
     assert np.array_equal(eigs, np.maximum(dense_gram_eigs(dt, dr, hw)[::-1], 0.0))
     assert np.array_equal(hw, before)
@@ -146,6 +147,52 @@ def test_run_ensemble_rejects_zero_realizations():
         ensemble_from_spectra(np.ones(1), np.ones(1), realizations=0, seed=1)
 
 
+@pytest.mark.parametrize("field", ["dt", "dr"])
+def test_ensemble_rejects_spectrum_without_positive_value(monkeypatch, field):
+    def pinned(lapack):
+        raise AssertionError("pinned BLAS before validating the spectra")
+
+    monkeypatch.setattr(blas, "one_thread", pinned)
+    spectra = {"dt": np.ones(3) / 3, "dr": np.ones(3) / 3, field: np.zeros(3)}
+    with pytest.raises(ValidationError, match="no positive value") as failure:
+        ensemble_from_spectra(spectra["dt"], spectra["dr"], 3, 1)
+    assert failure.value.field == field
+
+
+@pytest.fixture
+def blas_threads(lapack):
+    """Sets OpenBLAS to 2 threads, a count the ensemble must restore, and
+    returns its getter; the count from before is restored afterwards."""
+    if lapack.set_threads is None:
+        pytest.skip("numpy's OpenBLAS exports no thread-count setter")
+    old = lapack.get_threads()
+    lapack.set_threads(2)
+    yield lapack.get_threads
+    lapack.set_threads(old)
+
+
+def test_ensemble_pins_blas_to_one_thread_and_restores(lapack, blas_threads, monkeypatch):
+    during = []
+
+    def zheev(*args):
+        during.append(blas_threads())
+        lapack.zheev_2stage(*args)
+
+    monkeypatch.setattr(blas, "load", lambda: lapack._replace(zheev_2stage=zheev))
+    before = blas_threads()
+    ensemble_from_spectra(spectrum_of(12, 8), spectrum_of(12, 9), 3, 1, threads=2)
+    # a workspace query and a solve per draw
+    assert during == [1] * 6
+    assert blas_threads() == before == 2
+
+
+def test_blas_threads_restored_when_a_draw_raises(blas_threads, zheev_info):
+    zheev_info(3)
+    with pytest.raises(NumericError, match="info = 3"):
+        ensemble_from_spectra(np.ones(4) / 4, np.ones(4) / 4, 3, 1)
+    assert blas_threads() == 2
+
+
 @pytest.mark.parametrize(
     "geom_t, geom_r",
     [
@@ -156,12 +203,23 @@ def test_run_ensemble_rejects_zero_realizations():
     ],
     ids=["3-half", "2-half-to-2-sixth"],
 )
-def test_worker_count_does_not_change_results(geom_t, geom_r):
-    one = mc(geom_t, geom_r, realizations=12, seed=9, threads=1)
-    many = mc(geom_t, geom_r, realizations=12, seed=9, threads=2)
-    assert np.array_equal(one.eig_samples, many.eig_samples)
-    assert one.eig_samples.shape == (12, geom_r.n)
-    assert np.all(one.eig_samples[:, geom_t.n:] == 0.0)
+def test_worker_count_does_not_change_results(geom_t, geom_r, monkeypatch):
+    dt, dr = geometry_spectrum(geom_t), geometry_spectrum(geom_r)
+    dt_used, dr_used = dt[: effective_rank(dt)], dr[: effective_rank(dr)]
+    # the LAPACK kernels, then the numpy fallback
+    for loader in (blas.load, lambda: None):
+        monkeypatch.setattr(blas, "load", loader)
+        # the serial oracle: one draw at a time through sample_hw; 11 draws
+        # split unevenly over 2 and 3 workers
+        oracle = np.zeros((11, geom_r.n))
+        for i in range(11):
+            hw = sample_hw(dr_used.size, dt_used.size, realization_stream(9, i))
+            row = composite_eigs(dt_used, dr_used, hw)
+            oracle[i, : row.size] = row
+        for threads in (1, 2, 3):
+            ensemble = ensemble_from_spectra(dt, dr, 11, 9, threads=threads)
+            assert np.array_equal(ensemble.eig_samples, oracle), (loader, threads)
+        assert np.all(oracle[:, geom_t.n:] == 0.0)
 
 
 def test_rank_bounded_by_spectra():

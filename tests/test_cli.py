@@ -576,13 +576,33 @@ def _manifests_record(tmp_path, expected):
 
 
 def test_manifest_records_lapack_kernel(tmp_path, lapack):
-    expected = {"library": lapack.library, "routines": ["zherk", "zheev_2stage"]}
+    expected = {
+        "library": lapack.library,
+        "routines": ["zherk", "zheev_2stage"],
+        "blas_threads": 1,
+    }
+    _manifests_record(tmp_path, expected)
+
+
+def test_manifest_records_unpinned_blas(tmp_path, lapack, monkeypatch):
+    monkeypatch.setattr(
+        blas, "load", lambda: lapack._replace(get_threads=None, set_threads=None)
+    )
+    expected = {
+        "library": lapack.library,
+        "routines": ["zherk", "zheev_2stage"],
+        "blas_threads": None,
+    }
     _manifests_record(tmp_path, expected)
 
 
 def test_manifest_records_numpy_fallback(tmp_path, monkeypatch):
     monkeypatch.setattr(blas, "load", lambda: None)
-    expected = {"library": "numpy.linalg", "routines": ["matmul", "eigvalsh"]}
+    expected = {
+        "library": "numpy.linalg",
+        "routines": ["matmul", "eigvalsh"],
+        "blas_threads": None,
+    }
     _manifests_record(tmp_path, expected)
 
 
