@@ -140,7 +140,9 @@ class _Draws:
     long as the worker; two Gram matrices alternate between this stage and
     the solve."""
 
-    def __init__(self, lapack, dt: np.ndarray, dr: np.ndarray, seed: int):
+    def __init__(
+        self, lapack: blas.Lapack | None, dt: np.ndarray, dr: np.ndarray, seed: int
+    ):
         self.lapack, self.seed = lapack, seed
         self.sqrt_dt, self.sqrt_dr = np.sqrt(dt), np.sqrt(dr)[:, None]
         self.part = np.empty((dr.size, dt.size))
