@@ -11,19 +11,18 @@ OpenBLAS that numpy loaded (see `blas`). Where that library does not export
 them, ``np.linalg.eigvalsh`` of the dense Gram product runs instead;
 `composite_kernel` names the path.
 
-`ensemble_from_spectra` splits each draw into two stages and runs them as a
-pipeline. The draw stage takes the Philox normals into reused buffers,
-scales them into A and forms its Gram matrix; the solve stage runs
-``zheev_2stage`` and clamps the rounding negatives. While a worker solves
-draw i, a second thread draws i + 1, so at most one drawn Gram matrix waits
-per worker. For the whole ensemble OpenBLAS runs on one thread. At rank 624
-on a 2-core VM (medians of 10 draws), one draw splits into the normals
-15 ms, scaling 3 ms, ``zherk`` 12 ms (19 ms on one BLAS thread) and
-``zheev_2stage`` 64 ms (70 ms on one thread). A second BLAS thread buys
-6 ms of the eigensolve, whose bulge chasing runs serially, while the pool's
-spinning threads hold the second core. So the pipeline needs the pin:
-without it the drawer fights that pool and the ensemble is slower than
-serial draws, and the pin without the pipeline is slower too.
+`ensemble_from_spectra` gives each worker two threads that each run whole
+draws. The draw stage takes the Philox normals into reused buffers, scales
+them into A and forms its Gram matrix; the solve runs ``zheev_2stage`` and
+clamps the rounding negatives. A worker's threads share its normals and A,
+so memory stays flat, and its draw stages take turns under a lock; each
+thread solves its own Gram matrix outside it. At rank 624 on a 2-core VM on
+one BLAS thread, a draw stage takes 50-53 ms and a solve 110-118 ms
+(medians of 10), so the lock is held for a third of each thread's cycle.
+OpenBLAS runs on one thread for the whole ensemble, since a second BLAS
+thread's spinning pool takes the core the other draws need: over 40 draws
+one worker took 81-87 ms per draw pinned and 159-178 ms unpinned, and two
+workers 82-93 ms and 355-380 ms.
 
 Reproducibility: realization i always draws from a Philox stream keyed by
 (master seed, i), and its row depends on nothing else, so results are
@@ -31,6 +30,7 @@ bit-identical regardless of how many workers participate. The two kernels
 give the same bits on one BLAS thread as on several.
 """
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -136,9 +136,9 @@ def composite_kernel() -> dict:
 
 class _Draws:
     """One worker's draw stage: realization i's Philox normals, scaled into
-    A = Dr_n^{1/2} H Dt_n^{1/2}, then A's Gram matrix. The buffers live as
-    long as the worker; two Gram matrices alternate between this stage and
-    the solve."""
+    A = Dr_n^{1/2} H Dt_n^{1/2}, then A's Gram matrix. The worker's two
+    threads share the normals and A under `lock`; each owns one of the two
+    Gram matrices."""
 
     def __init__(
         self, lapack: blas.Lapack | None, dt: np.ndarray, dr: np.ndarray, seed: int
@@ -149,32 +149,27 @@ class _Draws:
         self.a = np.empty((dr.size, dt.size), dtype=complex)
         n = min(dt.size, dr.size)
         self.grams = (np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex))
+        self.lock = threading.Lock()
 
     def __call__(self, index: int, slot: int) -> np.ndarray:
-        stream = realization_stream(self.seed, index)
-        # the real then the imaginary parts, in sample_hw's stream order; the
-        # products round as composite_eigs's do on sample_hw's H
-        for out in (self.a.real, self.a.imag):
-            stream.standard_normal(out=self.part)
-            self.part *= np.sqrt(0.5)
-            self.part *= self.sqrt_dr
-            np.multiply(self.part, self.sqrt_dt, out=out)
-        return _gram(self.lapack, self.a, self.grams[slot])
+        with self.lock:
+            stream = realization_stream(self.seed, index)
+            # the real then the imaginary parts, in sample_hw's stream order;
+            # the products round as composite_eigs's do on sample_hw's H
+            for out in (self.a.real, self.a.imag):
+                stream.standard_normal(out=self.part)
+                self.part *= np.sqrt(0.5)
+                self.part *= self.sqrt_dr
+                np.multiply(self.part, self.sqrt_dt, out=out)
+            return _gram(self.lapack, self.a, self.grams[slot])
 
 
-def _pipeline(draws: _Draws, indices: range, samples: np.ndarray) -> None:
-    """Solve the listed realizations into their rows of ``samples`` on this
-    thread while a second thread draws the next one, so at most one drawn
-    Gram matrix waits."""
-    lapack = draws.lapack
-    with ThreadPoolExecutor(max_workers=1) as drawer:
-        pending = drawer.submit(draws, indices[0], 0)
-        for k, index in enumerate(indices):
-            gram = pending.result()
-            if k + 1 < len(indices):
-                pending = drawer.submit(draws, indices[k + 1], (k + 1) % 2)
-            row = _solve(lapack, gram)
-            samples[index, : row.size] = row
+def _draw_and_solve(draws: _Draws, slot: int, indices: range, samples: np.ndarray):
+    """Draw and solve the listed realizations into their rows of
+    ``samples``, one after the other, on Gram matrix ``slot``."""
+    for index in indices:
+        row = _solve(draws.lapack, draws(index, slot))
+        samples[index, : row.size] = row
 
 
 def ensemble_from_spectra(
@@ -189,8 +184,8 @@ def ensemble_from_spectra(
 
     Eigenvalues below RANK_TOL * largest are dropped from the per-realization
     solve (they contribute nothing at double precision); each row is
-    zero-padded back to length len(dr). Each of `threads` workers runs the
-    draw/solve pipeline over every `threads`-th realization, with OpenBLAS
+    zero-padded back to length len(dr). Each of `threads` workers runs two
+    threads over every (2 * threads)-th realization each, with OpenBLAS
     pinned to one thread for the whole ensemble.
     """
     if realizations < 1:
@@ -210,15 +205,19 @@ def ensemble_from_spectra(
     lapack = blas.load()
     samples = np.zeros((realizations, dr.size))
     workers = min(threads, realizations)
-    with blas.one_thread(lapack), ThreadPoolExecutor(max_workers=workers) as pool:
+    draws = [_Draws(lapack, dt_used, dr_used, seed) for _ in range(workers)]
+    # fewer than 2 * workers draws leave one draw per thread
+    runners = min(2 * workers, realizations)
+    with blas.one_thread(lapack), ThreadPoolExecutor(max_workers=runners) as pool:
         runs = [
             pool.submit(
-                _pipeline,
-                _Draws(lapack, dt_used, dr_used, seed),
-                range(worker, realizations, workers),
+                _draw_and_solve,
+                draws[k % workers],
+                k // workers,
+                range(k, realizations, runners),
                 samples,
             )
-            for worker in range(workers)
+            for k in range(runners)
         ]
         for run in runs:
             run.result()

@@ -505,10 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
             help=(
                 "Monte Carlo workers (at most the CPU count); outputs do not "
                 "depend on it, but do depend on the BLAS thread count through "
-                "the correlation spectrum. Each worker solves one draw while a "
-                "second thread draws the next, on an OpenBLAS pinned to one "
-                "thread: on 2 cores, fig8 half-lambda --quick took 11.2-11.4 s "
-                "with 1 worker and 9.1-9.5 s with 2"
+                "the correlation spectrum. Each worker runs two draws at once, "
+                "on an OpenBLAS pinned to one thread: on 2 cores, fig8 "
+                "half-lambda --quick took 8.4-9.7 s with 1 worker and "
+                "8.7-9.8 s with 2"
             ),
         )
         p.add_argument("--out", type=Path, help="output directory")

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -193,6 +197,18 @@ def test_blas_threads_restored_when_a_draw_raises(blas_threads, zheev_info):
     assert blas_threads() == 2
 
 
+@pytest.fixture
+def fast_switching():
+    """Switches threads every microsecond, so an update lost between a
+    worker's threads shows; the old interval is restored afterwards."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
 @pytest.mark.parametrize(
     "geom_t, geom_r",
     [
@@ -203,23 +219,67 @@ def test_blas_threads_restored_when_a_draw_raises(blas_threads, zheev_info):
     ],
     ids=["3-half", "2-half-to-2-sixth"],
 )
-def test_worker_count_does_not_change_results(geom_t, geom_r, monkeypatch):
+def test_worker_count_does_not_change_results(
+    geom_t, geom_r, monkeypatch, fast_switching
+):
     dt, dr = geometry_spectrum(geom_t), geometry_spectrum(geom_r)
     dt_used, dr_used = dt[: effective_rank(dt)], dr[: effective_rank(dr)]
     # the LAPACK kernels, then the numpy fallback
     for loader in (blas.load, lambda: None):
         monkeypatch.setattr(blas, "load", loader)
-        # the serial oracle: one draw at a time through sample_hw; 11 draws
-        # split unevenly over 2 and 3 workers
+        # the serial oracle: one draw at a time through sample_hw
         oracle = np.zeros((11, geom_r.n))
         for i in range(11):
             hw = sample_hw(dr_used.size, dt_used.size, realization_stream(9, i))
             row = composite_eigs(dt_used, dr_used, hw)
             oracle[i, : row.size] = row
-        for threads in (1, 2, 3):
-            ensemble = ensemble_from_spectra(dt, dr, 11, 9, threads=threads)
-            assert np.array_equal(ensemble.eig_samples, oracle), (loader, threads)
+        # 1-3 draws leave some of the 2 * threads threads without a draw; 11
+        # split unevenly over 2, 4 and 6 threads
+        for realizations in (1, 2, 3, 11):
+            for threads in (1, 2, 3):
+                ensemble = ensemble_from_spectra(
+                    dt, dr, realizations, 9, threads=threads
+                )
+                assert np.array_equal(
+                    ensemble.eig_samples, oracle[:realizations]
+                ), (loader, realizations, threads)
         assert np.all(oracle[:, geom_t.n:] == 0.0)
+
+
+def test_one_worker_overlaps_solves_but_not_draw_stages(lapack, monkeypatch):
+    dt, dr = spectrum_of(12, 8), spectrum_of(12, 9)
+    expected = ensemble_from_spectra(dt, dr, 6, 1).eig_samples
+    # each thread's first solve waits for the other thread's, so a worker
+    # that solves one draw at a time breaks the barrier instead of hanging
+    barrier = threading.Barrier(2, timeout=10)
+    solved = threading.local()
+
+    def zheev(*args):
+        # args[7] is lwork, -1 on the workspace query
+        if args[7].value != -1 and not getattr(solved, "once", False):
+            solved.once = True
+            barrier.wait()
+        lapack.zheev_2stage(*args)
+
+    blas_gram, guard = blas.gram, threading.Lock()
+    drawing = {"now": 0, "most": 0}
+
+    def gram(*args):
+        with guard:
+            drawing["now"] += 1
+            drawing["most"] = max(drawing["most"], drawing["now"])
+        try:
+            time.sleep(0.005)  # holds the stage open for an unlocked thread to join
+            return blas_gram(*args)
+        finally:
+            with guard:
+                drawing["now"] -= 1
+
+    monkeypatch.setattr(blas, "load", lambda: lapack._replace(zheev_2stage=zheev))
+    monkeypatch.setattr(blas, "gram", gram)
+    ensemble = ensemble_from_spectra(dt, dr, 6, 1, threads=1)
+    assert drawing["most"] == 1
+    assert np.array_equal(ensemble.eig_samples, expected)
 
 
 def test_rank_bounded_by_spectra():

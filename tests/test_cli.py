@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -219,6 +220,18 @@ def test_threads_capped_at_cpu_count(tmp_path):
     assert code == 0
     manifest = json.loads((out / "channel_eigs_manifest.json").read_text())
     assert manifest["config"]["threads"] == cpus
+
+
+def test_edof_sweep_csv_does_not_depend_on_threads(tmp_path):
+    # 5 draws: one worker runs them on 2 threads, two workers on 4
+    cfg = write_config(tmp_path, dict(TINY, geometry_r=HALF_2, realizations=5))
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        argv = ["edof-sweep", "--config", str(cfg), "--out", str(out)]
+        assert main(argv + ["--threads", threads]) == 0
+        digests.add(hashlib.sha256((out / "edof_sweep.csv").read_bytes()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_corr_eigs_outputs_and_determinism(tmp_path):
