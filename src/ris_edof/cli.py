@@ -32,7 +32,8 @@ import numpy as np
 
 from . import __version__
 from .analytic_cdf import EigenProfilePair, cdf_table
-from .channel_mc import composite_kernel, ensemble_from_spectra, ensemble_stats
+from .blas import composite_kernel
+from .channel_mc import ensemble_from_spectra, ensemble_stats
 from .correlation import DEFAULT_MAX_ELEMENTS, geometry_spectrum
 from .edof import (
     EigenvalueProfile,
@@ -397,7 +398,15 @@ def _cdf(config, geom_t, geom_r):
             field="geometry_r",
         )
     dt, dr = _spectra(config, geom_t, geom_r)
-    pair = EigenProfilePair.from_values(dt[dt > 0], dr[dr > 0])
+    dt, dr = dt[dt > 0], dr[dr > 0]
+    if dt.size != dr.size:
+        # a clamped eigenvalue leaves one panel with fewer positive values
+        raise ValidationError(
+            f"cdf needs spectra with equal counts of positive values; "
+            f"geometry_t has {dt.size} and geometry_r {dr.size}",
+            field="geometry_t" if dt.size < dr.size else "geometry_r",
+        )
+    pair = EigenProfilePair.from_values(dt, dr)
     alphas, f_vals = cdf_table(pair, num=points)
     return ["alpha", "F"], zip(alphas, f_vals), {}
 
@@ -503,12 +512,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads", type=int, default=1,
             help=(
-                "Monte Carlo workers (at most the CPU count); outputs do not "
-                "depend on it, but do depend on the BLAS thread count through "
-                "the correlation spectrum. Each worker runs two draws at once, "
-                "on an OpenBLAS pinned to one thread: on 2 cores, fig8 "
-                "half-lambda --quick took 8.4-9.7 s with 1 worker and "
-                "8.7-9.8 s with 2"
+                "Monte Carlo workers (at most half the CPU count, and at "
+                "least 1); outputs do not depend on it, but do depend on the "
+                "BLAS thread count through the correlation spectrum. Each "
+                "worker runs two draws at once, on an OpenBLAS pinned to one "
+                "thread, so it keeps two cores busy: on 2 cores, a second "
+                "worker made fig8 half-lambda --quick no faster (8.7-9.8 s "
+                "against 8.4-9.7 s)"
             ),
         )
         p.add_argument("--out", type=Path, help="output directory")
@@ -598,7 +608,8 @@ def _run(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"threads must be >= 1, got {args.threads}", field="threads"
         )
-    config.threads = min(args.threads, os.cpu_count() or 1)
+    # each worker runs two draw threads
+    config.threads = min(args.threads, max(1, (os.cpu_count() or 1) // 2))
     if args.allow_large:
         config.max_elements = ALLOW_LARGE_MAX_ELEMENTS
 

@@ -1,21 +1,18 @@
+import importlib
+import inspect
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
+from draws import draw_eigs, hw_draw, serial_ensemble
 from scipy import stats as scipy_stats
 
 from ris_edof import blas
-from ris_edof.channel_mc import (
-    ChannelEnsemble,
-    composite_eigs,
-    composite_kernel,
-    ensemble_from_spectra,
-    ensemble_stats,
-    realization_stream,
-    sample_hw,
-)
+from ris_edof.blas import composite_kernel
+from ris_edof.channel_mc import ChannelEnsemble, ensemble_from_spectra, ensemble_stats
 from ris_edof.correlation import effective_rank, geometry_spectrum
 from ris_edof.errors import NumericError, ValidationError
 from ris_edof.geometry import RisGeometry
@@ -34,60 +31,56 @@ def mc(geom_t, geom_r, realizations, seed, threads=1):
     )
 
 
+def used(spectrum):
+    """The leading values that the ensemble solves on."""
+    return spectrum[: effective_rank(spectrum)]
+
+
 def test_stream_is_deterministic_per_index():
-    a = sample_hw(8, 8, realization_stream(42, 3))
-    b = sample_hw(8, 8, realization_stream(42, 3))
-    c = sample_hw(8, 8, realization_stream(42, 4))
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    flat = np.ones(8) / 8
+    a = ensemble_from_spectra(flat, flat, 4, 42).eig_samples
+    b = ensemble_from_spectra(flat, flat, 5, 42).eig_samples
+    assert np.array_equal(a, b[:4])
+    assert not np.array_equal(b[3], b[4])
+    assert np.array_equal(a[3], draw_eigs(flat, flat, hw_draw(42, 3, 8, 8)))
 
 
 def test_hw_moments():
-    hw = sample_hw(256, 256, realization_stream(7, 0))
+    hw = hw_draw(7, 0, 256, 256)
     assert np.mean(np.abs(hw) ** 2) == pytest.approx(1.0, abs=0.02)
     assert abs(hw.mean()) < 0.01
 
 
 def test_composite_scalar_case():
-    stream = realization_stream(1, 0)
-    h = sample_hw(1, 1, stream)
-    eigs = composite_eigs(np.array([1.0]), np.array([1.0]), h)
-    assert eigs == pytest.approx([abs(h[0, 0]) ** 2])
-
-
-def test_composite_zero_spectrum():
-    hw = sample_hw(3, 3, realization_stream(1, 0))
-    eigs = composite_eigs(np.zeros(3), np.ones(3) / 3, hw)
-    assert np.array_equal(eigs, np.zeros(3))
-
-
-def test_composite_dimension_mismatch():
-    hw = sample_hw(3, 4, realization_stream(1, 0))
-    with pytest.raises(ValidationError):
-        composite_eigs(np.ones(3) / 3, np.ones(3) / 3, hw)
+    eigs = ensemble_from_spectra(np.array([1.0]), np.array([1.0]), 1, 1).eig_samples[0]
+    assert eigs == pytest.approx([abs(hw_draw(1, 0, 1, 1)[0, 0]) ** 2])
 
 
 def test_rectangular_draw_uses_smaller_gram():
     dt = geometry_spectrum(RisGeometry(1.5, 1.5, 0.5, 0.5))  # 16 elements
     dr = geometry_spectrum(SMALL)  # 49 elements
-    hw = sample_hw(dr.size, dt.size, realization_stream(5, 1))
-    eigs = composite_eigs(dt, dr, hw)
-    a = np.sqrt(dr)[:, None] * hw * np.sqrt(dt)[None, :]
+    eigs = ensemble_from_spectra(dt, dr, 2, 5).eig_samples[1]
+    dt_used, dr_used = used(dt), used(dr)
+    hw = hw_draw(5, 1, dr_used.size, dt_used.size)
+    a = np.sqrt(dr_used)[:, None] * hw * np.sqrt(dt_used)[None, :]
     full = np.sort(np.linalg.eigvalsh(a @ a.conj().T))[::-1]
     # the 16 x 16 Gram: its values lead the 49 x 49 spectrum, whose other 33
-    # are zero up to rounding
-    assert eigs.shape == (dt.size,)
-    assert np.max(np.abs(eigs - full[: dt.size])) <= 1e-12 * full[0]
-    assert np.max(np.abs(full[dt.size:])) <= 1e-12 * full[0]
+    # are zero up to rounding; the row pads them with exact zeros
+    n = dt_used.size
+    assert eigs.shape == (dr.size,)
+    assert np.max(np.abs(eigs[:n] - full[:n])) <= 1e-12 * full[0]
+    assert np.max(np.abs(full[n:])) <= 1e-12 * full[0]
+    assert np.all(eigs[n:] == 0.0)
     assert np.all(np.diff(eigs) <= 0)
 
 
 def test_trace_identity_per_realization():
     dt = geometry_spectrum(SMALL)
     dr = dt
-    hw = sample_hw(dr.size, dt.size, realization_stream(5, 2))
-    eigs = composite_eigs(dt, dr, hw)
-    direct = float(np.sum(dr[:, None] * np.abs(hw) ** 2 * dt[None, :]))
+    eigs = ensemble_from_spectra(dt, dr, 3, 5).eig_samples[2]
+    dt_used, dr_used = used(dt), used(dr)
+    hw = hw_draw(5, 2, dr_used.size, dt_used.size)
+    direct = float(np.sum(dr_used[:, None] * np.abs(hw) ** 2 * dt_used[None, :]))
     assert eigs.sum() == pytest.approx(direct, rel=1e-9)
 
 
@@ -108,42 +101,68 @@ DRAWS = {
     "tall": (spectrum_of(9, 3), spectrum_of(31, 4)),
     "wide": (spectrum_of(31, 5), spectrum_of(9, 6)),
     "1x1": (np.ones(1), np.ones(1)),
-    "zero-spectrum": (np.zeros(5), spectrum_of(5, 7)),
 }
 
 
 @pytest.mark.parametrize("dt, dr", DRAWS.values(), ids=DRAWS.keys())
 def test_kernel_path_matches_dense_eigvalsh(lapack, dt, dr):
-    hw = sample_hw(dr.size, dt.size, realization_stream(3, 0))
-    before = hw.copy()
-    eigs = composite_eigs(dt, dr, hw)
-    oracle = dense_gram_eigs(dt, dr, hw)[::-1]
+    eigs = ensemble_from_spectra(dt, dr, 1, 3).eig_samples[0]
+    oracle = dense_gram_eigs(dt, dr, hw_draw(3, 0, dr.size, dt.size))[::-1]
+    n = min(dt.size, dr.size)
     assert composite_kernel()["routines"] == ["zherk", "zheev_2stage"]
-    assert eigs.shape == (min(dt.size, dr.size),)
-    assert np.max(np.abs(eigs - oracle)) <= 1e-13 * oracle[0]
-    assert np.array_equal(hw, before)
+    assert np.max(np.abs(eigs[:n] - oracle)) <= 1e-13 * oracle[0]
+    assert np.all(eigs[n:] == 0.0)
 
 
 def test_fallback_runs_without_kernels(monkeypatch):
     dt, dr = DRAWS["tall"]
-    hw = sample_hw(dr.size, dt.size, realization_stream(3, 1))
-    before = hw.copy()
     monkeypatch.setattr(blas, "load", lambda: None)
-    eigs = composite_eigs(dt, dr, hw)
+    eigs = ensemble_from_spectra(dt, dr, 2, 3).eig_samples[1]
     assert composite_kernel() == {
         "library": "numpy.linalg", "routines": ["matmul", "eigvalsh"],
         "blas_threads": None,
     }
-    assert np.array_equal(eigs, np.maximum(dense_gram_eigs(dt, dr, hw)[::-1], 0.0))
-    assert np.array_equal(hw, before)
+    oracle = dense_gram_eigs(dt, dr, hw_draw(3, 1, dr.size, dt.size))[::-1]
+    assert np.array_equal(eigs[: dt.size], np.maximum(oracle, 0.0))
+    assert np.all(eigs[dt.size:] == 0.0)
 
 
-def test_lapack_info_raises_numeric_error(zheev_info):
-    zheev_info(3)
-    hw = sample_hw(4, 4, realization_stream(3, 2))
-    with pytest.raises(NumericError, match="info = 3") as failure:
-        composite_eigs(np.ones(4) / 4, np.ones(4) / 4, hw)
-    assert failure.value.diagnostics["info"] == 3
+OPENBLAS_SYMBOLS = (
+    "scipy_zherk_64_",
+    "scipy_zheev_2stage_64_",
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+@pytest.fixture
+def uncached_load():
+    """Clears the cache of `blas.load` before and after the test, so the
+    test resolves the library afresh and leaves no fake behind."""
+    blas.load.cache_clear()
+    yield blas.load
+    blas.load.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "missing", [None, OPENBLAS_SYMBOLS[2], OPENBLAS_SYMBOLS[3]],
+    ids=["all-four", "no-getter", "no-setter"],
+)
+def test_load_needs_the_thread_count_functions(monkeypatch, uncached_load, missing):
+    def cdll(path):
+        # a stand-in symbol takes the argtypes and restype that load sets
+        return types.SimpleNamespace(
+            **{name: types.SimpleNamespace() for name in OPENBLAS_SYMBOLS
+               if name != missing}
+        )
+
+    monkeypatch.setattr(blas.glob, "glob", lambda pattern: ["/lib/libfake_openblas.so"])
+    monkeypatch.setattr(blas.ctypes, "CDLL", cdll)
+    loaded = uncached_load()
+    if missing is None:
+        assert loaded.library == "libfake_openblas.so"
+    else:
+        assert loaded is None
 
 
 def test_run_ensemble_rejects_zero_realizations():
@@ -153,7 +172,7 @@ def test_run_ensemble_rejects_zero_realizations():
 
 @pytest.mark.parametrize("field", ["dt", "dr"])
 def test_ensemble_rejects_spectrum_without_positive_value(monkeypatch, field):
-    def pinned(lapack):
+    def pinned():
         raise AssertionError("pinned BLAS before validating the spectra")
 
     monkeypatch.setattr(blas, "one_thread", pinned)
@@ -167,8 +186,6 @@ def test_ensemble_rejects_spectrum_without_positive_value(monkeypatch, field):
 def blas_threads(lapack):
     """Sets OpenBLAS to 2 threads, a count the ensemble must restore, and
     returns its getter; the count from before is restored afterwards."""
-    if lapack.set_threads is None:
-        pytest.skip("numpy's OpenBLAS exports no thread-count setter")
     old = lapack.get_threads()
     lapack.set_threads(2)
     yield lapack.get_threads
@@ -192,8 +209,9 @@ def test_ensemble_pins_blas_to_one_thread_and_restores(lapack, blas_threads, mon
 
 def test_blas_threads_restored_when_a_draw_raises(blas_threads, zheev_info):
     zheev_info(3)
-    with pytest.raises(NumericError, match="info = 3"):
+    with pytest.raises(NumericError, match="info = 3") as failure:
         ensemble_from_spectra(np.ones(4) / 4, np.ones(4) / 4, 3, 1)
+    assert failure.value.diagnostics["info"] == 3
     assert blas_threads() == 2
 
 
@@ -223,16 +241,10 @@ def test_worker_count_does_not_change_results(
     geom_t, geom_r, monkeypatch, fast_switching
 ):
     dt, dr = geometry_spectrum(geom_t), geometry_spectrum(geom_r)
-    dt_used, dr_used = dt[: effective_rank(dt)], dr[: effective_rank(dr)]
     # the LAPACK kernels, then the numpy fallback
     for loader in (blas.load, lambda: None):
         monkeypatch.setattr(blas, "load", loader)
-        # the serial oracle: one draw at a time through sample_hw
-        oracle = np.zeros((11, geom_r.n))
-        for i in range(11):
-            hw = sample_hw(dr_used.size, dt_used.size, realization_stream(9, i))
-            row = composite_eigs(dt_used, dr_used, hw)
-            oracle[i, : row.size] = row
+        oracle = serial_ensemble(dt, dr, 11, 9)
         # 1-3 draws leave some of the 2 * threads threads without a draw; 11
         # split unevenly over 2, 4 and 6 threads
         for realizations in (1, 2, 3, 11):
@@ -244,6 +256,42 @@ def test_worker_count_does_not_change_results(
                     ensemble.eig_samples, oracle[:realizations]
                 ), (loader, realizations, threads)
         assert np.all(oracle[:, geom_t.n:] == 0.0)
+
+
+LAYERS = ("correlation", "channel_mc", "edof", "analytic_cdf", "cli")
+
+
+def test_no_public_function_runs_off_the_main_thread(monkeypatch):
+    # perfbench's tracer wraps these functions with one span stack, which
+    # only nests spans right when every wrapped call is on one thread
+    calls = []
+
+    def record(name, fn):
+        def recorded(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    wrapped = {}
+    for layer in LAYERS:
+        module = importlib.import_module(f"ris_edof.{layer}")
+        for attr, fn in vars(module).items():
+            if (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                    and not attr.startswith("_")):
+                wrapped[fn] = record(f"{layer}.{attr}", fn)
+    # each function at every module that holds a reference to it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ris_edof."):
+            for attr, obj in list(vars(module).items()):
+                if inspect.isfunction(obj) and obj in wrapped:
+                    monkeypatch.setattr(module, attr, wrapped[obj])
+    channel_mc = sys.modules["ris_edof.channel_mc"]
+    dt, dr = spectrum_of(12, 8), spectrum_of(12, 9)
+    channel_mc.ensemble_from_spectra(dt, dr, 6, 1, threads=2)
+    assert "channel_mc.ensemble_from_spectra" in {name for name, _ in calls}
+    main = threading.main_thread().ident
+    assert [name for name, ident in calls if ident != main] == []
 
 
 def test_one_worker_overlaps_solves_but_not_draw_stages(lapack, monkeypatch):

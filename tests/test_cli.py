@@ -128,6 +128,36 @@ def test_cdf_with_unequal_panels_exits_2_naming_geometry_r(
     assert not any(out.glob("*"))
 
 
+# spacing 1/6 on both panels: 8 x 4 elements with 32 positive values, and
+# 16 x 2 elements whose smallest value clamps to 0
+SIXTH_8X4 = {"len_x": 7 / 6, "len_z": 0.5, "spacing_x": 1 / 6, "spacing_z": 1 / 6}
+SIXTH_16X2 = {"len_x": 2.5, "len_z": 1 / 6, "spacing_x": 1 / 6, "spacing_z": 1 / 6}
+
+
+@pytest.mark.parametrize(
+    "geometry_t, geometry_r, field, counts",
+    [
+        (SIXTH_8X4, SIXTH_16X2, "geometry_r", (32, 31)),
+        (SIXTH_16X2, SIXTH_8X4, "geometry_t", (31, 32)),
+    ],
+    ids=["short-receive", "short-transmit"],
+)
+def test_cdf_with_unequal_positive_counts_names_the_short_panel(
+    tmp_path, capsys, geometry_t, geometry_r, field, counts
+):
+    payload = {"geometry_t": geometry_t, "geometry_r": geometry_r,
+               "options": {"points": 3}}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    code = main(["cdf", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == field
+    message = "geometry_t has {} and geometry_r {}".format(*counts)
+    assert message in err["error"]["message"]
+    assert not any(out.glob("*"))
+
+
 def test_quick_flag_records_quick_realizations(tmp_path):
     payload = {
         "geometry_t": {"len_x": 0.5, "len_z": 0.5, "spacing_x": 0.5, "spacing_z": 0.5},
@@ -205,7 +235,8 @@ def test_threads_below_one_exit_2(tmp_path, capsys, threads):
 
 
 def test_threads_capped_at_cpu_count(tmp_path):
-    # two realizations bound the worker count whatever the cap does
+    # two realizations bound the worker count whatever the cap does; each
+    # worker runs two draw threads, so the cap is half the CPU count
     payload = {
         "geometry_t": {"len_x": 0.5, "len_z": 0.5, "spacing_x": 0.5, "spacing_z": 0.5},
         "realizations": 2,
@@ -219,11 +250,13 @@ def test_threads_capped_at_cpu_count(tmp_path):
     )
     assert code == 0
     manifest = json.loads((out / "channel_eigs_manifest.json").read_text())
-    assert manifest["config"]["threads"] == cpus
+    assert manifest["config"]["threads"] == max(1, cpus // 2)
 
 
-def test_edof_sweep_csv_does_not_depend_on_threads(tmp_path):
-    # 5 draws: one worker runs them on 2 threads, two workers on 4
+def test_edof_sweep_csv_does_not_depend_on_threads(tmp_path, monkeypatch):
+    # 5 draws: one worker runs them on 2 threads, two workers on 4; 4 CPUs
+    # let 2 workers through the cap on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     cfg = write_config(tmp_path, dict(TINY, geometry_r=HALF_2, realizations=5))
     digests = set()
     for threads in ("1", "2"):
@@ -593,18 +626,6 @@ def test_manifest_records_lapack_kernel(tmp_path, lapack):
         "library": lapack.library,
         "routines": ["zherk", "zheev_2stage"],
         "blas_threads": 1,
-    }
-    _manifests_record(tmp_path, expected)
-
-
-def test_manifest_records_unpinned_blas(tmp_path, lapack, monkeypatch):
-    monkeypatch.setattr(
-        blas, "load", lambda: lapack._replace(get_threads=None, set_threads=None)
-    )
-    expected = {
-        "library": lapack.library,
-        "routines": ["zherk", "zheev_2stage"],
-        "blas_threads": None,
     }
     _manifests_record(tmp_path, expected)
 

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ris_edof.channel_mc import (
-    composite_eigs,
-    ensemble_from_spectra,
-    realization_stream,
-    sample_hw,
-)
+from ris_edof.channel_mc import ensemble_from_spectra
 from ris_edof.correlation import geometry_spectrum
 from ris_edof.errors import ValidationError
 from ris_edof.geometry import RisGeometry
@@ -162,14 +157,9 @@ def test_wishart_marchenko_pastur_oracle():
     # spectrum of H H^H / n, whose extremes approach the (0, 4) edges
     n, realizations = 256, 50
     flat = np.full(n, 1.0 / n)
-    tops, bottoms = [], []
-    for i in range(realizations):
-        hw = sample_hw(n, n, realization_stream(123, i))
-        eigs = composite_eigs(flat, flat, hw) * n
-        tops.append(eigs[0])
-        bottoms.append(eigs[-1])
-    assert np.mean(tops) == pytest.approx(4.0, rel=0.10)
-    assert np.mean(bottoms) == pytest.approx(0.0, abs=0.01)
+    eigs = ensemble_from_spectra(flat, flat, realizations, 123).eig_samples * n
+    assert np.mean(eigs[:, 0]) == pytest.approx(4.0, rel=0.10)
+    assert np.mean(eigs[:, -1]) == pytest.approx(0.0, abs=0.01)
 
 
 def test_tall_limit_recovers_transmit_spectrum():
@@ -180,12 +170,8 @@ def test_tall_limit_recovers_transmit_spectrum():
     dt /= dt.sum()
     dr_flat = np.full(n_r, 1.0 / n_r)
     # with dr flat at 1/n_r the composite equals H Dt H^H / n_r directly
-    means = np.zeros(n_t)
-    reps = 30
-    for i in range(reps):
-        hw = sample_hw(n_r, n_t, realization_stream(31, i))
-        eigs = composite_eigs(dt, dr_flat, hw)
-        means += eigs[:n_t] / reps
+    eigs = ensemble_from_spectra(dt, dr_flat, 30, 31).eig_samples
+    means = eigs[:, :n_t].mean(axis=0)
     assert np.all(np.abs(means - dt) / dt < 0.10)
 
 
@@ -195,9 +181,5 @@ def test_wide_limit_scales_transmit_spectrum():
     dt = np.full(n_t, 1.0 / n_t)
     dr_flat = np.full(n_r, 1.0 / n_r)
     eta = n_t / n_r
-    ratios = []
-    for i in range(30):
-        hw = sample_hw(n_r, n_t, realization_stream(33, i))
-        eigs = composite_eigs(dt, dr_flat, hw)
-        ratios.extend(eigs / (eta * dt[0]))
+    ratios = ensemble_from_spectra(dt, dr_flat, 30, 33).eig_samples / (eta * dt[0])
     assert 0.9 <= np.mean(ratios) <= 1.1
