@@ -207,11 +207,17 @@ def test_ensemble_pins_blas_to_one_thread_and_restores(lapack, blas_threads, mon
     assert blas_threads() == before == 2
 
 
-def test_blas_threads_restored_when_a_draw_raises(blas_threads, zheev_info):
+def test_lapack_info_raises_numeric_error(zheev_info):
     zheev_info(3)
     with pytest.raises(NumericError, match="info = 3") as failure:
         ensemble_from_spectra(np.ones(4) / 4, np.ones(4) / 4, 3, 1)
     assert failure.value.diagnostics["info"] == 3
+
+
+def test_blas_threads_restored_when_a_draw_raises(blas_threads, zheev_info):
+    zheev_info(3)
+    with pytest.raises(NumericError, match="info = 3"):
+        ensemble_from_spectra(np.ones(4) / 4, np.ones(4) / 4, 3, 1)
     assert blas_threads() == 2
 
 
