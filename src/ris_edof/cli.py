@@ -1,8 +1,13 @@
 """Command-line front end for reproducible experiments.
 
-Every command reads an optional strict JSON config, writes CSV data files
-plus a JSON manifest (inputs, seed, versions, wall time, output hashes),
-and exits with a distinct code per failure class:
+Every run reads an optional strict JSON config and is a list of jobs. A job
+is one product call on one (geometry_t, geometry_r) pair, one step of the
+geometry -> spectrum -> profile -> EDoF chain, and writes one CSV table. A
+command runs one job on the config's panels; a reproduce target runs one job
+per column, both panels at the column's geometry. One JSON manifest per run
+records the command, target and column, the run-level config, versions, wall
+time and composite kernel, and per job its file, sha256, size, panels and the
+product's extras. A run exits with a distinct code per failure class:
 
     0  success
     1  unexpected internal error
@@ -12,10 +17,6 @@ and exits with a distinct code per failure class:
 
 Identical config + seed produces byte-identical CSV files; the manifest
 records everything needed to re-run them.
-
-Commands and reproduce targets are rows of data naming a product, one step
-of the geometry -> spectrum -> profile -> EDoF chain; one loop runs it over
-the row's geometries and writes the tables and the manifest.
 """
 
 import argparse
@@ -25,7 +26,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,7 @@ LARGE_APERTURE = 32.0
 DEFAULT_GEOMETRY = {"len_x": 12.0, "len_z": 12.0, "spacing_x": 0.5, "spacing_z": 0.5}
 
 _GEOMETRY_KEYS = {"len_x", "len_z", "spacing_x", "spacing_z"}
+_PANELS = ("geometry_t", "geometry_r")
 _SNR_KEYS = ("start", "stop", "step")
 _TOP_KEYS = {
     "geometry_t",
@@ -108,9 +110,8 @@ class RunConfig:
         return [self.snr_start + i * self.snr_step for i in range(count)]
 
     def describe(self) -> dict:
+        """The run-level keys; each job records the panels it ran."""
         return {
-            "geometry_t": asdict(self.geometry_t),
-            "geometry_r": asdict(self.geometry_r),
             "realizations": self.realizations,
             "seed": self.seed,
             "snr_grid_db": {
@@ -192,14 +193,14 @@ def parse_config(raw: dict, command: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a JSON object", field="config")
     _check_keys(raw, _TOP_KEYS, "config")
-    if command == "reproduce":
-        for key in ("geometry_t", "geometry_r"):
-            if key in raw:
-                raise ValidationError(
-                    f"reproduce runs the panels its --target and --column fix; "
-                    f"{key!r} in the config would be ignored",
-                    field=key,
-                )
+    _, option_keys, panels = _COMMANDS[command]
+    for key in _PANELS:
+        if key in raw and key not in panels:
+            raise ValidationError(
+                f"{command} does not run the config's {key!r}; it would be "
+                "ignored",
+                field=key,
+            )
 
     geometry_t = _parse_geometry(raw.get("geometry_t", DEFAULT_GEOMETRY), "geometry_t")
     geometry_r = (
@@ -259,7 +260,7 @@ def parse_config(raw: dict, command: str) -> RunConfig:
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise ValidationError("options must be an object", field="options")
-    _check_keys(options, _COMMANDS[command][1], "options")
+    _check_keys(options, option_keys, "options")
     _check_options(options)
 
     return RunConfig(
@@ -287,22 +288,20 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_manifest(
-    path: Path, command: str, config: RunConfig, outputs: list[Path],
-    started: float, extra: dict | None = None,
+    path: Path, args: argparse.Namespace, config: RunConfig, jobs: list,
+    started: float,
 ) -> None:
+    """One layout for every run. jobs holds (column, CSV path, geom_t, geom_r,
+    extras) per job; target and column are None for a command."""
     payload = {
-        "command": command,
+        "command": args.command,
+        "target": getattr(args, "target", None),
+        "column": getattr(args, "column", None),
         "config": config.describe(),
         "versions": {
             "ris_edof": __version__,
@@ -311,14 +310,22 @@ def write_manifest(
         },
         "wall_time_s": round(time.perf_counter() - started, 3),
         "composite_kernel": composite_kernel(),
-        "outputs": [
-            {"file": out.name, "sha256": _sha256(out), "bytes": out.stat().st_size}
-            for out in outputs
+        "jobs": [
+            {
+                "column": column,
+                "file": out.name,
+                "sha256": _sha256(out),
+                "bytes": out.stat().st_size,
+                "geometry_t": asdict(geom_t),
+                "geometry_r": asdict(geom_r),
+                "extras": extras,
+            }
+            for column, out, geom_t, geom_r, extras in jobs
         ],
     }
-    if extra:
-        payload.update(extra)
-    _write_json(path, payload)
+    path.write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
+    )
 
 
 SWEEP_HEADER = [
@@ -361,8 +368,7 @@ def _mean_profile(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
     return profile, float(ensemble.dt.size * ensemble.dr.size)
 
 
-# Products: (config, geom_t, geom_r) -> (header, rows, manifest extras).
-# A header of None marks rows as one JSON report instead of a CSV table.
+# Products: (config, geom_t, geom_r) -> (header, rows, the job's extras).
 
 
 def _spectrum(config, geom_t, geom_r):
@@ -381,12 +387,13 @@ def _bounds_report(config, geom_t, geom_r):
     ensemble = _ensemble(config, geom_t, geom_r)
     table = per_eig_bounds(ensemble.dt, ensemble.dr, slack=slack)
     violations = check_bounds(ensemble.eig_samples, table)
-    report = {
+    extras = {
         "regime": table.regime,
         "slack": slack,
-        "violations": [asdict(v) for v in violations],
+        "violation_count": len(violations),
     }
-    return None, report, {"violation_count": len(violations)}
+    header = ["k", "realization", "value", "bound", "kind"]
+    return header, [astuple(v) for v in violations], extras
 
 
 def _cdf(config, geom_t, geom_r):
@@ -434,6 +441,7 @@ def _sweep(config, geom_t, geom_r):
             field="geometry_t",
         )
     profile, nt_nr = _mean_profile(config, geom_t, geom_r)
+    results = capacity_degradation(profile, nt_nr, config.snr_grid_db, dof_ref)
     rows = [
         (
             row.snr_db,
@@ -444,28 +452,32 @@ def _sweep(config, geom_t, geom_r):
             row.capacity_ref,
             row.degradation,
         )
-        for row in capacity_degradation(profile, nt_nr, config.snr_grid_db, dof_ref)
+        for row in results
     ]
-    return SWEEP_HEADER, rows, {}
+    # one clip for the whole grid: dof_ref above the profile's rank
+    extras = {"profile_rank": profile.rank, "ref_clipped": results[0].ref_clipped}
+    return SWEEP_HEADER, rows, extras
 
 
-# command -> (product, allowed option keys). reproduce runs the product of
-# its target.
+# command -> (product, allowed option keys, config panels it runs). A command
+# runs one job on the config's panels; geometry_r defaults to geometry_t, and
+# a panel the command does not run is refused. reproduce runs the product of
+# its target on the panels the target fixes.
 _COMMANDS = {
-    "corr-eigs": (_spectrum, ()),
-    "channel-eigs": (_mean_std, ()),
-    "bounds-audit": (_bounds_report, ("slack",)),
-    "cdf": (_cdf, ("points",)),
-    "capacity-curve": (_capacity_curves, ()),
-    "edof-sweep": (_sweep, ()),
-    "reproduce": (None, ()),
+    "corr-eigs": (_spectrum, (), ("geometry_t",)),
+    "channel-eigs": (_mean_std, (), _PANELS),
+    "bounds-audit": (_bounds_report, ("slack",), _PANELS),
+    "cdf": (_cdf, ("points",), _PANELS),
+    "capacity-curve": (_capacity_curves, (), _PANELS),
+    "edof-sweep": (_sweep, (), _PANELS),
+    "reproduce": (None, (), ()),
 }
 
 # target -> (product, aperture in wavelengths, fixed column or None for
-# --column or DESK_COLUMNS, output file stem). Both panels run the column's
-# geometry at the aperture. Some targets are views of one product on the
-# same panels and write identical tables: fig3 = table1, fig6 = table2,
-# fig9 = fig8 and fig11 = fig10. A figure that plots a subset of a product's
+# --column or DESK_COLUMNS, output file stem). Each column is one job, both
+# panels at the column's geometry at the aperture. Some targets are views of
+# one product on the same panels and write identical tables: fig3 = table1,
+# fig6 = table2, fig9 = fig8 and fig11 = fig10. A figure that plots a subset of a product's
 # columns reuses that product rather than adding a narrower one.
 _COLUMN_STEM = "{target}_{column}"
 _TARGETS = {
@@ -555,14 +567,13 @@ def _load_raw_config(path: Path | None) -> dict:
 
 
 def _jobs(args: argparse.Namespace, config: RunConfig):
-    """The product to run, its jobs (column or None, file stem, geom_t,
-    geom_r), the manifest stem and the manifest's run-level extras (None:
-    the product's extras)."""
+    """The product to run, the manifest stem and the jobs: (column or None,
+    CSV file stem, geom_t, geom_r) each."""
     target = getattr(args, "target", None)
     if target is None:
         stem = args.command.replace("-", "_")
         jobs = [(None, stem, config.geometry_t, config.geometry_r)]
-        return _COMMANDS[args.command][0], jobs, stem, None
+        return _COMMANDS[args.command][0], stem, jobs
 
     product, aperture, fixed_column, stem = _TARGETS[target]
     if fixed_column and args.column not in (None, fixed_column):
@@ -577,24 +588,11 @@ def _jobs(args: argparse.Namespace, config: RunConfig):
             "and takes hours at desk scale; pass --allow-large to run it"
         )
     column = fixed_column or args.column
-    columns = [column] if column else DESK_COLUMNS
-    geometries = {
-        col: RisGeometry(aperture, aperture, *COLUMN_SPACINGS[col]) for col in columns
-    }
-    jobs = [
-        (col, stem.format(target=target, column=col), geom, geom)
-        for col, geom in geometries.items()
-    ]
-    described = config.describe()
-    # the target fixes the panels (parse_config refuses the config's own)
-    del described["geometry_t"], described["geometry_r"]
-    extras = {
-        "config": described,
-        "target": target,
-        "column": args.column,
-        "geometries": {col: asdict(g) for col, g in geometries.items()},
-    }
-    return product, jobs, f"reproduce_{target}", extras
+    jobs = []
+    for col in [column] if column else DESK_COLUMNS:
+        geom = RisGeometry(aperture, aperture, *COLUMN_SPACINGS[col])
+        jobs.append((col, stem.format(target=target, column=col), geom, geom))
+    return product, f"reproduce_{target}", jobs
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -616,29 +614,15 @@ def _run(args: argparse.Namespace) -> int:
     out_dir = args.out or Path(os.environ.get(OUTPUT_DIR_ENV, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    product, jobs, manifest_stem, extras = _jobs(args, config)
-    outputs: list[Path] = []
-    job_extras = {}
+    product, manifest_stem, jobs = _jobs(args, config)
+    written = []
     for column, stem, geom_t, geom_r in jobs:
-        header, rows, job_extras[column] = product(config, geom_t, geom_r)
-        if header is None:
-            path = out_dir / f"{stem}.json"
-            _write_json(path, rows)
-        else:
-            path = out_dir / f"{stem}.csv"
-            write_csv(path, header, rows)
-        outputs.append(path)
-    if extras is None:
-        extras = job_extras[None]
-    else:
-        extras["column_extras"] = job_extras
+        header, rows, extras = product(config, geom_t, geom_r)
+        path = out_dir / f"{stem}.csv"
+        write_csv(path, header, rows)
+        written.append((column, path, geom_t, geom_r, extras))
     write_manifest(
-        out_dir / f"{manifest_stem}_manifest.json",
-        args.command,
-        config,
-        outputs,
-        started,
-        extra=extras,
+        out_dir / f"{manifest_stem}_manifest.json", args, config, written, started
     )
     return 0
 

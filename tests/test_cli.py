@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from ris_edof import blas
-from ris_edof.cli import MAX_GRID_POINTS, main, parse_config
+from ris_edof.cli import DESK_COLUMNS, MAX_GRID_POINTS, main, parse_config
 from ris_edof.correlation import geometry_spectrum
 from ris_edof.edof import EigenvalueProfile
 from ris_edof.errors import ValidationError
+from ris_edof.geometry import RisGeometry
 
 TINY = {
     "geometry_t": {"len_x": 3, "len_z": 3, "spacing_x": 0.5, "spacing_z": 0.5},
@@ -17,6 +18,10 @@ TINY = {
     "seed": 7,
     "snr_grid_db": {"start": -10, "stop": 10, "step": 10},
 }
+HALF_HALF = {"len_x": 0.5, "len_z": 0.5, "spacing_x": 0.5, "spacing_z": 0.5}
+# 3 x 3 elements, as a 1-wavelength panel at half-wavelength spacing
+TIGHT_1 = {"len_x": 0.8, "len_z": 0.8, "spacing_x": 0.4, "spacing_z": 0.4}
+BOUNDS_HEADER = ["k", "realization", "value", "bound", "kind"]
 
 
 @pytest.fixture
@@ -281,9 +286,7 @@ def test_corr_eigs_outputs_and_determinism(tmp_path):
     assert sum(float(r[1]) for r in rows) == pytest.approx(1.0, abs=1e-9)
     manifest = json.loads((out_a / "corr_eigs_manifest.json").read_text())
     assert manifest["command"] == "corr-eigs"
-    assert manifest["outputs"][0]["sha256"] == __import__("hashlib").sha256(
-        csv_a
-    ).hexdigest()
+    assert manifest["jobs"][0]["sha256"] == hashlib.sha256(csv_a).hexdigest()
 
 
 def test_channel_eigs_sidecar_and_reproducibility(tmp_path):
@@ -297,7 +300,7 @@ def test_channel_eigs_sidecar_and_reproducibility(tmp_path):
     manifest = json.loads((out_a / "channel_eigs_manifest.json").read_text())
     assert manifest["config"]["seed"] == 7
     assert manifest["config"]["realizations"] == 30
-    assert manifest["config"]["geometry_t"]["len_x"] == 3
+    assert manifest["jobs"][0]["geometry_t"]["len_x"] == 3
     assert "wall_time_s" in manifest
     header, rows = read_csv(out_a / "channel_eigs.csv")
     assert header == ["k", "mean", "std"]
@@ -320,10 +323,36 @@ def test_bounds_audit_report(tmp_path):
     cfg = write_config(tmp_path, TINY)
     out = tmp_path / "o"
     assert main(["bounds-audit", "--config", str(cfg), "--out", str(out)]) == 0
-    report = json.loads((out / "bounds_audit.json").read_text())
-    assert report["regime"] == "nt_approx_nr"
-    assert report["slack"] == 0.1
-    assert isinstance(report["violations"], list)
+    header, rows = read_csv(out / "bounds_audit.csv")
+    assert header == BOUNDS_HEADER
+    manifest = json.loads((out / "bounds_audit_manifest.json").read_text())
+    extras = manifest["jobs"][0]["extras"]
+    assert extras["regime"] == "nt_approx_nr"
+    assert extras["slack"] == 0.1
+    assert extras["violation_count"] == len(rows)
+
+
+def test_bounds_audit_rows_lie_outside_their_bounds(tmp_path):
+    # 2 x 2 transmit against 7 x 7 receive elements at slack 0: the
+    # nt_much_less regime, with violations
+    payload = dict(TINY, geometry_t=HALF_HALF, geometry_r=TINY["geometry_t"],
+                   options={"slack": 0})
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["bounds-audit", "--config", str(cfg), "--out", str(out)]) == 0
+    header, rows = read_csv(out / "bounds_audit.csv")
+    assert header == BOUNDS_HEADER
+    extras = json.loads((out / "bounds_audit_manifest.json").read_text())["jobs"][0][
+        "extras"
+    ]
+    assert extras == {
+        "regime": "nt_much_less", "slack": 0.0, "violation_count": len(rows)
+    }
+    assert rows
+    for k, realization, value, bound, kind in rows:
+        assert kind in ("upper", "lower")
+        assert 1 <= int(k) <= 4 and 0 <= int(realization) < 30
+        assert (float(value) > float(bound)) == (kind == "upper")
 
 
 def test_cdf_command_on_small_panel(tmp_path):
@@ -459,7 +488,9 @@ def test_reproduce_sixth_lambda_runs_full_aperture(tmp_path):
     header, rows = read_csv(out / "table1_sixth-lambda.csv")
     assert len(rows) == 73 * 73  # 12-wavelength aperture at lambda/6
     manifest = json.loads((out / "reproduce_table1_manifest.json").read_text())
-    assert manifest["geometries"]["sixth-lambda"]["len_x"] == 12.0
+    (job,) = manifest["jobs"]
+    assert job["column"] == "sixth-lambda"
+    assert job["geometry_t"]["len_x"] == 12.0
     assert "scaled" not in manifest
 
 
@@ -659,11 +690,11 @@ def test_reproduce_manifest_records_column_geometry(tmp_path):
     )
     assert code == 0
     manifest = json.loads((out / "reproduce_table1_manifest.json").read_text())
-    assert manifest["geometries"] == {
-        "quarter-lambda": {
-            "len_x": 12.0, "len_z": 12.0, "spacing_x": 0.25, "spacing_z": 0.25
-        }
-    }
+    quarter = {"len_x": 12.0, "len_z": 12.0, "spacing_x": 0.25, "spacing_z": 0.25}
+    assert [
+        (job["column"], job["geometry_t"], job["geometry_r"])
+        for job in manifest["jobs"]
+    ] == [("quarter-lambda", quarter, quarter)]
     assert "geometry_t" not in manifest["config"]
     assert "geometry_r" not in manifest["config"]
 
@@ -678,9 +709,9 @@ def test_reproduce_manifest_records_column_extras(tmp_path, monkeypatch):
     assert code == 0
     manifest = json.loads((out / "reproduce_table2_manifest.json").read_text())
     assert manifest["config"]["realizations"] == 2
-    (column,) = manifest["column_extras"]
-    assert column == "half-lambda"
-    eigsum = manifest["column_extras"][column]["eigsum_mean"]
+    (job,) = manifest["jobs"]
+    assert job["column"] == "half-lambda"
+    eigsum = job["extras"]["eigsum_mean"]
     # the mean of the per-draw eigenvalue sums is the sum of the mean profile
     header, rows = read_csv(out / "table2_half-lambda.csv")
     means = [float(row[header.index("mean")]) for row in rows]
@@ -729,3 +760,119 @@ def test_help_still_exits_0(capsys):
         main(["reproduce", "-h"])
     assert exit_info.value.code == 0
     assert "--target" in capsys.readouterr().out
+
+
+def test_corr_eigs_refuses_geometry_r(tmp_path, capsys, monkeypatch):
+    # corr-eigs runs the transmit panel only; a receive panel in the config
+    # would be listed as run without being built
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a spectrum was built")
+
+    monkeypatch.setattr("ris_edof.cli.geometry_spectrum", refuse)
+    cfg = write_config(tmp_path, {"geometry_t": HALF_2, "geometry_r": TINY["geometry_t"]})
+    out = tmp_path / "o"
+    assert main(["corr-eigs", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "validation"
+    assert err["error"]["field"] == "geometry_r"
+    assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize(
+    "geometry_t, clipped",
+    [
+        # spacing one wavelength: sinc(2k) = 0, so 16 uncorrelated elements
+        # and a profile of rank 16 against floor(pi * 9) = 28
+        ({"len_x": 3, "len_z": 3, "spacing_x": 1, "spacing_z": 1}, True),
+        (TINY["geometry_t"], False),
+    ],
+    ids=["clipped", "unclipped"],
+)
+def test_sweep_records_profile_rank_and_ref_clip(tmp_path, geometry_t, clipped):
+    cfg = write_config(tmp_path, dict(TINY, geometry_t=geometry_t))
+    out = tmp_path / "o"
+    for command in ("edof-sweep", "channel-eigs", "capacity-curve"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    _, means = read_csv(out / "channel_eigs.csv")
+    rank = EigenvalueProfile.from_values([float(r[1]) for r in means]).rank
+    manifest = json.loads((out / "edof_sweep_manifest.json").read_text())
+    assert manifest["jobs"][0]["extras"] == {"profile_rank": rank, "ref_clipped": clipped}
+    assert (rank == 16) if clipped else (rank > 28)
+    # capacity_dofref is the capacity at min(dof_ref, rank) subchannels
+    header, rows = read_csv(out / "edof_sweep.csv")
+    _, curves = read_csv(out / "capacity_curve.csv")
+    at_ref = {float(r[0]): float(r[2]) for r in curves if int(r[1]) == min(28, rank)}
+    for row in rows:
+        assert int(row[header.index("dof_ref")]) == 28
+        assert float(row[header.index("capacity_dofref")]) == pytest.approx(
+            at_ref[float(row[0])], rel=1e-9
+        )
+
+
+MANIFEST_KEYS = {
+    "command", "target", "column", "config", "versions", "wall_time_s",
+    "composite_kernel", "jobs",
+}
+CONFIG_KEYS = {
+    "realizations", "seed", "snr_grid_db", "threads", "max_elements", "options"
+}
+JOB_KEYS = {
+    "column", "file", "sha256", "bytes", "geometry_t", "geometry_r", "extras"
+}
+TWO_PANELS = {"geometry_t": HALF_2, "geometry_r": HALF_1}
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["corr-eigs"], {"geometry_t": HALF_2}),
+        (["channel-eigs"], TWO_PANELS),
+        (["bounds-audit"], TWO_PANELS),
+        (["cdf"], {"geometry_t": HALF_1, "geometry_r": TIGHT_1,
+                   "options": {"points": 2}}),
+        (["capacity-curve"], TWO_PANELS),
+        (["edof-sweep"], TWO_PANELS),
+        (["reproduce", "--target", "table1"], {}),
+    ],
+    ids=["corr-eigs", "channel-eigs", "bounds-audit", "cdf", "capacity-curve",
+         "edof-sweep", "reproduce-table1"],
+)
+def test_every_run_writes_one_manifest_layout(tmp_path, monkeypatch, argv, payload):
+    built = set()
+
+    def recorded(geom, **kwargs):
+        built.add(geom)
+        return geometry_spectrum(geom, **kwargs)
+
+    monkeypatch.setattr("ris_edof.cli.geometry_spectrum", recorded)
+    cfg = write_config(
+        tmp_path, dict(payload, realizations=2, snr_grid_db=[0, 10, 10])
+    )
+    out = tmp_path / "o"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+    (path,) = out.glob("*_manifest.json")
+    manifest = json.loads(path.read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert set(manifest["config"]) == CONFIG_KEYS
+    jobs = manifest["jobs"]
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(j["file"] for j in jobs)
+    ran = set()
+    for job in jobs:
+        assert set(job) == JOB_KEYS
+        data = (out / job["file"]).read_bytes()
+        assert job["sha256"] == hashlib.sha256(data).hexdigest()
+        assert job["bytes"] == len(data)
+        ran |= {RisGeometry(**job["geometry_t"]), RisGeometry(**job["geometry_r"])}
+    assert ran == built
+    if argv[0] == "reproduce":
+        assert (manifest["target"], manifest["column"]) == ("table1", None)
+        assert [job["column"] for job in jobs] == list(DESK_COLUMNS)
+        for job in jobs:
+            assert job["geometry_t"] == job["geometry_r"]
+            assert job["geometry_t"]["len_x"] == 12.0
+    else:
+        assert (manifest["target"], manifest["column"]) == (None, None)
+        (job,) = jobs
+        assert job["column"] is None
+        assert job["geometry_t"] == payload["geometry_t"]
+        assert job["geometry_r"] == payload.get("geometry_r", payload["geometry_t"])
