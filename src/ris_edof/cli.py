@@ -61,6 +61,11 @@ SNR_DB_LIMIT = 100.0
 # billions of points; 10,001 closed-form CDF points at N = 16 take about 25
 # minutes on a 2-core VM (200 points: 30 s).
 MAX_GRID_POINTS = 10_001
+# Largest Monte Carlo draw count accepted: 100x the paper's 1000, about 2 h of
+# draws for a 12-wavelength panel at lambda/2 on one worker. The ensemble
+# holds realizations x N_r eigenvalues (0.5 GB at the cap for that panel), so
+# a far larger count would otherwise fail on allocation.
+MAX_REALIZATIONS = 100_000
 
 # Reference-dataset columns: element spacings (x, z) in wavelengths.
 COLUMN_SPACINGS = {
@@ -213,9 +218,10 @@ def parse_config(raw: dict, command: str) -> RunConfig:
     if not isinstance(realizations, int) or isinstance(realizations, bool):
         raise ValidationError("realizations must be an integer", field="realizations")
     # the Monte Carlo statistics need two draws; refuse before any is made
-    if realizations < 2:
+    if not 2 <= realizations <= MAX_REALIZATIONS:
         raise ValidationError(
-            f"realizations must be >= 2, got {realizations}", field="realizations"
+            f"realizations must be in [2, {MAX_REALIZATIONS}], got {realizations}",
+            field="realizations",
         )
 
     seed = _check_seed(raw.get("seed", 42))
@@ -612,7 +618,13 @@ def _run(args: argparse.Namespace) -> int:
         config.max_elements = ALLOW_LARGE_MAX_ELEMENTS
 
     out_dir = args.out or Path(os.environ.get(OUTPUT_DIR_ENV, "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # an existing file, a file on the path, or no permission
+        raise ValidationError(
+            f"cannot create output directory {out_dir}: {exc}", field="out"
+        ) from exc
 
     product, manifest_stem, jobs = _jobs(args, config)
     written = []

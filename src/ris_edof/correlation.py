@@ -3,8 +3,9 @@
 The correlation between elements m and n is sinc(2 * ||d_m - d_n||) with
 distances in wavelengths, sinc(x) = sin(pi x) / (pi x). The matrix is a
 positive semi-definite kernel with unit diagonal, so trace(R/N) = 1 for
-every geometry; everything downstream consumes the normalized spectrum
-values(R)/N, which therefore sums to 1.
+every geometry. geometry_spectrum, the one entry point, returns the
+normalized spectrum values(R)/N that everything downstream consumes,
+checked to sum to 1.
 
 R is never formed. On the regular n_x x n_z lattice, entry ((a, b), (a', b'))
 depends only on the offset (|a - a'|, |b - b'|), so the whole matrix is the
@@ -22,14 +23,14 @@ for p = +1). Block entry ((a, b), (a', b')) is then
 
 with s = 2 * c_x * c_z, gathered from the table by integer offsets. The
 blocks have about N/4 rows each, and the spectrum of R is the union of
-their spectra.
+their spectra, which eigen_decompose merges and clamps.
 """
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import NumericError, SizeGuardError, ValidationError
+from .errors import NumericError, SizeGuardError
 from .geometry import RisGeometry
 
 # Eigenvalues of R, or of a composite channel draw, more negative than
@@ -54,41 +55,6 @@ def _clamp_negative(values: np.ndarray, what: str) -> np.ndarray:
 DEFAULT_MAX_ELEMENTS = 10_000
 
 PARITIES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-@dataclass
-class CorrelationMatrix:
-    """Real symmetric correlation matrix of order dim, held as diagonal
-    blocks whose spectra together are its spectrum (the parity blocks of
-    build_correlation, or a single dense block)."""
-
-    dim: int
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        for block in self.blocks:
-            if block.ndim != 2 or block.shape[0] != block.shape[1]:
-                raise ValidationError(
-                    f"block shape {block.shape} is not square", field="blocks"
-                )
-        total = sum(block.shape[0] for block in self.blocks)
-        if total != self.dim:
-            raise ValidationError(
-                f"block orders sum to {total}, not dim {self.dim}", field="blocks"
-            )
-
-
-@dataclass
-class Spectrum:
-    """Real eigenvalues in non-increasing order, plus trace metadata.
-
-    min_raw_value records the most negative eigenvalue seen before the
-    clamp so that rounding noise stays observable.
-    """
-
-    values: np.ndarray
-    trace_in: float
-    min_raw_value: float
 
 
 def offset_table(geom: RisGeometry) -> np.ndarray:
@@ -134,35 +100,21 @@ def _parity_block(table: np.ndarray, p_x: int, p_z: int) -> np.ndarray:
     return block
 
 
-def build_correlation(
-    geom: RisGeometry, *, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> CorrelationMatrix:
-    """Sinc correlation matrix of a geometry as its four parity blocks."""
-    n = geom.n
-    if n > max_elements:
-        raise SizeGuardError(
-            f"geometry has {n} elements, above the size guard of "
-            f"{max_elements}; pass a larger max_elements (CLI: --allow-large) "
-            "to override"
-        )
-    table = offset_table(geom)
-    blocks = tuple(_parity_block(table, p_x, p_z) for p_x, p_z in PARITIES)
-    return CorrelationMatrix(dim=n, blocks=blocks)
-
-
-def eigen_decompose(corr: CorrelationMatrix) -> Spectrum:
-    """All eigenvalues, merged over the blocks, in non-increasing order.
+def eigen_decompose(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """All eigenvalues of the real symmetric matrix whose diagonal blocks are
+    `blocks` (its parity blocks, or a single dense block), merged in
+    non-increasing order.
 
     Small negative eigenvalues (rounding noise from the PSD kernel) are
-    clamped to zero; anything below -NEGATIVE_CLAMP_REL * alpha_1 raises.
+    clamped to zero; anything below -NEGATIVE_CLAMP_REL * alpha_1 raises, and
+    so does a sum that misses the blocks' trace by more than 1e-10 relative.
     """
     parts = []
-    for block in corr.blocks:
+    for block in blocks:
         try:
             parts.append(np.linalg.eigvalsh(block))
         except np.linalg.LinAlgError as exc:
             diag = {
-                "dim": corr.dim,
                 "block_dim": block.shape[0],
                 "fro_norm": float(np.linalg.norm(block)),
                 "max_abs_entry": float(np.max(np.abs(block))),
@@ -172,8 +124,7 @@ def eigen_decompose(corr: CorrelationMatrix) -> Spectrum:
             ) from exc
 
     values = np.sort(np.concatenate(parts))[::-1]
-    trace_in = float(sum(np.trace(block) for block in corr.blocks))
-    min_raw = float(values[-1])
+    trace_in = float(sum(np.trace(block) for block in blocks))
     values = _clamp_negative(values, "correlation eigenvalue")
 
     total = float(values.sum())
@@ -181,24 +132,6 @@ def eigen_decompose(corr: CorrelationMatrix) -> Spectrum:
         raise NumericError(
             f"eigenvalue sum {total!r} does not match trace {trace_in!r}",
             {"sum": total, "trace": trace_in},
-        )
-
-    return Spectrum(values=values, trace_in=trace_in, min_raw_value=min_raw)
-
-
-def normalized_spectrum(spec: Spectrum, n: int) -> np.ndarray:
-    """Eigenvalues of R/N; sums to 1 within 1e-10 by trace normalization."""
-    if n <= 0:
-        raise ValidationError(f"element count must be positive, got {n}", field="n")
-    if len(spec.values) != n:
-        raise ValidationError(
-            f"spectrum has {len(spec.values)} values but n = {n}", field="n"
-        )
-    values = spec.values / float(n)
-    total = float(values.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise NumericError(
-            f"normalized spectrum sums to {total!r}, expected 1", {"sum": total}
         )
     return values
 
@@ -219,6 +152,21 @@ def effective_rank(values: np.ndarray) -> int:
 def geometry_spectrum(
     geom: RisGeometry, *, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> np.ndarray:
-    """Normalized correlation spectrum of a geometry (sums to 1)."""
-    corr = build_correlation(geom, max_elements=max_elements)
-    return normalized_spectrum(eigen_decompose(corr), geom.n)
+    """Normalized correlation spectrum of a geometry: the eigenvalues of R/N
+    in non-increasing order, summing to 1 within 1e-10."""
+    n = geom.n
+    if n > max_elements:
+        raise SizeGuardError(
+            f"geometry has {n} elements, above the size guard of "
+            f"{max_elements}; pass a larger max_elements (CLI: --allow-large) "
+            "to override"
+        )
+    table = offset_table(geom)
+    blocks = [_parity_block(table, p_x, p_z) for p_x, p_z in PARITIES]
+    values = eigen_decompose(blocks) / float(n)
+    total = float(values.sum())
+    if abs(total - 1.0) > 1e-10:
+        raise NumericError(
+            f"normalized spectrum sums to {total!r}, expected 1", {"sum": total}
+        )
+    return values

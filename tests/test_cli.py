@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from ris_edof import blas
-from ris_edof.cli import DESK_COLUMNS, MAX_GRID_POINTS, main, parse_config
+from ris_edof.cli import (
+    DESK_COLUMNS,
+    MAX_GRID_POINTS,
+    MAX_REALIZATIONS,
+    main,
+    parse_config,
+)
 from ris_edof.correlation import geometry_spectrum
 from ris_edof.edof import EigenvalueProfile
 from ris_edof.errors import ValidationError
@@ -424,6 +430,30 @@ def test_one_realization_exits_2_before_any_draw(tmp_path, capsys, no_draws, arg
     assert not any(out.glob("*"))
 
 
+@pytest.mark.parametrize("realizations", [10**15, 10**30], ids=["1e15", "1e30"])
+def test_oversized_realizations_exit_2_before_any_spectrum(
+    tmp_path, capsys, monkeypatch, no_draws, realizations
+):
+    # 1e15 draws of a 2 x 2 panel asked numpy for 28.4 PiB, and 1e30 passed
+    # numpy's largest dimension
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a spectrum was built")
+
+    monkeypatch.setattr("ris_edof.cli.geometry_spectrum", refuse)
+    payload = {"geometry_t": HALF_HALF, "realizations": realizations}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["channel-eigs", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == "realizations"
+    assert not any(out.glob("*"))
+
+
+def test_realizations_at_the_cap_are_accepted():
+    config = parse_config({"realizations": MAX_REALIZATIONS}, "channel-eigs")
+    assert config.realizations == MAX_REALIZATIONS == 100_000
+
+
 def test_edof_sweep_command(tmp_path):
     cfg = write_config(tmp_path, TINY)
     out = tmp_path / "o"
@@ -476,6 +506,23 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("RIS_EDOF_OUT", str(target))
     assert main(["corr-eigs", "--config", str(cfg)]) == 0
     assert (target / "corr_eigs.csv").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_output_dir_that_cannot_be_made_exits_2(tmp_path, capsys, monkeypatch, via):
+    cfg = write_config(tmp_path, TINY)
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    argv = ["corr-eigs", "--config", str(cfg)]
+    if via == "flag":
+        argv += ["--out", str(blocker)]  # an existing file
+    else:
+        monkeypatch.setenv("RIS_EDOF_OUT", str(blocker / "sub"))  # under a file
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "validation"
+    assert err["error"]["field"] == "out"
+    assert blocker.read_text() == ""
 
 
 def test_reproduce_sixth_lambda_runs_full_aperture(tmp_path):

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ris_edof import correlation
 from ris_edof.correlation import (
-    CorrelationMatrix,
+    PARITIES,
     _clamp_negative,
-    build_correlation,
+    _parity_block,
     effective_rank,
     eigen_decompose,
     geometry_spectrum,
-    normalized_spectrum,
     offset_table,
 )
-from ris_edof.errors import NumericError, SizeGuardError, ValidationError
+from ris_edof.errors import NumericError, SizeGuardError
 from ris_edof.geometry import RisGeometry
 
 from coordinates import element_coordinates
@@ -39,6 +39,11 @@ def dense_spectrum(geom: RisGeometry) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(dense_correlation(geom)))[::-1] / geom.n
 
 
+def parity_blocks(geom: RisGeometry) -> list[np.ndarray]:
+    table = offset_table(geom)
+    return [_parity_block(table, p_x, p_z) for p_x, p_z in PARITIES]
+
+
 def test_half_wavelength_pair_is_uncorrelated():
     # neighbours 0.5 wavelengths apart along x
     table = offset_table(RisGeometry(0.5, 0.5, 0.5, 0.5))
@@ -55,29 +60,38 @@ def test_diagonal_is_exactly_one_and_symmetric():
     table = offset_table(geom)
     assert table[0, 0] == 1.0
     assert np.all(np.abs(table) <= 1.0)
-    corr = build_correlation(geom)
-    assert [b.shape[0] for b in corr.blocks] == [4 * 5, 4 * 4, 3 * 5, 3 * 4]
-    for block in corr.blocks:
+    blocks = parity_blocks(geom)
+    assert [b.shape[0] for b in blocks] == [4 * 5, 4 * 4, 3 * 5, 3 * 4]
+    for block in blocks:
         assert np.array_equal(block, block.T)
-    trace = sum(np.trace(block) for block in corr.blocks)
+    trace = sum(np.trace(block) for block in blocks)
     assert trace == pytest.approx(geom.n, rel=1e-14)
 
 
 def test_size_guard_names_override():
     with pytest.raises(SizeGuardError, match="max_elements"):
-        build_correlation(RisGeometry(12, 12, 0.1, 0.1))
-    big = build_correlation(RisGeometry(12, 12, 0.25, 0.25), max_elements=3000)
-    assert big.dim == 2401
+        geometry_spectrum(RisGeometry(12, 12, 0.1, 0.1))
+    with pytest.raises(SizeGuardError, match="max_elements"):
+        geometry_spectrum(RisGeometry(2, 2, 0.5, 0.5), max_elements=24)
+    assert geometry_spectrum(RisGeometry(2, 2, 0.5, 0.5), max_elements=25).size == 25
 
 
 def test_single_element_matrix():
-    spec = eigen_decompose(CorrelationMatrix(1, (np.eye(1),)))
-    assert np.array_equal(spec.values, [1.0])
+    assert np.array_equal(eigen_decompose([np.eye(1)]), [1.0])
 
 
-def test_identity_matrix_normalizes_to_quarter():
-    spec = eigen_decompose(CorrelationMatrix(4, (np.eye(3), np.eye(1))))
-    assert np.allclose(normalized_spectrum(spec, 4), 0.25)
+def test_identity_matrix_normalizes_to_quarter(monkeypatch):
+    assert np.array_equal(eigen_decompose([np.eye(3), np.eye(1)]), np.ones(4))
+
+    # an offset table with no correlation off the zero offset gives R = I
+    def uncorrelated(geom):
+        table = np.zeros((geom.n_x, geom.n_z))
+        table[0, 0] = 1.0
+        return table
+
+    monkeypatch.setattr(correlation, "offset_table", uncorrelated)
+    values = geometry_spectrum(RisGeometry(0.5, 0.5, 0.5, 0.5))
+    assert np.array_equal(values, [0.25] * 4)
 
 
 def test_flagship_spot_values(half_spectrum):
@@ -97,10 +111,44 @@ def test_spectrum_sorted_and_sums_to_one(half_spectrum):
 
 
 def test_trace_matches_sum():
-    corr = build_correlation(RisGeometry(2, 2, 0.25, 0.5))
-    spec = eigen_decompose(corr)
-    assert spec.trace_in == pytest.approx(corr.dim)
-    assert spec.values.sum() == pytest.approx(spec.trace_in, rel=1e-10)
+    geom = RisGeometry(2, 2, 0.25, 0.5)
+    values = eigen_decompose(parity_blocks(geom))
+    assert values.sum() == pytest.approx(geom.n, rel=1e-10)
+
+
+def test_sum_off_the_trace_is_refused():
+    # a hundred negatives each above the clamp floor: the clamp adds 9e-9,
+    # past the 1e-10 relative trace check
+    block = np.diag([1.0] + [-9e-11] * 100)
+    with pytest.raises(NumericError, match="does not match trace"):
+        eigen_decompose([block])
+
+
+def test_solver_failure_is_a_numeric_error(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+
+    def fails_past_one_row(block):
+        if block.shape[0] > 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(block)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails_past_one_row)
+    block = np.array([[2.0, -3.0], [-3.0, 1.0]])
+    with pytest.raises(NumericError, match="failed to converge") as info:
+        eigen_decompose([np.eye(1), block])
+    assert info.value.diagnostics == {
+        "block_dim": 2, "fro_norm": math.sqrt(23.0), "max_abs_entry": 3.0,
+    }
+
+
+def test_normalized_sum_off_one_is_refused(monkeypatch):
+    # a table whose zero offset is not 1 gives blocks of trace 2N, which the
+    # eigenvalues match, so only the unit-sum check sees it
+    monkeypatch.setattr(
+        correlation, "offset_table", lambda geom: 2.0 * offset_table(geom)
+    )
+    with pytest.raises(NumericError, match="expected 1"):
+        geometry_spectrum(RisGeometry(1, 1, 0.5, 0.5))
 
 
 def test_non_psd_matrix_rejected():
@@ -108,7 +156,7 @@ def test_non_psd_matrix_rejected():
         [[1.0, 0.9, 0.0], [0.9, 1.0, 0.9], [0.0, 0.9, 1.0]]
     )
     with pytest.raises(NumericError, match="clamp floor"):
-        eigen_decompose(CorrelationMatrix(3, (entries,)))
+        eigen_decompose([entries])
 
 
 def test_clamp_zeroes_rounding_noise_and_refuses_below_floor():
@@ -118,15 +166,8 @@ def test_clamp_zeroes_rounding_noise_and_refuses_below_floor():
         _clamp_negative(np.array([2.0, -1e-9]), "eigenvalue")
 
 
-def test_spectrum_keeps_the_pre_clamp_minimum():
-    spec = eigen_decompose(CorrelationMatrix(2, (np.diag([1.0, -1e-12]),)))
-    assert spec.min_raw_value == -1e-12
-    assert spec.values.tolist() == [1.0, 0.0]
-
-
-def test_block_orders_must_sum_to_dim():
-    with pytest.raises(ValidationError, match="dim"):
-        CorrelationMatrix(3, (np.eye(2),))
+def test_spectrum_clamps_rounding_noise():
+    assert eigen_decompose([np.diag([1.0, -1e-12])]).tolist() == [1.0, 0.0]
 
 
 def test_spectrum_invariant_under_relabeling():
@@ -134,9 +175,8 @@ def test_spectrum_invariant_under_relabeling():
     dense = dense_correlation(geom)
     rng = np.random.default_rng(3)
     perm = rng.permutation(geom.n)
-    permuted = CorrelationMatrix(geom.n, (dense[np.ix_(perm, perm)],))
-    a = eigen_decompose(build_correlation(geom)).values
-    b = eigen_decompose(permuted).values
+    a = eigen_decompose(parity_blocks(geom))
+    b = eigen_decompose([dense[np.ix_(perm, perm)]])
     assert np.allclose(a, b, rtol=0, atol=1e-9 * a[0])
 
 
