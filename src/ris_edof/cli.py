@@ -32,7 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic_cdf import EigenProfilePair, cdf_table
 from .blas import composite_kernel
 from .channel_mc import ensemble_from_spectra, ensemble_stats
 from .correlation import DEFAULT_MAX_ELEMENTS, geometry_spectrum
@@ -58,8 +57,8 @@ SNR_GRID_TOL = 1e-9
 SNR_DB_LIMIT = 100.0
 # Largest SNR grid and largest cdf point count accepted: +-50 dB at 0.01 dB.
 # The SNR grid is built as a list, so a tiny step would otherwise ask for
-# billions of points; 10,001 closed-form CDF points at N = 16 take about 25
-# minutes on a 2-core VM (200 points: 30 s).
+# billions of points; 10,001 closed-form CDF points at N = 16 take about 3
+# minutes on a 2-core VM (1,000 points: 19 s; 200 points: 3.7 s).
 MAX_GRID_POINTS = 10_001
 # Largest Monte Carlo draw count accepted: 100x the paper's 1000, about 2 h of
 # draws for a 12-wavelength panel at lambda/2 on one worker. The ensemble
@@ -285,13 +284,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write one output file; a path the CLI cannot write is a bad --out."""
+    try:
+        path.write_text(text, encoding="ascii", newline="\n")
+    except OSError as exc:
+        # a directory in the file's place, no permission, or a full disk
+        raise ValidationError(f"cannot write {path}: {exc}", field="out") from exc
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(
             ",".join(str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row)
         )
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -329,9 +337,7 @@ def write_manifest(
             for column, out, geom_t, geom_r, extras in jobs
         ],
     }
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 SWEEP_HEADER = [
@@ -419,9 +425,20 @@ def _cdf(config, geom_t, geom_r):
             f"geometry_t has {dt.size} and geometry_r {dr.size}",
             field="geometry_t" if dt.size < dr.size else "geometry_r",
         )
+    # imported here so that no other command loads mpmath
+    from .analytic_cdf import EigenProfilePair, PrecisionLog, cdf_table
+
     pair = EigenProfilePair.from_values(dt, dr)
-    alphas, f_vals = cdf_table(pair, num=points)
-    return ["alpha", "F"], zip(alphas, f_vals), {}
+    log = PrecisionLog()
+    alphas, f_vals = cdf_table(pair, num=points, log=log)
+    extras = {
+        "dps_min": min(log.dps),
+        "dps_max": max(log.dps),
+        "reevaluations": log.reevaluations,
+        "jittered_dt": not np.array_equal(pair.dt_vals, np.sort(dt)[::-1]),
+        "jittered_dr": not np.array_equal(pair.dr_vals, np.sort(dr)[::-1]),
+    }
+    return ["alpha", "F"], zip(alphas, f_vals), extras
 
 
 def _capacity_curves(config, geom_t, geom_r):

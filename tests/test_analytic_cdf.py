@@ -50,12 +50,28 @@ def jittered(values, seed):
     return values * (1 + rng.uniform(-1, 1, values.size) * 1e-6)
 
 
+def full_inverse_dps(n: int, alpha: float, x_geo_mean: float, x_max: float) -> int:
+    """The oracles' working precision: they form the whole P, whose
+    cancellation deepens like N(N-1)/2 decimal digits per decade that
+    alpha * x sits away from O(1), in both directions."""
+    pairs = n * (n - 1) / 2
+    depth = 0.0
+    s_lo = alpha * x_geo_mean
+    if s_lo < 1.0:
+        depth += pairs * abs(math.log10(s_lo))
+    s_hi = alpha * x_max
+    if s_hi > 1.0:
+        depth += pairs * math.log10(s_hi)
+    return 30 + int(1.2 * depth) + 2 * n
+
+
 def nodes_and_dps(pair, alpha):
-    """The kernel nodes 1/dr_i, 1/dt_j and the working precision at alpha."""
-    av = [mp.mpf(1) / mp.mpf(float(v)) for v in pair.dr_vals]
-    bv = [mp.mpf(1) / mp.mpf(float(v)) for v in pair.dt_vals]
+    """The kernel nodes 1/dr_i, 1/dt_j, rounded to double as the kernel's
+    are, and the oracles' working precision at alpha."""
+    av = [mp.mpf(float(v)) for v in 1.0 / pair.dr_vals]
+    bv = [mp.mpf(float(v)) for v in 1.0 / pair.dt_vals]
     logs = [math.log(float(a * b)) for a in av for b in bv]
-    dps = analytic_cdf._required_dps(
+    dps = full_inverse_dps(
         pair.n_r, alpha, math.exp(sum(logs) / len(logs)), math.exp(max(logs))
     )
     return av, bv, dps
@@ -226,6 +242,8 @@ def test_endpoint_contract():
     scale = 0.7 * 0.6
     assert unordered_cdf(pair, 0.0) == 0.0
     assert unordered_cdf(pair, 1e6 * scale) == pytest.approx(1.0, abs=1e-6)
+    # below the F(0+) point, down to subnormal alpha
+    assert np.array_equal(unordered_cdf(pair, [5e-324, 1e-9 * scale]), [0.0, 0.0])
 
 
 def test_cdf_monotone_on_grid():
@@ -259,3 +277,46 @@ def test_scale_covariance():
     f_scaled = unordered_cdf(scaled, 3.0 * alphas)
     assert np.max(np.abs(f_base - f_scaled)) < 1e-6
 
+
+DECADES = np.geomspace(1e-8, 1e6, 15)
+
+
+@pytest.mark.parametrize(("case", "n"), [(1.0, 9), (1.5, 16), (2.0, 25)])
+def test_certified_precision_gives_the_float_of_fifty_more_digits(case, n):
+    pair = oracle_pair(case, n)
+    scale = float(pair.dr_vals[0] * pair.dt_vals[0])
+    alphas = [float(factor * scale) for factor in DECADES]
+    kernel = analytic_cdf._kernel(pair, alphas)
+    certified = [analytic_cdf._raw_cdf(kernel, alpha) for alpha in alphas]
+    digits = kernel.log.dps
+    assert len(digits) == len(alphas)
+    more = [
+        analytic_cdf._raw_at(kernel, alpha, dps + 50)
+        for alpha, dps in zip(alphas, digits)
+    ]
+    assert more == certified
+
+
+def test_overestimated_first_guess_is_evaluated_again(monkeypatch):
+    pair = oracle_pair(1.0, 9)
+    scale = float(pair.dr_vals[0] * pair.dt_vals[0])
+    alphas = [float(factor * scale) for factor in DECADES[1:7]]
+    log = analytic_cdf.PrecisionLog()
+    want = unordered_cdf(pair, alphas, log)
+    assert log.reevaluations == 0
+    # F_raw taken as 1/N everywhere: too high below the bulk of the support
+    monkeypatch.setattr(
+        analytic_cdf._Kernel, "first_guess", lambda self, alpha: 1.0 / self.n
+    )
+    again = analytic_cdf.PrecisionLog()
+    assert np.array_equal(unordered_cdf(pair, alphas, again), want)
+    assert again.reevaluations > 0
+    assert len(again.dps) == len(log.dps) == len(alphas) + 1
+
+
+def test_uncertified_value_is_numeric_error(monkeypatch):
+    pair = oracle_pair(1.0, 9)
+    # a value far below its own error bound bounds F_raw from below by nothing
+    monkeypatch.setattr(analytic_cdf, "_raw_at", lambda kernel, alpha, dps: 0.0)
+    with pytest.raises(NumericError, match="not certified"):
+        unordered_cdf(pair, 0.5)

@@ -1,11 +1,15 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ris_edof import blas
+import ris_edof
+from ris_edof import analytic_cdf, blas
 from ris_edof.cli import (
     DESK_COLUMNS,
     MAX_GRID_POINTS,
@@ -523,6 +527,64 @@ def test_output_dir_that_cannot_be_made_exits_2(tmp_path, capsys, monkeypatch, v
     assert err["error"]["kind"] == "validation"
     assert err["error"]["field"] == "out"
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("name", ["corr_eigs.csv", "corr_eigs_manifest.json"])
+def test_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, TINY)
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)  # a directory where the file goes
+    assert main(["corr-eigs", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["kind"], err["field"]) == ("validation", "out")
+    assert name in err["message"]
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    # only the cdf command needs mpmath; it imports the closed form itself
+    src = str(Path(ris_edof.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, ris_edof.cli; print('mpmath' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"
+
+
+def test_cdf_manifest_records_working_precision_and_jitter(tmp_path):
+    cfg = write_config(tmp_path, {"geometry_t": HALF_1, "options": {"points": 3}})
+    out = tmp_path / "o"
+    assert main(["cdf", "--config", str(cfg), "--out", str(out)]) == 0
+    extras = json.loads((out / "cdf_manifest.json").read_text())["jobs"][0]["extras"]
+    # the digits each point's error bound asks for, F(0+) included
+    spectrum = geometry_spectrum(RisGeometry(**HALF_1))
+    pair = analytic_cdf.EigenProfilePair.from_values(spectrum, spectrum)
+    scale = float(pair.dr_vals[0] * pair.dt_vals[0])
+    alphas = [
+        analytic_cdf.TINY_ALPHA_FACTOR * scale,
+        *np.geomspace(1e-5 * scale, 1e3 * scale, 3),
+    ]
+    kernel = analytic_cdf._kernel(pair, alphas)
+    digits = [
+        analytic_cdf._digits(
+            analytic_cdf._error_coefficient(kernel, alpha),
+            kernel.first_guess(alpha),
+        )
+        for alpha in alphas
+    ]
+    # the 1-wavelength panel has a repeated eigenvalue
+    tie = (
+        analytic_cdf._min_relative_separation(spectrum)
+        < analytic_cdf.MIN_RELATIVE_SEPARATION
+    )
+    assert tie
+    assert extras == {
+        "dps_min": min(digits),
+        "dps_max": max(digits),
+        "reevaluations": 0,
+        "jittered_dt": tie,
+        "jittered_dr": tie,
+    }
 
 
 def test_reproduce_sixth_lambda_runs_full_aperture(tmp_path):
