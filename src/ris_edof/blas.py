@@ -7,10 +7,12 @@ and its thread-count getter and setter, `load` returns all four. ``zherk``
 forms one triangle of the Gram matrix, half the flops of ``a @ a.conj().T``
 and with no conjugate copy; ``zheev_2stage`` with jobz='N' returns its
 eigenvalues through the two-stage tridiagonal reduction; `one_thread` pins
-the library for a block of calls. Otherwise (Accelerate, MKL, a source
-build) `load` gives None, and `gram` and `eigvalsh` run ``np.matmul`` and
-``np.linalg.eigvalsh``. `composite_kernel` names the path. The library is
-found as ``perfbench/run.py`` finds it, on the first call of `load`.
+the library for a block of calls: the draws, and the correlation spectrum's
+``numpy.linalg.eigvalsh``, which runs on the same OpenBLAS. Otherwise
+(Accelerate, MKL, a source build) `load` gives None, and `gram` and
+`eigvalsh` run ``np.matmul`` and ``np.linalg.eigvalsh``. `composite_kernel`
+names the path. The library is found as ``perfbench/run.py`` finds it, on the
+first call of `load`.
 """
 
 import contextlib

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .blas import composite_kernel
 from .channel_mc import ensemble_from_spectra, ensemble_stats
-from .correlation import DEFAULT_MAX_ELEMENTS, geometry_spectrum
+from .correlation import DEFAULT_MAX_ELEMENTS, SpectrumLog, geometry_spectrum
 from .edof import (
     EigenvalueProfile,
     capacity_curve,
@@ -384,8 +384,9 @@ def _mean_profile(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
 
 
 def _spectrum(config, geom_t, geom_r):
-    values = geometry_spectrum(geom_t, max_elements=config.max_elements)
-    return ["k", "alpha_normalized"], _indexed(values), {}
+    log = SpectrumLog()
+    values = geometry_spectrum(geom_t, max_elements=config.max_elements, log=log)
+    return ["k", "alpha_normalized"], _indexed(values), asdict(log)
 
 
 def _mean_std(config, geom_t, geom_r):
@@ -548,10 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads", type=int, default=1,
             help=(
                 "Monte Carlo workers (at most half the CPU count, and at "
-                "least 1); outputs do not depend on it, but do depend on the "
-                "BLAS thread count through the correlation spectrum. Each "
-                "worker runs two draws at once, on an OpenBLAS pinned to one "
-                "thread, so it keeps two cores busy: on 2 cores, a second "
+                "least 1); outputs do not depend on it. Each worker runs two "
+                "draws at once, on an OpenBLAS pinned to one thread, so it "
+                "keeps two cores busy: on 2 cores, a second "
                 "worker made fig8 half-lambda --quick no faster (8.7-9.8 s "
                 "against 8.4-9.7 s)"
             ),

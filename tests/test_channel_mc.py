@@ -295,7 +295,16 @@ def test_no_public_function_runs_off_the_main_thread(monkeypatch):
     channel_mc = sys.modules["ris_edof.channel_mc"]
     dt, dr = spectrum_of(12, 8), spectrum_of(12, 9)
     channel_mc.ensemble_from_spectra(dt, dr, 6, 1, threads=2)
-    assert "channel_mc.ensemble_from_spectra" in {name for name, _ in calls}
+    # the spectrum's blocks are solved on two threads: a square panel's swap
+    # blocks and a rectangle's parity blocks
+    correlation = sys.modules["ris_edof.correlation"]
+    for geom in (SMALL, RisGeometry(3, 2, 0.5, 0.5)):
+        correlation.geometry_spectrum(geom)
+    assert {
+        "channel_mc.ensemble_from_spectra",
+        "correlation.geometry_spectrum",
+        "correlation.eigen_decompose",
+    } <= {name for name, _ in calls}
     main = threading.main_thread().ident
     assert [name for name, ident in calls if ident != main] == []
 

@@ -17,7 +17,7 @@ from ris_edof.cli import (
     main,
     parse_config,
 )
-from ris_edof.correlation import geometry_spectrum
+from ris_edof.correlation import effective_rank, geometry_spectrum
 from ris_edof.edof import EigenvalueProfile
 from ris_edof.errors import ValidationError
 from ris_edof.geometry import RisGeometry
@@ -280,6 +280,76 @@ def test_edof_sweep_csv_does_not_depend_on_threads(tmp_path, monkeypatch):
         assert main(argv + ["--threads", threads]) == 0
         digests.add(hashlib.sha256((out / "edof_sweep.csv").read_bytes()).hexdigest())
     assert len(digests) == 1
+
+
+# 6 x 6 wavelengths at a quarter wavelength: 25 x 25 = 625 elements, where the
+# spectrum's bits once moved with the BLAS thread count
+SQUARE_625 = {"len_x": 6, "len_z": 6, "spacing_x": 0.25, "spacing_z": 0.25}
+
+
+def test_csv_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
+    src = str(Path(ris_edof.__file__).resolve().parents[1])
+    runs = {
+        "corr-eigs": write_config(
+            tmp_path, {"geometry_t": SQUARE_625}, "spectrum.json"
+        ),
+        "edof-sweep": write_config(
+            tmp_path, {"geometry_t": SQUARE_625, "realizations": 2}, "sweep.json"
+        ),
+    }
+    digests = {command: set() for command in runs}
+    for blas_threads in (None, "1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        for threads in ("1", "2"):
+            for command, cfg in runs.items():
+                out = tmp_path / f"{command}-{blas_threads}-{threads}"
+                subprocess.run(
+                    [sys.executable, "-m", "ris_edof", command, "--config", str(cfg),
+                     "--threads", threads, "--out", str(out)],
+                    env=env, check=True, capture_output=True,
+                )
+                csv = out / f"{command.replace('-', '_')}.csv"
+                digests[command].add(hashlib.sha256(csv.read_bytes()).hexdigest())
+    assert {command: len(found) for command, found in digests.items()} == {
+        "corr-eigs": 1, "edof-sweep": 1
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, symmetries",
+    [
+        (["corr-eigs", "--config"], ["swap"]),
+        (["reproduce", "--target", "fig3", "--config"], ["swap", "parity", "swap"]),
+    ],
+    ids=["corr-eigs", "fig3"],
+)
+def test_spectrum_jobs_record_their_diagnostics(tmp_path, argv, symmetries):
+    payload = {"geometry_t": TINY["geometry_t"]} if argv[0] == "corr-eigs" else {}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(argv + [str(cfg), "--out", str(out)]) == 0
+    (path,) = out.glob("*_manifest.json")
+    jobs = json.loads(path.read_text())["jobs"]
+    assert [job["extras"]["symmetry"] for job in jobs] == symmetries
+    for job in jobs:
+        extras, geom = job["extras"], RisGeometry(**job["geometry_t"])
+        assert set(extras) == {"symmetry", "blocks", "trace", "min_eigenvalue", "rank"}
+        assert sum(rows * count for rows, count in extras["blocks"]) == geom.n
+        # the trace is R's, whose diagonal is 1
+        assert extras["trace"] == pytest.approx(geom.n, rel=1e-12)
+        values = geometry_spectrum(geom)
+        header, rows = read_csv(out / job["file"])
+        assert [row[1] for row in rows] == [format(v, ".12g") for v in values]
+        assert extras["rank"] == effective_rank(values)
+        # the spectrum is R's eigenvalues over N, a negative one clamped to 0
+        smallest = extras["min_eigenvalue"]
+        if smallest >= 0:
+            assert values[-1] == smallest / geom.n
+        else:
+            assert values[-1] == 0.0 and -smallest <= 1e-10 * geom.n * values[0]
 
 
 def test_corr_eigs_outputs_and_determinism(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 from ris_edof import correlation
 from ris_edof.correlation import (
     PARITIES,
+    Block,
+    SpectrumLog,
+    _blocks,
     _clamp_negative,
     _parity_block,
     effective_rank,
@@ -44,6 +48,11 @@ def parity_blocks(geom: RisGeometry) -> list[np.ndarray]:
     return [_parity_block(table, p_x, p_z) for p_x, p_z in PARITIES]
 
 
+def as_blocks(*matrices: np.ndarray) -> list[Block]:
+    """Blocks that hand over the given matrices, each counted once."""
+    return [Block(m.shape[0], lambda m=m: m) for m in matrices]
+
+
 def test_half_wavelength_pair_is_uncorrelated():
     # neighbours 0.5 wavelengths apart along x
     table = offset_table(RisGeometry(0.5, 0.5, 0.5, 0.5))
@@ -77,11 +86,11 @@ def test_size_guard_names_override():
 
 
 def test_single_element_matrix():
-    assert np.array_equal(eigen_decompose([np.eye(1)]), [1.0])
+    assert np.array_equal(eigen_decompose(as_blocks(np.eye(1))), [1.0])
 
 
 def test_identity_matrix_normalizes_to_quarter(monkeypatch):
-    assert np.array_equal(eigen_decompose([np.eye(3), np.eye(1)]), np.ones(4))
+    assert np.array_equal(eigen_decompose(as_blocks(np.eye(3), np.eye(1))), np.ones(4))
 
     # an offset table with no correlation off the zero offset gives R = I
     def uncorrelated(geom):
@@ -112,7 +121,7 @@ def test_spectrum_sorted_and_sums_to_one(half_spectrum):
 
 def test_trace_matches_sum():
     geom = RisGeometry(2, 2, 0.25, 0.5)
-    values = eigen_decompose(parity_blocks(geom))
+    values = eigen_decompose(as_blocks(*parity_blocks(geom)))
     assert values.sum() == pytest.approx(geom.n, rel=1e-10)
 
 
@@ -121,7 +130,7 @@ def test_sum_off_the_trace_is_refused():
     # past the 1e-10 relative trace check
     block = np.diag([1.0] + [-9e-11] * 100)
     with pytest.raises(NumericError, match="does not match trace"):
-        eigen_decompose([block])
+        eigen_decompose(as_blocks(block))
 
 
 def test_solver_failure_is_a_numeric_error(monkeypatch):
@@ -135,7 +144,7 @@ def test_solver_failure_is_a_numeric_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", fails_past_one_row)
     block = np.array([[2.0, -3.0], [-3.0, 1.0]])
     with pytest.raises(NumericError, match="failed to converge") as info:
-        eigen_decompose([np.eye(1), block])
+        eigen_decompose(as_blocks(np.eye(1), block))
     assert info.value.diagnostics == {
         "block_dim": 2, "fro_norm": math.sqrt(23.0), "max_abs_entry": 3.0,
     }
@@ -156,7 +165,7 @@ def test_non_psd_matrix_rejected():
         [[1.0, 0.9, 0.0], [0.9, 1.0, 0.9], [0.0, 0.9, 1.0]]
     )
     with pytest.raises(NumericError, match="clamp floor"):
-        eigen_decompose([entries])
+        eigen_decompose(as_blocks(entries))
 
 
 def test_clamp_zeroes_rounding_noise_and_refuses_below_floor():
@@ -167,7 +176,7 @@ def test_clamp_zeroes_rounding_noise_and_refuses_below_floor():
 
 
 def test_spectrum_clamps_rounding_noise():
-    assert eigen_decompose([np.diag([1.0, -1e-12])]).tolist() == [1.0, 0.0]
+    assert eigen_decompose(as_blocks(np.diag([1.0, -1e-12]))).tolist() == [1.0, 0.0]
 
 
 def test_spectrum_invariant_under_relabeling():
@@ -175,8 +184,8 @@ def test_spectrum_invariant_under_relabeling():
     dense = dense_correlation(geom)
     rng = np.random.default_rng(3)
     perm = rng.permutation(geom.n)
-    a = eigen_decompose(parity_blocks(geom))
-    b = eigen_decompose([dense[np.ix_(perm, perm)]])
+    a = eigen_decompose(as_blocks(*parity_blocks(geom)))
+    b = eigen_decompose(as_blocks(dense[np.ix_(perm, perm)]))
     assert np.allclose(a, b, rtol=0, atol=1e-9 * a[0])
 
 
@@ -206,6 +215,100 @@ def test_blocked_spectrum_matches_dense_oracle(n_x, n_z, spacing_x, spacing_z):
         assert effective_rank(blocked) == effective_rank(dense)
 
 
+def square(side: int, spacing: float) -> RisGeometry:
+    """A panel of side x side elements."""
+    length = (side - 1) * spacing
+    return RisGeometry(length, length, spacing, spacing)
+
+
+# sides 2 and 3 leave the (-,-) swap-antisymmetric block empty
+@pytest.mark.parametrize("spacing", [0.5, 0.3])
+@pytest.mark.parametrize("side", [2, 3, 4, 5, 8])
+def test_swap_split_matches_dense_oracle(side, spacing):
+    geom = square(side, spacing)
+    log = SpectrumLog()
+    values = geometry_spectrum(geom, log=log)
+    assert log.symmetry == "swap"
+    dense = dense_spectrum(geom)
+    assert np.max(np.abs(values - dense)) <= 1e-12 * dense[0]
+    assert effective_rank(values) == effective_rank(dense)
+
+
+def test_single_element_lattice_has_empty_blocks():
+    # a geometry has at least two elements a side, so this takes the 1 x 1
+    # offset table f[0, 0] = 1 directly: every block but one is empty
+    symmetry, blocks = _blocks(np.ones((1, 1)), square=True)
+    assert symmetry == "swap"
+    assert [(b.rows, b.count) for b in blocks] == [
+        (0, 2), (1, 1), (0, 1), (0, 1), (0, 1)
+    ]
+    assert eigen_decompose(blocks).tolist() == [1.0]
+
+
+@pytest.mark.parametrize(
+    "geom",
+    [RisGeometry(2, 1.5, 0.5, 0.375), RisGeometry(2, 1.5, 0.5, 0.5)],
+    ids=["equal-counts-unequal-spacing", "equal-spacing-unequal-lengths"],
+)
+def test_non_square_panels_keep_the_parity_blocks(geom):
+    log = SpectrumLog()
+    values = geometry_spectrum(geom, log=log)
+    assert log.symmetry == "parity"
+    assert [count for _, count in log.blocks] == [1, 1, 1, 1]
+    dense = dense_spectrum(geom)
+    assert np.max(np.abs(values - dense)) <= 1e-12 * dense[0]
+    assert effective_rank(values) == effective_rank(dense)
+
+
+def test_plus_minus_values_come_in_bitwise_pairs(monkeypatch):
+    geom = square(8, 0.25)
+    solved = []
+    solve = correlation._solve
+
+    def recorded(block):
+        result = solve(block)
+        solved.append((block.count, result[0]))
+        return result
+
+    monkeypatch.setattr(correlation, "_solve", recorded)
+    values = geometry_spectrum(geom)
+    (plus_minus,) = [v for count, v in solved if count == 2]
+    occurrences = Counter(values.tolist())
+    normalized = plus_minus / float(geom.n)
+    for value in normalized[normalized > 0]:
+        assert occurrences[value] >= 2
+    # the swap maps (+,-) onto (-,+), whose block has the same spectrum
+    minus_plus = np.linalg.eigvalsh(_parity_block(offset_table(geom), -1, 1))
+    assert np.max(np.abs(minus_plus - plus_minus)) <= 1e-13 * plus_minus[-1]
+
+
+@pytest.mark.parametrize(
+    "geom, blocks",
+    [
+        (square(8, 0.25), [(16, 2), (10, 1), (6, 1), (10, 1), (6, 1)]),
+        (RisGeometry(2, 1.5, 0.5, 0.5), [(6, 1), (6, 1), (4, 1), (4, 1)]),
+    ],
+    ids=["square", "rectangle"],
+)
+def test_log_matches_direct_computation(geom, blocks):
+    log = SpectrumLog()
+    values = geometry_spectrum(geom, log=log)
+    assert log.blocks == blocks
+    assert sum(rows * count for rows, count in blocks) == geom.n
+    # the blocks' trace is R's, which has a unit diagonal
+    assert log.trace == pytest.approx(np.trace(dense_correlation(geom)), rel=1e-13)
+    dense = np.linalg.eigvalsh(dense_correlation(geom))
+    assert abs(log.min_eigenvalue - dense[0]) <= 1e-12 * dense[-1]
+    assert log.rank == effective_rank(values) == effective_rank(dense[::-1])
+
+
+def test_eigen_decompose_logs_trace_and_smallest_value_before_clamp():
+    log = SpectrumLog()
+    values = eigen_decompose(as_blocks(np.diag([1.0, -1e-12]), np.eye(2)), log)
+    assert values.tolist() == [1.0, 1.0, 1.0, 0.0]
+    assert (log.trace, log.min_eigenvalue) == (3.0 - 1e-12, -1e-12)
+
+
 def test_spectrum_peak_memory_below_half_dense_matrix():
     geom = RisGeometry(8.5, 8.5, 0.25, 0.25)  # 35 x 35 = 1225 elements
     dense_bytes = 8 * geom.n**2
@@ -216,6 +319,24 @@ def test_spectrum_peak_memory_below_half_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes / 2
+
+
+@pytest.mark.parametrize(
+    "geom",
+    [RisGeometry(12, 12, 0.25, 0.25), RisGeometry(9, 9, 1 / 6, 1 / 6)],
+    ids=["12-quarter", "9-sixth"],
+)
+def test_spectrum_peak_memory_within_four_quarter_blocks(geom):
+    # the blocks are built one at a time on two threads, so the peak stays
+    # under four float64 blocks of N/4 rows: 11.5 MB and 18.3 MB here
+    limit = 4 * 8 * (geom.n / 4) ** 2
+    tracemalloc.start()
+    try:
+        geometry_spectrum(geom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
 
 
 def test_effective_rank_examples():
