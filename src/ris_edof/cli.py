@@ -546,14 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="JSON run-config file")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument(
-            "--threads", type=int, default=1,
+            "--threads", type=int,
             help=(
-                "Monte Carlo workers (at most half the CPU count, and at "
-                "least 1); outputs do not depend on it. Each worker runs two "
-                "draws at once, on an OpenBLAS pinned to one thread, so it "
-                "keeps two cores busy: on 2 cores, a second "
-                "worker made fig8 half-lambda --quick no faster (8.7-9.8 s "
-                "against 8.4-9.7 s)"
+                "Monte Carlo workers, at least 1 and at most half the CPU "
+                "count, which is the default; outputs do not depend on it. "
+                "Each worker runs two draws at once, so it keeps two cores "
+                "busy"
             ),
         )
         p.add_argument("--out", type=Path, help="output directory")
@@ -625,12 +623,13 @@ def _run(args: argparse.Namespace) -> int:
         config.seed = _check_seed(args.seed)
     if args.quick:
         config.realizations = QUICK_REALIZATIONS
-    if args.threads < 1:
+    if args.threads is not None and args.threads < 1:
         raise ValidationError(
             f"threads must be >= 1, got {args.threads}", field="threads"
         )
     # each worker runs two draw threads
-    config.threads = min(args.threads, max(1, (os.cpu_count() or 1) // 2))
+    cap = max(1, (os.cpu_count() or 1) // 2)
+    config.threads = min(args.threads or cap, cap)
     if args.allow_large:
         config.max_elements = ALLOW_LARGE_MAX_ELEMENTS
 

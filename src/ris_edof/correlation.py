@@ -13,35 +13,37 @@ n_x x n_z offset table f[a, b] = sinc(2 * hypot(a * dx, b * dz)). The lattice
 is also invariant under the reflections a -> n_x - 1 - a and b -> n_z - 1 - b,
 so R commutes with both and splits exactly into four blocks, one per pair of
 axis parities (p_x, p_z) in {+1, -1}^2. On one axis the parity-p subspace is
-spanned by c * (e_a + p * e_(n-1-a)) for a <= n-1-a, with c = 1/sqrt(2) for a
-mirrored pair and c = 1/2 for the centre of an odd axis (which appears only
-for p = +1). Parity block entry ((a, b), (a', b')) is then
+spanned by e_a + p * e_(n-1-a) for the representatives a <= n-1-a, normalized
+(the centre of an odd axis appears only for p = +1). Parity block entry
+((a, b), (a', b')) is then a weight times
 
-    s_ab * s_a'b' * G(ab, a'b'),
     G(ab, a'b') = f(|a-a'|, |b-b'|) + p_x * f(|a+a'-(n_x-1)|, |b-b'|)
                   + p_z * f(|a-a'|, |b+b'-(n_z-1)|)
-                  + p_x * p_z * f(|a+a'-(n_x-1)|, |b+b'-(n_z-1)|)
+                  + p_x * p_z * f(|a+a'-(n_x-1)|, |b+b'-(n_z-1)|),
 
-with s = 2 * c_x * c_z, gathered from the table by integer offsets.
+gathered from the table by integer offsets.
 
 A square lattice (n_x = n_z and dx = dz) is also invariant under the swap
 (a, b) -> (b, a), which maps the (+,-) parity subspace onto (-,+). Those two
 blocks have one spectrum, so (+,-) is solved once and its eigenvalues count
 twice. The swap acts inside (+,+) and (-,-), which split again into a
 swap-symmetric block on (e_ab + e_ba) for a <= b and a swap-antisymmetric one
-on (e_ab - e_ba) for a < b. Their entries are
+on (e_ab - e_ba) for a < b. Their entries are a weight times
+G(ab, a'b') +- G(ab, b'a'), gathered straight from the table; the full
+parity block is never formed. So a square panel costs one block of about N/4
+rows and four of about N/8, about 1.5 units of N/4-block eigensolve work
+instead of 4.
 
-    u_P * u_P' * s_ab * s_a'b' * [G(ab, a'b') +- G(ab, b'a')]
-
-with u = 1 for a < b and 1/sqrt(2) for a = b, gathered straight from the
-table; the full parity block is never formed. So a square panel costs one
-block of about N/4 rows and four of about N/8, about 1.5 units of N/4-block
-eigensolve work instead of 4.
+One builder, _lattice_block, makes every block from its rows: the (x, z)
+representatives and each row's count h of halves, one for x at an odd axis's
+centre, one for z at one, and one for x = z in a swap-symmetric row. Entry
+(i, j) takes the weight sqrt(1/2)**(h_i + h_j), rounded once, so two halves
+make exactly 1/2 and an uncorrelated lattice (f = 1 at the zero offset, 0
+elsewhere) gives exactly I in every block.
 
 Each block is gathered only when its turn comes and freed once solved. Two
-threads solve the blocks, largest first, with OpenBLAS pinned to one thread
-(`blas.one_thread`), so at most two blocks are alive at once. eigen_decompose
-merges their eigenvalues in the fixed order of the block list, so the
+threads solve the blocks in list order with OpenBLAS pinned to one thread
+(`blas.one_thread`), so at most two blocks are alive at once, and the
 spectrum's bits depend on neither the BLAS thread count nor the CLI's
 --threads.
 """
@@ -124,31 +126,14 @@ def offset_table(geom: RisGeometry) -> np.ndarray:
     return np.sinc(2.0 * np.hypot(dx[:, None], dz[None, :]))
 
 
-def _representatives(n: int, parity: int) -> int:
-    """How many a <= n-1-a span one axis's parity subspace."""
-    return (n + 1) // 2 if parity > 0 else n // 2
-
-
-def _axis_parity(n: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Representatives a <= n-1-a of one axis's parity subspace and their
-    weights sqrt(2) * c (1 for a mirrored pair, 1/sqrt(2) for an odd axis's
-    centre)."""
-    count = _representatives(n, parity)
-    weights = np.ones(count)
-    if parity > 0 and n % 2:
-        weights[-1] = np.sqrt(0.5)
-    return np.arange(count), weights
-
-
 def _gather(
-    table: np.ndarray, x: np.ndarray, z: np.ndarray, p_x: int, p_z: int, *,
-    scale: np.ndarray | None = None, halves: np.ndarray | None = None,
-    swap: int = 0,
+    table: np.ndarray, x: np.ndarray, z: np.ndarray, p_x: int, p_z: int,
+    halves: np.ndarray, swap: int,
 ) -> np.ndarray:
-    """The block whose row i stands for lattice representative (x[i], z[i])
-    with weight scale[i], or sqrt(1/2)**halves[i]: entry (i, j) is the two
-    weights times G(i, j) + swap * G(i, j with x_j and z_j exchanged), G the
-    four reflected table terms. Built a chunk of rows at a time."""
+    """The block whose row i stands for lattice representative (x[i], z[i]):
+    entry (i, j) is sqrt(1/2)**(halves[i] + halves[j]) times G(i, j) + swap *
+    G(i, j with x_j and z_j exchanged), G the four reflected table terms.
+    Built a chunk of rows at a time."""
     n_x, n_z = table.shape
     flat = table.ravel()
     m = x.size
@@ -180,54 +165,40 @@ def _gather(
                         out += flat.take(off_x + off_z)
                     else:
                         out -= flat.take(off_x + off_z)
-        # either product is symmetric bit for bit
-        if halves is None:
-            out *= scale[rows, None] * scale[None, :]
-        else:
-            # sqrt(1/2)**(h_i + h_j) rounded once, so two halves make 1/2
-            out *= _SQRT_HALF_POWERS[halves[rows, None] + halves[None, :]]
+        # sqrt(1/2)**(h_i + h_j) rounded once, so two halves make exactly 1/2
+        # and the block is symmetric bit for bit
+        out *= _SQRT_HALF_POWERS[halves[rows, None] + halves[None, :]]
     return block
 
 
-def _parity_block(table: np.ndarray, p_x: int, p_z: int) -> np.ndarray:
-    """The (p_x, p_z) parity block, rows ordered x representative first."""
+def _lattice_block(
+    table: np.ndarray, p_x: int, p_z: int, swap: int = 0, count: int = 1
+) -> Block:
+    """The (p_x, p_z) parity block, rows (x, z) over both axes'
+    representatives, x first; or, with swap = +1 / -1, the swap-symmetric
+    (x <= z) / -antisymmetric (x < z) half of a square lattice's (p, p)
+    block. Row i's weight is sqrt(1/2)**halves[i], one half each for x at an
+    odd axis's centre, z at one, and x = z in a swap-symmetric row."""
     n_x, n_z = table.shape
-    reps_x, w_x = _axis_parity(n_x, p_x)
-    reps_z, w_z = _axis_parity(n_z, p_z)
-    x = np.repeat(reps_x, reps_z.size)
-    z = np.tile(reps_z, reps_x.size)
-    scale = (w_x[:, None] * w_z[None, :]).ravel()
-    return _gather(table, x, z, p_x, p_z, scale=scale)
-
-
-def _swap_block(table: np.ndarray, parity: int, swap: int) -> np.ndarray:
-    """The swap-symmetric (swap = +1, rows a <= b) or -antisymmetric
-    (swap = -1, rows a < b) half of the (parity, parity) block of a square
-    lattice. A row's weight u_P * s_ab is sqrt(1/2) to the number of its
-    factors below 1: a = b, and a or b at an odd axis's centre."""
-    reps, weights = _axis_parity(table.shape[0], parity)
-    a, b = np.triu_indices(reps.size, 0 if swap > 0 else 1)
-    centre = weights < 1.0
-    halves = (a == b).astype(int) + centre[a] + centre[b]
-    return _gather(table, a, b, parity, parity, halves=halves, swap=swap)
+    # representatives a <= n-1-a per axis: an odd axis's centre only at p = +1
+    reps_x, reps_z = (n_x + (p_x > 0)) // 2, (n_z + (p_z > 0)) // 2
+    if swap:
+        x, z = np.triu_indices(reps_x, 0 if swap > 0 else 1)
+    else:
+        x, z = np.divmod(np.arange(reps_x * reps_z), reps_z)
+    halves = (2 * x == n_x - 1).astype(int) + (2 * z == n_z - 1)
+    halves += (swap > 0) * (x == z)
+    build = partial(_gather, table, x, z, p_x, p_z, halves, swap)
+    return Block(x.size, build, count)
 
 
 def _blocks(table: np.ndarray, square: bool) -> tuple[str, list[Block]]:
     """The symmetry used and the blocks of R, unbuilt, in merge order."""
-    n_x, n_z = table.shape
     if not square:
-        return "parity", [
-            Block(_representatives(n_x, p_x) * _representatives(n_z, p_z),
-                  partial(_parity_block, table, p_x, p_z))
-            for p_x, p_z in PARITIES
-        ]
-    plus, minus = _representatives(n_x, 1), _representatives(n_x, -1)
-    blocks = [Block(plus * minus, partial(_parity_block, table, 1, -1), 2)]
-    for parity, reps in ((1, plus), (-1, minus)):
-        for swap in (1, -1):
-            rows = reps * (reps + swap) // 2  # pairs a <= b, or a < b
-            blocks.append(Block(rows, partial(_swap_block, table, parity, swap)))
-    return "swap", blocks
+        return "parity", [_lattice_block(table, p_x, p_z) for p_x, p_z in PARITIES]
+    return "swap", [_lattice_block(table, 1, -1, count=2)] + [
+        _lattice_block(table, p, p, swap) for p in (1, -1) for swap in (1, -1)
+    ]
 
 
 def _solve(block: Block) -> tuple[np.ndarray, float]:
@@ -253,7 +224,7 @@ def eigen_decompose(
 ) -> np.ndarray:
     """All eigenvalues of the real symmetric matrix whose diagonal blocks are
     `blocks`, each counted `count` times, merged in non-increasing order.
-    SOLVER_THREADS threads build and solve the blocks, largest first, on one
+    SOLVER_THREADS threads build and solve the blocks in list order, on one
     BLAS thread each.
 
     Small negative eigenvalues (rounding noise from the PSD kernel) are
@@ -262,11 +233,8 @@ def eigen_decompose(
     `log`, when given, receives the trace and the smallest eigenvalue before
     the clamp.
     """
-    order = sorted(range(len(blocks)), key=lambda i: -blocks[i].rows)
-    parts = [None] * len(blocks)
     with blas.one_thread(), ThreadPoolExecutor(SOLVER_THREADS) as pool:
-        for i, part in zip(order, pool.map(_solve, [blocks[i] for i in order])):
-            parts[i] = part
+        parts = list(pool.map(_solve, blocks))
 
     merged = [v for block, (v, _) in zip(blocks, parts) for _ in range(block.count)]
     values = np.sort(np.concatenate(merged))[::-1]

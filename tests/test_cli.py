@@ -282,6 +282,22 @@ def test_edof_sweep_csv_does_not_depend_on_threads(tmp_path, monkeypatch):
     assert len(digests) == 1
 
 
+def test_threads_default_to_the_cap(tmp_path, monkeypatch):
+    # 4 CPUs cap the workers at 2; a run without --threads takes the cap and
+    # writes the bytes of one worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    cfg = write_config(tmp_path, dict(TINY, geometry_r=HALF_2, realizations=5))
+    runs = {"default": [], "one": ["--threads", "1"]}
+    for name, flags in runs.items():
+        argv = ["edof-sweep", "--config", str(cfg), "--out", str(tmp_path / name)]
+        assert main(argv + flags) == 0
+    default, one = (tmp_path / name for name in runs)
+    manifest = json.loads((default / "edof_sweep_manifest.json").read_text())
+    assert manifest["config"]["threads"] == 2
+    csv = "edof_sweep.csv"
+    assert (default / csv).read_bytes() == (one / csv).read_bytes()
+
+
 # 6 x 6 wavelengths at a quarter wavelength: 25 x 25 = 625 elements, where the
 # spectrum's bits once moved with the BLAS thread count
 SQUARE_625 = {"len_x": 6, "len_z": 6, "spacing_x": 0.25, "spacing_z": 0.25}

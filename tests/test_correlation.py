@@ -14,7 +14,7 @@ from ris_edof.correlation import (
     SpectrumLog,
     _blocks,
     _clamp_negative,
-    _parity_block,
+    _lattice_block,
     effective_rank,
     eigen_decompose,
     geometry_spectrum,
@@ -45,7 +45,7 @@ def dense_spectrum(geom: RisGeometry) -> np.ndarray:
 
 def parity_blocks(geom: RisGeometry) -> list[np.ndarray]:
     table = offset_table(geom)
-    return [_parity_block(table, p_x, p_z) for p_x, p_z in PARITIES]
+    return [_lattice_block(table, p_x, p_z).build() for p_x, p_z in PARITIES]
 
 
 def as_blocks(*matrices: np.ndarray) -> list[Block]:
@@ -101,6 +101,14 @@ def test_identity_matrix_normalizes_to_quarter(monkeypatch):
     monkeypatch.setattr(correlation, "offset_table", uncorrelated)
     values = geometry_spectrum(RisGeometry(0.5, 0.5, 0.5, 0.5))
     assert np.array_equal(values, [0.25] * 4)
+
+    # so every block is exactly I, also where an odd axis's centre or a
+    # swap-symmetric diagonal row weighs sqrt(1/2)
+    for shape in [(5, 3), (4, 6), (5, 5), (7, 7)]:
+        table = np.zeros(shape)
+        table[0, 0] = 1.0
+        for block in _blocks(table, square=shape[0] == shape[1])[1]:
+            assert np.array_equal(block.build(), np.eye(block.rows)), shape
 
 
 def test_flagship_spot_values(half_spectrum):
@@ -278,7 +286,8 @@ def test_plus_minus_values_come_in_bitwise_pairs(monkeypatch):
     for value in normalized[normalized > 0]:
         assert occurrences[value] >= 2
     # the swap maps (+,-) onto (-,+), whose block has the same spectrum
-    minus_plus = np.linalg.eigvalsh(_parity_block(offset_table(geom), -1, 1))
+    block = _lattice_block(offset_table(geom), -1, 1).build()
+    minus_plus = np.linalg.eigvalsh(block)
     assert np.max(np.abs(minus_plus - plus_minus)) <= 1e-13 * plus_minus[-1]
 
 
