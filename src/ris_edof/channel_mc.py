@@ -10,6 +10,20 @@ matrix with `blas.gram` and takes its eigenvalues with `blas.eigvalsh`,
 which pick the library (numpy's OpenBLAS LAPACK, or numpy.linalg; see
 `blas`).
 
+Precision: the ensemble runs A, its Gram matrix and the eigensolve in the
+`dtype` it is given, complex128 by default. The normals and their scaling
+are float64 either way, so a complex64 A is the complex128 one rounded once,
+and realization i is the same draw of H in both precisions. Only the EDoF
+products (`edof-sweep`, `capacity-curve` and the figures built on them) ask
+for complex64, and only after a gate: the CLI solves the run's first two
+draws in both precisions and keeps complex128 unless the two mean profiles
+give the same EDoF within 0.01 at every point of the run's SNR grid.
+`channel-eigs`, `bounds-audit` and every library caller stay in complex128:
+in float32 nothing below about 1e-7 of the largest eigenvalue is resolved,
+so their per-index tail values would be 5-32% off. A float32 solve's
+rounding negatives are far above 1e-10 of the largest value, so the clamp
+floor grows with the precision (`correlation._clamp_negative`).
+
 Each worker runs two threads that each run whole draws. The draw stage
 takes the Philox normals into reused buffers, scales them into A and forms
 its Gram matrix; the solve takes its eigenvalues and clamps the rounding
@@ -65,15 +79,15 @@ class EigStats:
 class _Draws:
     """One worker's draw stage: realization i's normals from the Philox
     stream keyed by (seed, i), the real parts then the imaginary parts, each
-    scaled by sqrt(1/2), then sqrt(Dr_n), then sqrt(Dt_n) into A, and A's
-    Gram matrix. The worker's two threads share the normals and A under
+    scaled by sqrt(1/2), then sqrt(Dr_n), then sqrt(Dt_n) in float64 and
+    rounded once into A, of the ensemble's dtype, and A's Gram matrix. The worker's two threads share the normals and A under
     `lock`."""
 
-    def __init__(self, dt: np.ndarray, dr: np.ndarray, seed: int):
+    def __init__(self, dt: np.ndarray, dr: np.ndarray, seed: int, dtype):
         self.seed = seed
         self.sqrt_dt, self.sqrt_dr = np.sqrt(dt), np.sqrt(dr)[:, None]
         self.part = np.empty((dr.size, dt.size))
-        self.a = np.empty((dr.size, dt.size), dtype=complex)
+        self.a = np.empty((dr.size, dt.size), dtype=dtype)
         self.lock = threading.Lock()
 
     def __call__(self, index: int, gram: np.ndarray) -> np.ndarray:
@@ -92,7 +106,7 @@ def _draw_and_solve(draws: _Draws, indices: range, samples: np.ndarray):
     """Draw and solve the listed realizations into their rows of
     ``samples``, one after the other, on this thread's own Gram matrix."""
     n = min(draws.a.shape)
-    gram = np.empty((n, n), dtype=complex)
+    gram = np.empty((n, n), dtype=draws.a.dtype)
     for index in indices:
         values = blas.eigvalsh(draws(index, gram))
         row = _clamp_negative(values[::-1], "composite eigenvalue")
@@ -106,6 +120,8 @@ def ensemble_from_spectra(
     seed: int,
     *,
     threads: int = 1,
+    dtype=np.complex128,
+    head: np.ndarray | None = None,
 ) -> ChannelEnsemble:
     """Monte Carlo ensemble over H for fixed normalized spectra.
 
@@ -113,7 +129,10 @@ def ensemble_from_spectra(
     solve (they contribute nothing at double precision); each row is
     zero-padded back to length len(dr). Each of `threads` workers runs two
     threads over every (2 * threads)-th realization each, with OpenBLAS
-    pinned to one thread for the whole ensemble.
+    pinned to one thread for the whole ensemble. `dtype`, complex128 or
+    complex64, is the precision of A, its Gram matrix and the eigensolve.
+    `head`, when given, holds rows 0, 1, ... of this same ensemble, solved
+    before at the same seed and dtype; they are copied in, not drawn again.
     """
     if realizations < 1:
         raise ValidationError(
@@ -130,16 +149,21 @@ def ensemble_from_spectra(
                 field=name,
             )
     samples = np.zeros((realizations, dr.size))
-    workers = min(threads, realizations)
-    draws = [_Draws(dt_used, dr_used, seed) for _ in range(workers)]
+    first = 0 if head is None else len(head)
+    samples[:first] = head
+    todo = realizations - first
+    if todo == 0:
+        return ChannelEnsemble(samples, dt, dr)
+    workers = min(threads, todo)
+    draws = [_Draws(dt_used, dr_used, seed, dtype) for _ in range(workers)]
     # fewer than 2 * workers draws leave one draw per thread
-    runners = min(2 * workers, realizations)
+    runners = min(2 * workers, todo)
     with blas.one_thread(), ThreadPoolExecutor(max_workers=runners) as pool:
         runs = [
             pool.submit(
                 _draw_and_solve,
                 draws[k % workers],
-                range(k, realizations, runners),
+                range(first + k, realizations, runners),
                 samples,
             )
             for k in range(runners)

@@ -40,6 +40,7 @@ from .edof import (
     capacity_curve,
     capacity_degradation,
     snr_db_to_linear,
+    solve_edof,
 )
 from .errors import NumericError, SizeGuardError, ValidationError
 from .geometry import RisGeometry, asymptotic_dof
@@ -65,6 +66,19 @@ MAX_GRID_POINTS = 10_001
 # holds realizations x N_r eigenvalues (0.5 GB at the cap for that panel), so
 # a far larger count would otherwise fail on allocation.
 MAX_REALIZATIONS = 100_000
+# The EDoF products draw in complex64 when the mean profiles of the run's
+# first GATE_DRAWS draws, solved in both precisions, give EDoF within
+# GATE_TOL of each other at every point of the run's SNR grid, and in
+# complex128 otherwise. Draw i depends only on (seed, i), so the gate's
+# draws are the ensemble's first rows in either precision. Measured at seed
+# 42 on 12-wavelength panels at half a wavelength, the two differ by 1.6e-4
+# at 40 dB but by 7.3e-2 at 80 dB and 4.2e-2 at 100 dB, where float32 no
+# longer resolves the tail that a square panel's Gram matrix reaches down to
+# 0; not monotonically in SNR, so the gate checks every grid point.
+GATE_DRAWS = 2
+GATE_TOL = 0.01
+# The extras of a Monte Carlo job that ran in complex128 without the gate.
+UNGATED = {"precision": "complex128", "gate_delta_edof": None, "gate_snr_db": None}
 
 # Reference-dataset columns: element spacings (x, z) in wavelengths.
 COLUMN_SPACINGS = {
@@ -372,12 +386,46 @@ def _ensemble(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
     )
 
 
+def _precision_gate(double: np.ndarray, single: np.ndarray, nt_nr: float,
+                    snr_grid_db) -> tuple[float, float]:
+    """The largest |n_s*| difference over the SNR grid between the mean
+    profiles of the same first draws solved in complex128 (``double``'s
+    rows) and in complex64 (``single``'s), and the SNR where it fell."""
+    profiles = [EigenvalueProfile.from_values(rows.mean(axis=0))
+                for rows in (double, single)]
+    worst, at = -1.0, None
+    for snr_db in snr_grid_db:
+        rho = snr_db_to_linear(snr_db)
+        delta = abs(solve_edof(profiles[0], rho, nt_nr).n_s_star
+                    - solve_edof(profiles[1], rho, nt_nr).n_s_star)
+        if delta > worst:
+            worst, at = delta, snr_db
+    return worst, at
+
+
 def _mean_profile(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
-    """Monte Carlo mean eigenvalue profile and n_t * n_r."""
-    ensemble = _ensemble(config, geom_t, geom_r)
-    stats = ensemble_stats(ensemble)
-    profile = EigenvalueProfile.from_values(stats.mean_profile)
-    return profile, float(ensemble.dt.size * ensemble.dr.size)
+    """Monte Carlo mean eigenvalue profile, n_t * n_r and the extras that
+    say which precision the draws ran in and why (see GATE_TOL). A run of
+    no more than GATE_DRAWS draws runs them in complex128 without the
+    gate."""
+    dt, dr = _spectra(config, geom_t, geom_r)
+    nt_nr = float(dt.size * dr.size)
+
+    def draw(realizations, dtype, head=None):
+        return ensemble_from_spectra(dt, dr, realizations, config.seed,
+                                     threads=config.threads, dtype=dtype, head=head)
+
+    extras, dtype, head = UNGATED, np.complex128, None
+    if config.realizations > GATE_DRAWS:
+        double, single = (draw(GATE_DRAWS, d).eig_samples
+                          for d in (np.complex128, np.complex64))
+        delta, at = _precision_gate(double, single, nt_nr, config.snr_grid_db)
+        dtype, head = ((np.complex64, single) if delta <= GATE_TOL
+                       else (np.complex128, double))
+        extras = {"precision": np.dtype(dtype).name, "gate_delta_edof": delta,
+                  "gate_snr_db": at}
+    stats = ensemble_stats(draw(config.realizations, dtype, head))
+    return EigenvalueProfile.from_values(stats.mean_profile), nt_nr, extras
 
 
 # Products: (config, geom_t, geom_r) -> (header, rows, the job's extras).
@@ -392,7 +440,7 @@ def _spectrum(config, geom_t, geom_r):
 def _mean_std(config, geom_t, geom_r):
     stats = ensemble_stats(_ensemble(config, geom_t, geom_r))
     rows = _indexed(stats.mean_profile, stats.std_profile)
-    return ["k", "mean", "std"], rows, {"eigsum_mean": stats.eigsum_mean}
+    return ["k", "mean", "std"], rows, {"eigsum_mean": stats.eigsum_mean, **UNGATED}
 
 
 def _bounds_report(config, geom_t, geom_r):
@@ -404,6 +452,7 @@ def _bounds_report(config, geom_t, geom_r):
         "regime": table.regime,
         "slack": slack,
         "violation_count": len(violations),
+        **UNGATED,
     }
     header = ["k", "realization", "value", "bound", "kind"]
     return header, [astuple(v) for v in violations], extras
@@ -445,14 +494,14 @@ def _cdf(config, geom_t, geom_r):
 def _capacity_curves(config, geom_t, geom_r):
     """(snr_db, n_s, capacity, normalized capacity) for every n_s at every
     point of the SNR grid."""
-    profile, nt_nr = _mean_profile(config, geom_t, geom_r)
+    profile, nt_nr, extras = _mean_profile(config, geom_t, geom_r)
     rows = []
     for snr_db in config.snr_grid_db:
         counts, caps, normalized = capacity_curve(
             profile, snr_db_to_linear(snr_db), nt_nr
         )
         rows += [(snr_db, *row) for row in zip(counts.tolist(), caps, normalized)]
-    return ["snr_db", "n_s", "capacity", "normalized_capacity"], rows, {}
+    return ["snr_db", "n_s", "capacity", "normalized_capacity"], rows, extras
 
 
 def _sweep(config, geom_t, geom_r):
@@ -464,7 +513,7 @@ def _sweep(config, geom_t, geom_r):
             "wavelengths)",
             field="geometry_t",
         )
-    profile, nt_nr = _mean_profile(config, geom_t, geom_r)
+    profile, nt_nr, extras = _mean_profile(config, geom_t, geom_r)
     results = capacity_degradation(profile, nt_nr, config.snr_grid_db, dof_ref)
     rows = [
         (
@@ -479,7 +528,8 @@ def _sweep(config, geom_t, geom_r):
         for row in results
     ]
     # one clip for the whole grid: dof_ref above the profile's rank
-    extras = {"profile_rank": profile.rank, "ref_clipped": results[0].ref_clipped}
+    extras = {"profile_rank": profile.rank, "ref_clipped": results[0].ref_clipped,
+              **extras}
     return SWEEP_HEADER, rows, extras
 
 

@@ -63,15 +63,29 @@ from .geometry import RisGeometry
 
 # Eigenvalues of R, or of a composite channel draw, more negative than
 # NEGATIVE_CLAMP_REL times the largest indicate a broken matrix rather than
-# rounding noise and are treated as an error.
+# rounding noise and are treated as an error. A solve in single precision
+# rounds far more than that, so the floor is at least CLAMP_ULPS * n * eps of
+# the values' dtype: above 1e-10 only in float32, or past 112,000 values.
 NEGATIVE_CLAMP_REL = 1e-10
+CLAMP_ULPS = 4
 
 
 def _clamp_negative(values: np.ndarray, what: str) -> np.ndarray:
     """Non-increasing eigenvalues with their rounding-noise negatives set to
-    zero; a value below -NEGATIVE_CLAMP_REL * max(largest, 0) raises."""
+    zero; a value below -rel * max(largest, 0) raises, with rel the larger
+    of NEGATIVE_CLAMP_REL and CLAMP_ULPS * n * eps(dtype) for n values.
+
+    The correlation spectrum and every complex128 draw are float64, where
+    rel is NEGATIVE_CLAMP_REL. Only the EDoF products' draws may run in
+    complex64, when the gate on the run's first draws allows it (see
+    `ris_edof.cli`); their float32 values at rank 624 get rel = 3.0e-4. Over
+    10 complex64 draws at 12 wavelengths and half a wavelength (rank 624),
+    rounding left negatives down to -5.5e-10 of the largest value, past the
+    float64 floor, on the square Gram matrix whose spectrum reaches down
+    to 0."""
     top = max(float(values[0]), 0.0)
-    floor = -NEGATIVE_CLAMP_REL * top
+    rel = max(NEGATIVE_CLAMP_REL, CLAMP_ULPS * values.size * np.finfo(values.dtype).eps)
+    floor = -rel * top
     if values[-1] < floor:
         raise NumericError(
             f"{what} {values[-1]:.3e} below clamp floor {floor:.3e}",

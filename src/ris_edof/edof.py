@@ -8,9 +8,11 @@ The discrete capacity of n_s subchannels at linear receive SNR rho is
 with gamma_k the mean eigenvalue profile of the normalized composite
 channel. Its continuous counterpart h(N_s) integrates the same integrand
 over a monotone piecewise-linear interpolant gamma(x); the EDoF is the
-maximizer of h over [1, rank], located by one golden-section search, since
-h is unimodal (below). The stationarity condition alone does not locate
-it: flat spectra put the optimum on the boundary.
+maximizer of h over [1, rank]. h is unimodal (below): h' changes sign at
+most once, from + to -, so the maximizer is the bracketed root of h', or
+rank when h' is still >= 0 there. A root of h' is fixed to near machine
+precision, where h itself, flat at its top, would resolve the maximizer
+only to about sqrt(eps) * rank.
 
 h is the exact integral of the interpolant. gamma is linear between unit
 knots, so with a = rho * n_t * n_r / N_s the gain u = a * gamma is linear
@@ -54,7 +56,7 @@ with v > 0. A zero with v = 0 needs gamma = 0 on [1, x], so gamma_1 = 0,
 which from_values refuses. Hence S changes sign at most once, from + to -,
 for every non-increasing gamma >= 0 with gamma_1 > 0 and rho > 0: h rises
 to its maximum, then falls. At rho = 0 or gamma_1 = 0, h is 0 everywhere,
-and the search, which keeps the left point on ties, returns the left end.
+and the solve returns the left end.
 """
 
 import math
@@ -67,7 +69,9 @@ from .errors import NumericError, ValidationError
 
 LN2 = math.log(2.0)
 
-GOLDEN_TOL = 1e-6
+# The root of h' is fixed to a bracket narrower than ROOT_XTOL + ROOT_RTOL * x.
+ROOT_XTOL = 1e-12
+ROOT_RTOL = 4 * np.finfo(float).eps
 
 
 @dataclass
@@ -191,8 +195,7 @@ def h_and_derivative(
     """Continuous capacity h(n_s) and its derivative, both exact for the
     interpolant (see the module docstring).
 
-    h comes from _h, as in the golden-section search, so it has the same
-    bits at n_s. The derivative is the boundary term
+    h comes from _h. The derivative is the boundary term
     log2(1 + a * gamma(n_s)) minus the integral of the saturation term
     u / (1 + u), divided by n_s * ln 2, since a = rho * nt_nr / n_s.
     """
@@ -208,47 +211,61 @@ def h_and_derivative(
     return h, float(dh)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer of a unimodal f on [lo, hi]. On a tie the
-    left point is kept, so a constant f gives the left end."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    inv_phi_sq = (3.0 - math.sqrt(5.0)) / 2.0
-    span = hi - lo
-    if span <= tol:
-        return 0.5 * (lo + hi)
-    steps = int(math.ceil(math.log(tol / span) / math.log(inv_phi)))
-    c = lo + inv_phi_sq * span
-    d = lo + inv_phi * span
-    yc, yd = f(c), f(d)
-    for _ in range(steps):
-        if yc >= yd:
-            hi, d, yd = d, c, yc
-            span *= inv_phi
-            c = lo + inv_phi_sq * span
-            yc = f(c)
+def _root(f, lo: float, hi: float, f_lo: float, f_hi: float):
+    """The root of f between lo and hi, where f(lo) and f(hi) have opposite
+    signs, and f there, by Chandrupatla's method: inverse quadratic
+    interpolation through the last three points where it is safe, and
+    bisection otherwise, on a bracket that shrinks every step. It stops once
+    the bracket is narrower than ROOT_XTOL + ROOT_RTOL * |x| and returns the
+    end with the smaller |f|."""
+    x1, f1, x2, f2 = hi, f_hi, lo, f_lo  # x1 is the newest point
+    t = 0.5
+    while True:
+        x = x1 + t * (x2 - x1)
+        fx = f(x)
+        if (fx < 0.0) == (f1 < 0.0):
+            x3, f3 = x1, f1
         else:
-            lo, c, yc = c, d, yd
-            span *= inv_phi
-            d = lo + inv_phi * span
-            yd = f(d)
-    return 0.5 * (lo + hi)
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, fx
+        xm, fm = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
+        tol = ROOT_XTOL + ROOT_RTOL * abs(xm)
+        width = abs(x2 - x1)
+        if fm == 0.0 or width < tol:
+            return xm, fm
+        # x3 lies beyond x1, and f3 has the sign of f1
+        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        if 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
+            t = (f1 / (f1 - f2) * f3 / (f3 - f2)
+                 - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3))
+        else:
+            t = 0.5
+        edge = 0.5 * tol / width
+        t = min(max(t, edge), 1.0 - edge)
 
 
 def solve_edof(profile: EigenvalueProfile, rho: float, nt_nr: float) -> EdofResult:
     """Maximize h over [1, rank] and report the EDoF.
 
-    h is unimodal (see the module docstring), so one golden-section search
-    over the whole range finds its maximizer. The integer EDoF is the
-    rounded continuous optimum, locally hill-climbed on the discrete
-    capacity so it always sits on a discrete local maximum.
+    h is unimodal (see the module docstring): h' > 0 at 1 unless h is 0
+    everywhere, which gives 1, and h' changes sign at most once. So the
+    maximizer is rank when h'(rank) >= 0, and otherwise the root of h'
+    bracketed by [1, rank]. The integer EDoF is the rounded continuous
+    optimum, locally hill-climbed on the discrete capacity so it always sits
+    on a discrete local maximum.
     """
     rank = profile.rank
 
-    def h_of(x: float) -> float:
-        return _h(profile, rho, nt_nr, x)[0]
+    def dh(x: float) -> float:
+        return h_and_derivative(profile, rho, nt_nr, x)[1]
 
-    n_star = _golden_max(h_of, 1.0, float(rank), GOLDEN_TOL)
-    _, residual = h_and_derivative(profile, rho, nt_nr, n_star)
+    n_star, residual = 1.0, dh(1.0)
+    if residual > 0.0:
+        d_rank = dh(float(rank))
+        if d_rank >= 0.0:
+            n_star, residual = float(rank), d_rank
+        else:
+            n_star, residual = _root(dh, 1.0, float(rank), residual, d_rank)
 
     n_int = int(round(n_star))  # n_star lies in [1, rank], so n_int does too
     cap = capacity(profile, rho, nt_nr, n_int)

@@ -13,11 +13,16 @@ from scipy import stats as scipy_stats
 from ris_edof import blas
 from ris_edof.blas import composite_kernel
 from ris_edof.channel_mc import ChannelEnsemble, ensemble_from_spectra, ensemble_stats
-from ris_edof.correlation import effective_rank, geometry_spectrum
+from ris_edof.correlation import _clamp_negative, effective_rank, geometry_spectrum
 from ris_edof.errors import NumericError, ValidationError
 from ris_edof.geometry import RisGeometry
 
 SMALL = RisGeometry(3, 3, 0.5, 0.5)  # 49 elements
+PRECISIONS = (np.complex128, np.complex64)
+LAPACK_ROUTINES = {
+    "complex128": ["zherk", "zheev_2stage"],
+    "complex64": ["cherk", "cheev_2stage"],
+}
 
 
 def mc(geom_t, geom_r, realizations, seed, threads=1):
@@ -84,9 +89,10 @@ def test_trace_identity_per_realization():
     assert eigs.sum() == pytest.approx(direct, rel=1e-9)
 
 
-def dense_gram_eigs(dt, dr, hw):
-    """Oracle: ascending eigvalsh of the smaller-side dense Gram product."""
-    a = np.sqrt(dr)[:, None] * hw * np.sqrt(dt)[None, :]
+def dense_gram_eigs(dt, dr, hw, dtype=np.complex128):
+    """Oracle: ascending eigvalsh of the smaller-side dense Gram product,
+    with A formed in float64 and rounded once to ``dtype``."""
+    a = (np.sqrt(dr)[:, None] * hw * np.sqrt(dt)[None, :]).astype(dtype)
     gram = a.conj().T @ a if dt.size < dr.size else a @ a.conj().T
     return np.linalg.eigvalsh(gram)
 
@@ -106,25 +112,56 @@ DRAWS = {
 
 @pytest.mark.parametrize("dt, dr", DRAWS.values(), ids=DRAWS.keys())
 def test_kernel_path_matches_dense_eigvalsh(lapack, dt, dr):
-    eigs = ensemble_from_spectra(dt, dr, 1, 3).eig_samples[0]
     oracle = dense_gram_eigs(dt, dr, hw_draw(3, 0, dr.size, dt.size))[::-1]
     n = min(dt.size, dr.size)
-    assert composite_kernel()["routines"] == ["zherk", "zheev_2stage"]
-    assert np.max(np.abs(eigs[:n] - oracle)) <= 1e-13 * oracle[0]
-    assert np.all(eigs[n:] == 0.0)
+    assert composite_kernel()["routines"] == LAPACK_ROUTINES
+    for dtype in PRECISIONS:
+        eigs = ensemble_from_spectra(dt, dr, 1, 3, dtype=dtype).eig_samples[0]
+        # 1e-13 in complex128; in complex64 a few ulps per dimension
+        tol = max(1e-13, 4 * n * np.finfo(dtype).eps)
+        assert np.max(np.abs(eigs[:n] - oracle)) <= tol * oracle[0], dtype
+        assert np.all(eigs[n:] == 0.0)
 
 
 def test_fallback_runs_without_kernels(monkeypatch):
     dt, dr = DRAWS["tall"]
     monkeypatch.setattr(blas, "load", lambda: None)
-    eigs = ensemble_from_spectra(dt, dr, 2, 3).eig_samples[1]
+    pair = ["matmul", "eigvalsh"]
     assert composite_kernel() == {
-        "library": "numpy.linalg", "routines": ["matmul", "eigvalsh"],
+        "library": "numpy.linalg",
+        "routines": {"complex128": pair, "complex64": pair},
         "blas_threads": None,
     }
-    oracle = dense_gram_eigs(dt, dr, hw_draw(3, 1, dr.size, dt.size))[::-1]
-    assert np.array_equal(eigs[: dt.size], np.maximum(oracle, 0.0))
-    assert np.all(eigs[dt.size:] == 0.0)
+    for dtype in PRECISIONS:
+        eigs = ensemble_from_spectra(dt, dr, 2, 3, dtype=dtype).eig_samples[1]
+        hw = hw_draw(3, 1, dr.size, dt.size)
+        oracle = dense_gram_eigs(dt, dr, hw, dtype)[::-1]
+        assert oracle.dtype == np.finfo(dtype).dtype
+        assert np.array_equal(eigs[: dt.size], np.maximum(oracle, 0.0))
+        assert np.all(eigs[dt.size:] == 0.0)
+
+
+@pytest.mark.parametrize("dtype", PRECISIONS)
+@pytest.mark.parametrize("loader", ["lapack", "numpy"])
+def test_clamp_raises_on_a_gram_that_is_not_psd(monkeypatch, loader, dtype):
+    # -0.01 of the largest eigenvalue is far below the float32 floor of
+    # 4 * 2 * eps32 = 9.5e-7 for two values, so it raises in both precisions;
+    # -1e-7 is rounding noise in float32 but not in float64
+    if loader == "numpy":
+        monkeypatch.setattr(blas, "load", lambda: None)
+    elif blas.load() is None:
+        pytest.skip("numpy's BLAS does not export the LAPACK routines")
+    for low, raises in ((-1e-2, True), (-1e-7, dtype == np.complex128)):
+        gram = np.diag([1.0, low]).astype(dtype)
+        values = blas.eigvalsh(gram)[::-1]
+        assert values.dtype == np.finfo(dtype).dtype
+        if raises:
+            with pytest.raises(NumericError, match="below clamp floor"):
+                _clamp_negative(values, "composite eigenvalue")
+        else:
+            assert np.array_equal(
+                _clamp_negative(values, "composite eigenvalue"), [1.0, 0.0]
+            )
 
 
 OPENBLAS_SYMBOLS = (
@@ -132,6 +169,8 @@ OPENBLAS_SYMBOLS = (
     "scipy_zheev_2stage_64_",
     "scipy_openblas_get_num_threads64_",
     "scipy_openblas_set_num_threads64_",
+    "scipy_cherk_64_",
+    "scipy_cheev_2stage_64_",
 )
 
 
@@ -145,8 +184,8 @@ def uncached_load():
 
 
 @pytest.mark.parametrize(
-    "missing", [None, OPENBLAS_SYMBOLS[2], OPENBLAS_SYMBOLS[3]],
-    ids=["all-four", "no-getter", "no-setter"],
+    "missing", [None, *OPENBLAS_SYMBOLS[2:]],
+    ids=["all-four", "no-getter", "no-setter", "no-cherk", "no-cheev"],
 )
 def test_load_needs_the_thread_count_functions(monkeypatch, uncached_load, missing):
     def cdll(path):
@@ -247,21 +286,27 @@ def test_worker_count_does_not_change_results(
     geom_t, geom_r, monkeypatch, fast_switching
 ):
     dt, dr = geometry_spectrum(geom_t), geometry_spectrum(geom_r)
-    # the LAPACK kernels, then the numpy fallback
+    # the LAPACK kernels, then the numpy fallback, each in both precisions
     for loader in (blas.load, lambda: None):
         monkeypatch.setattr(blas, "load", loader)
-        oracle = serial_ensemble(dt, dr, 11, 9)
-        # 1-3 draws leave some of the 2 * threads threads without a draw; 11
-        # split unevenly over 2, 4 and 6 threads
-        for realizations in (1, 2, 3, 11):
-            for threads in (1, 2, 3):
-                ensemble = ensemble_from_spectra(
-                    dt, dr, realizations, 9, threads=threads
-                )
-                assert np.array_equal(
-                    ensemble.eig_samples, oracle[:realizations]
-                ), (loader, realizations, threads)
-        assert np.all(oracle[:, geom_t.n:] == 0.0)
+        for dtype in PRECISIONS:
+            oracle = serial_ensemble(dt, dr, 11, 9, dtype)
+            # 1-3 draws leave some of the 2 * threads threads without a draw;
+            # 11 split unevenly over 2, 4 and 6 threads; rows 0-1 solved
+            # before and passed as the head are copied, the rest drawn
+            for realizations in (1, 2, 3, 11):
+                for threads in (1, 2, 3):
+                    for head in (None, oracle[:2]):
+                        if head is not None and realizations < 2:
+                            continue
+                        ensemble = ensemble_from_spectra(
+                            dt, dr, realizations, 9, threads=threads,
+                            dtype=dtype, head=head,
+                        )
+                        assert np.array_equal(
+                            ensemble.eig_samples, oracle[:realizations]
+                        ), (loader, dtype, realizations, threads, head is None)
+            assert np.all(oracle[:, geom_t.n:] == 0.0)
 
 
 LAYERS = ("correlation", "channel_mc", "edof", "analytic_cdf", "cli")

@@ -10,10 +10,13 @@ import pytest
 
 import ris_edof
 from ris_edof import analytic_cdf, blas
+from ris_edof import cli
 from ris_edof.cli import (
     DESK_COLUMNS,
+    GATE_TOL,
     MAX_GRID_POINTS,
     MAX_REALIZATIONS,
+    UNGATED,
     main,
     parse_config,
 )
@@ -309,8 +312,10 @@ def test_csv_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
         "corr-eigs": write_config(
             tmp_path, {"geometry_t": SQUARE_625}, "spectrum.json"
         ),
+        # three draws: more than the precision gate takes, so the sweep's
+        # draws run in complex64
         "edof-sweep": write_config(
-            tmp_path, {"geometry_t": SQUARE_625, "realizations": 2}, "sweep.json"
+            tmp_path, {"geometry_t": SQUARE_625, "realizations": 3}, "sweep.json"
         ),
     }
     digests = {command: set() for command in runs}
@@ -329,6 +334,8 @@ def test_csv_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
                 )
                 csv = out / f"{command.replace('-', '_')}.csv"
                 digests[command].add(hashlib.sha256(csv.read_bytes()).hexdigest())
+    sweep = json.loads((tmp_path / "edof-sweep-2-2" / "edof_sweep_manifest.json").read_text())
+    assert sweep["jobs"][0]["extras"]["precision"] == "complex64"
     assert {command: len(found) for command, found in digests.items()} == {
         "corr-eigs": 1, "edof-sweep": 1
     }
@@ -442,7 +449,8 @@ def test_bounds_audit_rows_lie_outside_their_bounds(tmp_path):
         "extras"
     ]
     assert extras == {
-        "regime": "nt_much_less", "slack": 0.0, "violation_count": len(rows)
+        "regime": "nt_much_less", "slack": 0.0, "violation_count": len(rows),
+        **UNGATED,
     }
     assert rows
     for k, realization, value, bound, kind in rows:
@@ -850,7 +858,10 @@ def _manifests_record(tmp_path, expected):
 def test_manifest_records_lapack_kernel(tmp_path, lapack):
     expected = {
         "library": lapack.library,
-        "routines": ["zherk", "zheev_2stage"],
+        "routines": {
+            "complex128": ["zherk", "zheev_2stage"],
+            "complex64": ["cherk", "cheev_2stage"],
+        },
         "blas_threads": 1,
     }
     _manifests_record(tmp_path, expected)
@@ -858,9 +869,10 @@ def test_manifest_records_lapack_kernel(tmp_path, lapack):
 
 def test_manifest_records_numpy_fallback(tmp_path, monkeypatch):
     monkeypatch.setattr(blas, "load", lambda: None)
+    pair = ["matmul", "eigvalsh"]
     expected = {
         "library": "numpy.linalg",
-        "routines": ["matmul", "eigvalsh"],
+        "routines": {"complex128": pair, "complex64": pair},
         "blas_threads": None,
     }
     _manifests_record(tmp_path, expected)
@@ -986,22 +998,81 @@ def test_corr_eigs_refuses_geometry_r(tmp_path, capsys, monkeypatch):
 def test_sweep_records_profile_rank_and_ref_clip(tmp_path, geometry_t, clipped):
     cfg = write_config(tmp_path, dict(TINY, geometry_t=geometry_t))
     out = tmp_path / "o"
-    for command in ("edof-sweep", "channel-eigs", "capacity-curve"):
+    for command in ("edof-sweep", "capacity-curve"):
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
-    _, means = read_csv(out / "channel_eigs.csv")
-    rank = EigenvalueProfile.from_values([float(r[1]) for r in means]).rank
-    manifest = json.loads((out / "edof_sweep_manifest.json").read_text())
-    assert manifest["jobs"][0]["extras"] == {"profile_rank": rank, "ref_clipped": clipped}
+    # capacity-curve solves the sweep's profile (same config, same gate):
+    # one row per subchannel count up to its rank
+    _, curves = read_csv(out / "capacity_curve.csv")
+    rank = max(int(r[1]) for r in curves)
+    extras = json.loads((out / "edof_sweep_manifest.json").read_text())["jobs"][0][
+        "extras"
+    ]
+    curve_extras = json.loads(
+        (out / "capacity_curve_manifest.json").read_text()
+    )["jobs"][0]["extras"]
+    gate = {key: extras.pop(key) for key in UNGATED}
+    assert extras == {"profile_rank": rank, "ref_clipped": clipped}
+    assert gate == curve_extras
     assert (rank == 16) if clipped else (rank > 28)
     # capacity_dofref is the capacity at min(dof_ref, rank) subchannels
     header, rows = read_csv(out / "edof_sweep.csv")
-    _, curves = read_csv(out / "capacity_curve.csv")
     at_ref = {float(r[0]): float(r[2]) for r in curves if int(r[1]) == min(28, rank)}
     for row in rows:
         assert int(row[header.index("dof_ref")]) == 28
         assert float(row[header.index("capacity_dofref")]) == pytest.approx(
             at_ref[float(row[0])], rel=1e-9
         )
+
+
+# 6 x 6 wavelengths at half a wavelength: 169 elements and a square Gram
+# matrix, whose spectrum reaches down to 0. At seed 7 single precision moves
+# the gate's n_s* by at most 1.2e-4 up to 40 dB, and by 0.028-0.38 from
+# 70 dB on (most at 90 dB)
+SQUARE_169 = {"len_x": 6, "len_z": 6, "spacing_x": 0.5, "spacing_z": 0.5}
+
+
+@pytest.mark.parametrize(
+    "realizations, grid, precision",
+    [
+        (3, [-10, 100, 10], "complex128"),
+        (3, None, "complex64"),
+        (2, None, None),
+    ],
+    ids=["to-100-dB", "default-grid", "two-draws"],
+)
+def test_precision_gate_chooses_the_draws_precision(
+    tmp_path, monkeypatch, realizations, grid, precision
+):
+    payload = {"geometry_t": SQUARE_169, "realizations": realizations, "seed": 7}
+    if grid is not None:
+        payload["snr_grid_db"] = grid
+    cfg = write_config(tmp_path, payload)
+    runs = {}
+    # a gate that refuses every delta forces complex128
+    for name, tol in (("gated", GATE_TOL), ("forced", -1.0)):
+        monkeypatch.setattr(cli, "GATE_TOL", tol)
+        out = tmp_path / name
+        assert main(["edof-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "edof_sweep_manifest.json").read_text())
+        runs[name] = (out / "edof_sweep.csv").read_bytes(), manifest["jobs"][0]["extras"]
+    (csv, extras), (forced_csv, forced) = runs["gated"], runs["forced"]
+    if precision is None:
+        # no more draws than the gate takes: complex128, and no gate
+        assert {key: extras[key] for key in UNGATED} == UNGATED
+        assert csv == forced_csv
+        return
+    assert extras["precision"] == precision
+    assert forced["precision"] == "complex128"
+    assert forced["gate_delta_edof"] == extras["gate_delta_edof"]
+    snrs = parse_config(payload, "edof-sweep").snr_grid_db
+    assert extras["gate_snr_db"] in snrs
+    if precision == "complex128":
+        assert extras["gate_delta_edof"] > GATE_TOL
+        assert extras["gate_snr_db"] > 40.0
+        assert csv == forced_csv
+    else:
+        assert extras["gate_delta_edof"] <= GATE_TOL
+        assert csv != forced_csv
 
 
 MANIFEST_KEYS = {
