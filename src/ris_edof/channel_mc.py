@@ -19,9 +19,10 @@ for complex64, and only after a gate: the CLI solves the run's first two
 draws in both precisions and keeps complex128 unless the two mean profiles
 give the same EDoF within 0.01 at every point of the run's SNR grid.
 `channel-eigs`, `bounds-audit` and every library caller stay in complex128:
-in float32 nothing below about 1e-7 of the largest eigenvalue is resolved,
-so their per-index tail values would be 5-32% off. A float32 solve's
-rounding negatives are far above 1e-10 of the largest value, so the clamp
+they publish or audit every ordered eigenvalue, and in float32 nothing below
+about 1e-7 of the largest is resolved, so at 12 wavelengths values in the
+last quarter of the indices came out up to 5-32% off. A float32 solve's
+rounding negatives reach past -1e-10 of the largest value, so the clamp
 floor grows with the precision (`correlation._clamp_negative`).
 
 Each worker runs two threads that each run whole draws. The draw stage
@@ -80,8 +81,8 @@ class _Draws:
     """One worker's draw stage: realization i's normals from the Philox
     stream keyed by (seed, i), the real parts then the imaginary parts, each
     scaled by sqrt(1/2), then sqrt(Dr_n), then sqrt(Dt_n) in float64 and
-    rounded once into A, of the ensemble's dtype, and A's Gram matrix. The worker's two threads share the normals and A under
-    `lock`."""
+    rounded once into A, of the ensemble's dtype, and A's Gram matrix. The
+    worker's two threads share the normals and A under `lock`."""
 
     def __init__(self, dt: np.ndarray, dr: np.ndarray, seed: int, dtype):
         self.seed = seed
@@ -149,8 +150,10 @@ def ensemble_from_spectra(
                 field=name,
             )
     samples = np.zeros((realizations, dr.size))
-    first = 0 if head is None else len(head)
-    samples[:first] = head
+    first = 0
+    if head is not None:
+        first = len(head)
+        samples[:first] = head
     todo = realizations - first
     if todo == 0:
         return ChannelEnsemble(samples, dt, dr)

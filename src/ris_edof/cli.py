@@ -39,8 +39,8 @@ from .edof import (
     EigenvalueProfile,
     capacity_curve,
     capacity_degradation,
+    maximizer,
     snr_db_to_linear,
-    solve_edof,
 )
 from .errors import NumericError, SizeGuardError, ValidationError
 from .geometry import RisGeometry, asymptotic_dof
@@ -396,8 +396,8 @@ def _precision_gate(double: np.ndarray, single: np.ndarray, nt_nr: float,
     worst, at = -1.0, None
     for snr_db in snr_grid_db:
         rho = snr_db_to_linear(snr_db)
-        delta = abs(solve_edof(profiles[0], rho, nt_nr).n_s_star
-                    - solve_edof(profiles[1], rho, nt_nr).n_s_star)
+        n_star = maximizer(profiles[0], rho, nt_nr)[0]
+        delta = abs(maximizer(profiles[1], rho, nt_nr, near=n_star)[0] - n_star)
         if delta > worst:
             worst, at = delta, snr_db
     return worst, at
@@ -415,7 +415,7 @@ def _mean_profile(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
         return ensemble_from_spectra(dt, dr, realizations, config.seed,
                                      threads=config.threads, dtype=dtype, head=head)
 
-    extras, dtype, head = UNGATED, np.complex128, None
+    extras, dtype, head = dict(UNGATED), np.complex128, None
     if config.realizations > GATE_DRAWS:
         double, single = (draw(GATE_DRAWS, d).eig_samples
                           for d in (np.complex128, np.complex64))
