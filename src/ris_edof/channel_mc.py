@@ -15,9 +15,10 @@ Precision: the ensemble runs A, its Gram matrix and the eigensolve in the
 are float64 either way, so a complex64 A is the complex128 one rounded once,
 and realization i is the same draw of H in both precisions. Only the EDoF
 products (`edof-sweep`, `capacity-curve` and the figures built on them) ask
-for complex64, and only after a gate: the CLI solves the run's first two
-draws in both precisions and keeps complex128 unless the two mean profiles
-give the same EDoF within 0.01 at every point of the run's SNR grid.
+for complex64, and only after a gate in runs of at least 20 draws: the CLI
+solves the run's first two draws in both precisions and keeps complex128
+unless the two mean profiles give the same EDoF within 0.01 at every point
+of the run's SNR grid.
 `channel-eigs`, `bounds-audit` and every library caller stay in complex128:
 they publish or audit every ordered eigenvalue, and in float32 nothing below
 about 1e-7 of the largest is resolved, so at 12 wavelengths values in the

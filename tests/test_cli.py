@@ -14,6 +14,7 @@ from ris_edof import cli
 from ris_edof.cli import (
     DESK_COLUMNS,
     GATE_TOL,
+    GATED_REALIZATIONS,
     MAX_GRID_POINTS,
     MAX_REALIZATIONS,
     UNGATED,
@@ -312,10 +313,12 @@ def test_csv_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
         "corr-eigs": write_config(
             tmp_path, {"geometry_t": SQUARE_625}, "spectrum.json"
         ),
-        # three draws: more than the precision gate takes, so the sweep's
-        # draws run in complex64
+        # enough draws for the precision gate, which lets them run in
+        # complex64
         "edof-sweep": write_config(
-            tmp_path, {"geometry_t": SQUARE_625, "realizations": 3}, "sweep.json"
+            tmp_path,
+            {"geometry_t": SQUARE_625, "realizations": GATED_REALIZATIONS},
+            "sweep.json",
         ),
     }
     digests = {command: set() for command in runs}
@@ -1034,11 +1037,11 @@ SQUARE_169 = {"len_x": 6, "len_z": 6, "spacing_x": 0.5, "spacing_z": 0.5}
 @pytest.mark.parametrize(
     "realizations, grid, precision",
     [
-        (3, [-10, 100, 10], "complex128"),
-        (3, None, "complex64"),
-        (2, None, None),
+        (GATED_REALIZATIONS, [-10, 100, 10], "complex128"),
+        (GATED_REALIZATIONS, None, "complex64"),
+        (GATED_REALIZATIONS - 1, None, None),
     ],
-    ids=["to-100-dB", "default-grid", "two-draws"],
+    ids=["to-100-dB", "default-grid", "few-draws"],
 )
 def test_precision_gate_chooses_the_draws_precision(
     tmp_path, monkeypatch, realizations, grid, precision
@@ -1057,7 +1060,7 @@ def test_precision_gate_chooses_the_draws_precision(
         runs[name] = (out / "edof_sweep.csv").read_bytes(), manifest["jobs"][0]["extras"]
     (csv, extras), (forced_csv, forced) = runs["gated"], runs["forced"]
     if precision is None:
-        # no more draws than the gate takes: complex128, and no gate
+        # too few draws to pay for the gate: complex128, and no gate
         assert {key: extras[key] for key in UNGATED} == UNGATED
         assert csv == forced_csv
         return

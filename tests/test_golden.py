@@ -3,8 +3,7 @@ recording in tests/golden/ (written by record_golden.py).
 
 Headers, row counts and the integer and text columns must match exactly.
 Floats must match exactly when the numpy version and the composite kernel
-are those of the recording, and otherwise within FLOAT_RTOL, or within
-SINGLE_RTOL for a product whose draws ran in complex64.
+are those of the recording, and within FLOAT_RTOL otherwise.
 """
 
 import json
@@ -16,16 +15,11 @@ from record_golden import CASES, GOLDEN, RECORDED, environment, run_case
 
 # Columns compared as text under every environment.
 EXACT_COLUMNS = {"k", "realization", "n_s", "edof_int", "dof_ref", "kind"}
-# Measured drift: in complex128 the numpy.linalg draw path moved the
-# edof_sweep case's edof_real by up to 2.6e-8 relative and left every other
-# value's 12 digits in place; at 12 wavelengths the BLAS thread count moved
-# edof_real in its 7th-9th significant digit.
+# Measured drift: the numpy.linalg draw path moves the edof_sweep case's
+# edof_real by up to 2.6e-8 relative and leaves every other value's 12
+# digits in place; at 12 wavelengths the BLAS thread count moves edof_real
+# in its 7th-9th significant digit.
 FLOAT_RTOL = 1e-6
-# The EDoF products' draws run in complex64 when the precision gate allows,
-# and another LAPACK build rounds float32 differently: on the numpy.linalg
-# draw path the edof_sweep case's degradation, one minus a ratio of two
-# close capacities, moves by 2.6e-6 relative and its edof_real by 1.3e-7.
-SINGLE_RTOL = 1e-4
 
 
 def _read(path):
@@ -35,11 +29,8 @@ def _read(path):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_product_matches_its_golden_table(tmp_path, name):
-    csv = run_case(name, tmp_path)
-    header, rows = _read(csv)
+    header, rows = _read(run_case(name, tmp_path))
     want_header, want_rows = _read(GOLDEN / f"{name}.csv")
-    (job,) = json.loads(csv.with_name(f"{name}_manifest.json").read_text())["jobs"]
-    single = job["extras"].get("precision") == "complex64"
     assert header == want_header
     assert len(rows) == len(want_rows)
     assert all(len(row) == len(header) for row in rows)
@@ -53,7 +44,7 @@ def test_product_matches_its_golden_table(tmp_path, name):
             np.testing.assert_allclose(
                 np.array(got, dtype=float),
                 np.array(want, dtype=float),
-                rtol=SINGLE_RTOL if single else FLOAT_RTOL,
+                rtol=FLOAT_RTOL,
                 atol=0,
                 err_msg=column,
             )
