@@ -77,7 +77,8 @@ def load() -> Lapack | None:
             z = np.ctypeslib.ndpointer(complex_, flags="C_CONTIGUOUS")
             d = np.ctypeslib.ndpointer(real, flags="C_CONTIGUOUS")
             scalar = ctypes.POINTER(np.ctypeslib.as_ctypes_type(real))
-            herk.argtypes = [c, c, i64, i64, scalar, z, i64, scalar, z, i64, length, length]
+            herk.argtypes = [c, c, i64, i64, scalar, z, i64, scalar, z, i64,
+                             length, length]
             heev.argtypes = [c, c, i64, z, i64, d, z, i64, d, i64, length, length]
             herk.restype = heev.restype = None
         get.argtypes, get.restype = [], ctypes.c_int

@@ -84,7 +84,8 @@ def _clamp_negative(values: np.ndarray, what: str) -> np.ndarray:
     float64 floor, on the square Gram matrix whose spectrum reaches down
     to 0."""
     top = max(float(values[0]), 0.0)
-    rel = max(NEGATIVE_CLAMP_REL, CLAMP_ULPS * values.size * np.finfo(values.dtype).eps)
+    eps = np.finfo(values.dtype).eps
+    rel = max(NEGATIVE_CLAMP_REL, CLAMP_ULPS * values.size * eps)
     floor = -rel * top
     if values[-1] < floor:
         raise NumericError(

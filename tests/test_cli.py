@@ -337,7 +337,8 @@ def test_csv_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
                 )
                 csv = out / f"{command.replace('-', '_')}.csv"
                 digests[command].add(hashlib.sha256(csv.read_bytes()).hexdigest())
-    sweep = json.loads((tmp_path / "edof-sweep-2-2" / "edof_sweep_manifest.json").read_text())
+    manifest = tmp_path / "edof-sweep-2-2" / "edof_sweep_manifest.json"
+    sweep = json.loads(manifest.read_text())
     assert sweep["jobs"][0]["extras"]["precision"] == "complex64"
     assert {command: len(found) for command, found in digests.items()} == {
         "corr-eigs": 1, "edof-sweep": 1
@@ -1057,7 +1058,8 @@ def test_precision_gate_chooses_the_draws_precision(
         out = tmp_path / name
         assert main(["edof-sweep", "--config", str(cfg), "--out", str(out)]) == 0
         manifest = json.loads((out / "edof_sweep_manifest.json").read_text())
-        runs[name] = (out / "edof_sweep.csv").read_bytes(), manifest["jobs"][0]["extras"]
+        extras = manifest["jobs"][0]["extras"]
+        runs[name] = (out / "edof_sweep.csv").read_bytes(), extras
     (csv, extras), (forced_csv, forced) = runs["gated"], runs["forced"]
     if precision is None:
         # too few draws to pay for the gate: complex128, and no gate
