@@ -39,8 +39,8 @@ from .edof import (
     EigenvalueProfile,
     capacity_curve,
     capacity_degradation,
-    maximizer,
     snr_db_to_linear,
+    solve_edof,
 )
 from .errors import NumericError, SizeGuardError, ValidationError
 from .geometry import RisGeometry, asymptotic_dof
@@ -403,8 +403,8 @@ def _precision_gate(double: np.ndarray, single: np.ndarray, nt_nr: float,
     worst, at = -1.0, None
     for snr_db in snr_grid_db:
         rho = snr_db_to_linear(snr_db)
-        n_star = maximizer(profiles[0], rho, nt_nr)[0]
-        delta = abs(maximizer(profiles[1], rho, nt_nr, near=n_star)[0] - n_star)
+        delta = abs(solve_edof(profiles[0], rho, nt_nr).n_s_star
+                    - solve_edof(profiles[1], rho, nt_nr).n_s_star)
         if delta > worst:
             worst, at = delta, snr_db
     return worst, at

@@ -72,8 +72,6 @@ LN2 = math.log(2.0)
 # The root of h' is fixed to a bracket narrower than ROOT_XTOL + ROOT_RTOL * x.
 ROOT_XTOL = 1e-12
 ROOT_RTOL = 4 * np.finfo(float).eps
-# Half-width of the first bracket that `maximizer` tries around a guess.
-NEAR_SPAN = 0.05
 
 
 @dataclass
@@ -246,48 +244,28 @@ def _root(f, lo: float, hi: float, f_lo: float, f_hi: float):
         t = min(max(t, edge), 1.0 - edge)
 
 
-def maximizer(
-    profile: EigenvalueProfile, rho: float, nt_nr: float, near: float | None = None
-) -> tuple[float, float]:
-    """n*, the maximizer of h over [1, rank], and h'(n*), which is 0 up to
-    rounding at an interior optimum.
+def solve_edof(profile: EigenvalueProfile, rho: float, nt_nr: float) -> EdofResult:
+    """Maximize h over [1, rank] and report the EDoF.
 
-    h' > 0 at 1 unless h is 0 everywhere, which gives 1, and h' changes
-    sign at most once (see the module docstring). So n* is rank when
-    h'(rank) >= 0, and otherwise the root of h' bracketed by [1, rank].
-    `near`, a point expected within NEAR_SPAN of n*, such as n* of a nearby
-    profile, brackets the root by near +- NEAR_SPAN first when h' changes
-    sign there, which takes about half the h evaluations; otherwise the
-    search runs over [1, rank] as without it.
+    h is unimodal (see the module docstring): h' > 0 at 1 unless h is 0
+    everywhere, which gives 1, and h' changes sign at most once. So the
+    maximizer is rank when h'(rank) >= 0, and otherwise the root of h'
+    bracketed by [1, rank]. The integer EDoF is the rounded continuous
+    optimum, locally hill-climbed on the discrete capacity so it always sits
+    on a discrete local maximum.
     """
-    rank = float(profile.rank)
+    rank = profile.rank
 
     def dh(x: float) -> float:
         return h_and_derivative(profile, rho, nt_nr, x)[1]
 
-    if near is not None:
-        lo, hi = max(near - NEAR_SPAN, 1.0), min(near + NEAR_SPAN, rank)
-        d_lo, d_hi = dh(lo), dh(hi)
-        if d_lo > 0.0 > d_hi:
-            return _root(dh, lo, hi, d_lo, d_hi)
-    d_lo = dh(1.0)
-    if d_lo <= 0.0:
-        return 1.0, d_lo
-    d_hi = dh(rank)
-    if d_hi >= 0.0:
-        return rank, d_hi
-    return _root(dh, 1.0, rank, d_lo, d_hi)
-
-
-def solve_edof(profile: EigenvalueProfile, rho: float, nt_nr: float) -> EdofResult:
-    """Maximize h over [1, rank] and report the EDoF.
-
-    The continuous optimum is `maximizer`'s. The integer EDoF is the
-    rounded continuous optimum, locally hill-climbed on the discrete
-    capacity so it always sits on a discrete local maximum.
-    """
-    rank = profile.rank
-    n_star, residual = maximizer(profile, rho, nt_nr)
+    n_star, residual = 1.0, dh(1.0)
+    if residual > 0.0:
+        d_rank = dh(float(rank))
+        if d_rank >= 0.0:
+            n_star, residual = float(rank), d_rank
+        else:
+            n_star, residual = _root(dh, 1.0, float(rank), residual, d_rank)
 
     n_int = int(round(n_star))  # n_star lies in [1, rank], so n_int does too
     cap = capacity(profile, rho, nt_nr, n_int)

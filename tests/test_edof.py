@@ -402,32 +402,6 @@ def test_root_is_stable_under_last_bit_profile_changes(small_mc_profile, monkeyp
         assert abs(moved) <= 1e-10
 
 
-def test_a_near_guess_finds_the_same_maximizer_in_fewer_evaluations(
-    small_mc_profile, monkeypatch
-):
-    geom, profile = small_mc_profile
-    nt_nr = float(geom.n) ** 2
-    evaluations = []
-
-    def counted(*args):
-        evaluations.append(args[-1])
-        return h_and_derivative(*args)
-
-    monkeypatch.setattr(edof, "h_and_derivative", counted)
-    for snr_db in (-10.0, 10.0, 40.0):
-        rho = snr_db_to_linear(snr_db)
-        evaluations.clear()
-        n_star = edof.maximizer(profile, rho, nt_nr)[0]
-        alone = len(evaluations)
-        # a guess inside the bracket, and one too far off to bracket the root
-        for near, fewer in ((n_star + 0.03, True), (n_star - 5.0, False)):
-            evaluations.clear()
-            assert edof.maximizer(profile, rho, nt_nr, near=near)[0] == pytest.approx(
-                n_star, abs=1e-10
-            )
-            assert (len(evaluations) < alone) == fewer, (snr_db, near)
-
-
 def test_zero_snr_keeps_left_end():
     # h is 0 everywhere, and so is h'; the solve returns the left end
     for profile in (synthetic_profile(40, seed=8), step_profile(m=10, total=20)):
