@@ -16,9 +16,9 @@ are float64 either way, so a complex64 A is the complex128 one rounded once,
 and realization i is the same draw of H in both precisions. Only the EDoF
 products (`edof-sweep`, `capacity-curve` and the figures built on them) ask
 for complex64, and only after a gate in runs of at least 20 draws: the CLI
-solves the run's first two draws in both precisions and keeps complex128
-unless the two mean profiles give the same EDoF within 0.01 at every point
-of the run's SNR grid.
+solves the run's first two draws in both precisions, the complex128 pair
+`serial`, and keeps complex128 unless the two mean profiles give the same
+EDoF within 0.01 at every point of the run's SNR grid.
 `channel-eigs`, `bounds-audit` and every library caller stay in complex128:
 they publish or audit every ordered eigenvalue, and in float32 nothing below
 about 1e-7 of the largest is resolved, so at 12 wavelengths values in the
@@ -27,17 +27,25 @@ rounding negatives reach past -1e-10 of the largest value, so the clamp
 floor grows with the precision (`correlation._clamp_negative`).
 
 Each worker runs two threads that each run whole draws. The draw stage
-takes the Philox normals into reused buffers, scales them into A and forms
-its Gram matrix; the solve takes its eigenvalues and clamps the rounding
-negatives. A worker's threads share its normals and A, so memory stays
-flat, and its draw stages take turns under a lock; each thread solves its
-own Gram matrix outside it. At rank 624 on a 2-core VM on one BLAS thread,
-a draw stage takes 50-53 ms and a solve 110-118 ms (medians of 10), so the
-lock is held for a third of each thread's cycle. OpenBLAS runs on one
-thread for the whole ensemble, since a second BLAS thread's spinning pool
-takes the core the other draws need: over 40 draws one worker took
-81-87 ms per draw pinned and 159-178 ms unpinned, and two workers 82-93 ms
-and 355-380 ms.
+streams the Philox normals through one float64 chunk of A's rows, 2**15
+values (256 KiB) or fewer unless one row is longer: all the real parts, then
+all the imaginary parts, so the stream is read in the order of one
+n_r x n_t draw per part. It scales each chunk into its rows of A and then
+forms A's Gram matrix. The solve takes its eigenvalues and clamps the
+rounding negatives. A worker's threads share its chunk and A, and its draw
+stages take turns under a lock; each thread solves its own Gram matrix
+outside it. So a worker holds one A and one chunk, and each of its threads
+one Gram matrix and the eigensolve's workspace. At rank n, A and each Gram
+matrix take 16 n^2 bytes in complex128 and 8 n^2 in complex64: 6.2 and
+3.1 MB at rank 624, and 253 and 127 MB at the 32-wavelength rank of 3980.
+A `serial` ensemble runs one thread on one Gram matrix. At rank 624 on a
+2-core VM on one BLAS thread, a complex64 draw's normals and scaling take
+17-19 ms, `cherk` 9-11 ms and `cheev_2stage` 47-66 ms (medians of 10, three
+runs), and two threads wait 5-9 ms per draw on the lock on average.
+OpenBLAS runs on one thread for the whole ensemble, since a second BLAS
+thread's spinning pool takes the core the other draws need: over 40
+complex128 draws one worker took 81-87 ms per draw pinned and 159-178 ms
+unpinned, and two workers 82-93 ms and 355-380 ms.
 
 Reproducibility: realization i always draws from a Philox stream keyed by
 (master seed, i), and its row depends on nothing else, so results are
@@ -52,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blas
-from .correlation import _clamp_negative, effective_rank
+from .correlation import _CHUNK_ENTRIES, _clamp_negative, effective_rank
 from .errors import ValidationError
 
 
@@ -83,12 +91,15 @@ class _Draws:
     stream keyed by (seed, i), the real parts then the imaginary parts, each
     scaled by sqrt(1/2), then sqrt(Dr_n), then sqrt(Dt_n) in float64 and
     rounded once into A, of the ensemble's dtype, and A's Gram matrix. The
-    worker's two threads share the normals and A under `lock`."""
+    normals go through a float64 chunk of A's rows, of _CHUNK_ENTRIES values
+    or fewer (but at least one row), filled in stream order. The worker's threads share the chunk and
+    A under `lock`."""
 
     def __init__(self, dt: np.ndarray, dr: np.ndarray, seed: int, dtype):
         self.seed = seed
         self.sqrt_dt, self.sqrt_dr = np.sqrt(dt), np.sqrt(dr)[:, None]
-        self.part = np.empty((dr.size, dt.size))
+        rows = min(dr.size, max(1, _CHUNK_ENTRIES // dt.size))
+        self.chunk = np.empty((rows, dt.size))
         self.a = np.empty((dr.size, dt.size), dtype=dtype)
         self.lock = threading.Lock()
 
@@ -96,11 +107,15 @@ class _Draws:
         with self.lock:
             seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(index,))
             stream = np.random.Generator(np.random.Philox(seq))
+            step = len(self.chunk)
             for out in (self.a.real, self.a.imag):
-                stream.standard_normal(out=self.part)
-                self.part *= np.sqrt(0.5)
-                self.part *= self.sqrt_dr
-                np.multiply(self.part, self.sqrt_dt, out=out)
+                for lo in range(0, len(out), step):
+                    rows = out[lo : lo + step]
+                    chunk = self.chunk[: len(rows)]
+                    stream.standard_normal(out=chunk)
+                    chunk *= np.sqrt(0.5)
+                    chunk *= self.sqrt_dr[lo : lo + step]
+                    np.multiply(chunk, self.sqrt_dt, out=rows)
             return blas.gram(self.a, gram)
 
 
@@ -124,6 +139,7 @@ def ensemble_from_spectra(
     threads: int = 1,
     dtype=np.complex128,
     head: np.ndarray | None = None,
+    serial: bool = False,
 ) -> ChannelEnsemble:
     """Monte Carlo ensemble over H for fixed normalized spectra.
 
@@ -135,6 +151,9 @@ def ensemble_from_spectra(
     complex64, is the precision of A, its Gram matrix and the eigensolve.
     `head`, when given, holds rows 0, 1, ... of this same ensemble, solved
     before at the same seed and dtype; they are copied in, not drawn again.
+    `serial` solves the draws one after the other on one thread, with one A
+    and one Gram matrix, whatever `threads` says: the rows are the same, and
+    only one Gram matrix is ever live.
     """
     if realizations < 1:
         raise ValidationError(
@@ -158,10 +177,10 @@ def ensemble_from_spectra(
     todo = realizations - first
     if todo == 0:
         return ChannelEnsemble(samples, dt, dr)
-    workers = min(threads, todo)
+    workers = 1 if serial else min(threads, todo)
     draws = [_Draws(dt_used, dr_used, seed, dtype) for _ in range(workers)]
     # fewer than 2 * workers draws leave one draw per thread
-    runners = min(2 * workers, todo)
+    runners = 1 if serial else min(2 * workers, todo)
     with blas.one_thread(), ThreadPoolExecutor(max_workers=runners) as pool:
         runs = [
             pool.submit(

@@ -6,8 +6,9 @@ geometry -> spectrum -> profile -> EDoF chain, and writes one CSV table. A
 command runs one job on the config's panels; a reproduce target runs one job
 per column, both panels at the column's geometry. One JSON manifest per run
 records the command, target and column, the run-level config, versions, wall
-time and composite kernel, and per job its file, sha256, size, panels and the
-product's extras. A run exits with a distinct code per failure class:
+time, peak memory and composite kernel, and per job its file, sha256, size,
+panels and the product's extras. A run exits with a distinct code per
+failure class:
 
     0  success
     1  unexpected internal error
@@ -327,6 +328,20 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set size so far, in MB of 2**20 bytes,
+    or None where the resource module is missing (Windows). ru_maxrss counts
+    KiB on Linux and bytes on macOS. Imported here, so `import ris_edof.cli`
+    does not pay for it."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    per_unit = 1 if sys.platform == "darwin" else 1024
+    return round(peak * per_unit / 2**20, 1)
+
+
 def write_manifest(
     path: Path, args: argparse.Namespace, config: RunConfig, jobs: list,
     started: float,
@@ -344,6 +359,7 @@ def write_manifest(
             "python": sys.version.split()[0],
         },
         "wall_time_s": round(time.perf_counter() - started, 3),
+        "peak_rss_mb": _peak_rss_mb(),
         "composite_kernel": composite_kernel(),
         "jobs": [
             {
@@ -418,20 +434,21 @@ def _mean_profile(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
     dt, dr = _spectra(config, geom_t, geom_r)
     nt_nr = float(dt.size * dr.size)
 
-    def draw(realizations, dtype, head=None):
+    def draw(realizations, dtype, **options):
         return ensemble_from_spectra(dt, dr, realizations, config.seed,
-                                     threads=config.threads, dtype=dtype, head=head)
+                                     threads=config.threads, dtype=dtype, **options)
 
     extras, dtype, head = dict(UNGATED), np.complex128, None
     if config.realizations >= GATED_REALIZATIONS:
-        double, single = (draw(GATE_DRAWS, d).eig_samples
-                          for d in (np.complex128, np.complex64))
+        # the complex128 pair would set the run's peak memory on two threads
+        double = draw(GATE_DRAWS, np.complex128, serial=True).eig_samples
+        single = draw(GATE_DRAWS, np.complex64).eig_samples
         delta, at = _precision_gate(double, single, nt_nr, config.snr_grid_db)
         dtype, head = ((np.complex64, single) if delta <= GATE_TOL
                        else (np.complex128, double))
         extras = {"precision": np.dtype(dtype).name, "gate_delta_edof": delta,
                   "gate_snr_db": at}
-    stats = ensemble_stats(draw(config.realizations, dtype, head))
+    stats = ensemble_stats(draw(config.realizations, dtype, head=head))
     return EigenvalueProfile.from_values(stats.mean_profile), nt_nr, extras
 
 

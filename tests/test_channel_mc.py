@@ -10,7 +10,7 @@ import pytest
 from draws import draw_eigs, hw_draw, serial_ensemble
 from scipy import stats as scipy_stats
 
-from ris_edof import blas
+from ris_edof import blas, channel_mc
 from ris_edof.blas import composite_kernel
 from ris_edof.channel_mc import ChannelEnsemble, ensemble_from_spectra, ensemble_stats
 from ris_edof.correlation import _clamp_negative, effective_rank, geometry_spectrum
@@ -307,6 +307,30 @@ def test_worker_count_does_not_change_results(
                             ensemble.eig_samples, oracle[:realizations]
                         ), (loader, dtype, realizations, threads, head is None)
             assert np.all(oracle[:, geom_t.n:] == 0.0)
+
+
+@pytest.mark.parametrize("loader", ["lapack", "numpy"])
+@pytest.mark.parametrize("shape", ["tall", "square"])
+def test_row_chunks_draw_the_stream_in_order(monkeypatch, loader, shape):
+    dt, dr = DRAWS[shape]
+    if loader == "numpy":
+        monkeypatch.setattr(blas, "load", lambda: None)
+    elif blas.load() is None:
+        pytest.skip("numpy's BLAS does not export the LAPACK routines")
+    # 4 * n_t - 1 entries make chunks of 3 rows: 31 rows split 10 x 3 + 1
+    # and 40 rows 13 x 3 + 1, so each part of A takes 11 or 14 calls of the
+    # stream, the last one ragged; every panel elsewhere fits in one chunk
+    monkeypatch.setattr(channel_mc, "_CHUNK_ENTRIES", 4 * dt.size - 1)
+    for dtype in PRECISIONS:
+        oracle = serial_ensemble(dt, dr, 5, 4, dtype)
+        for threads in (1, 2):
+            for head in (None, oracle[:2]):
+                ensemble = ensemble_from_spectra(
+                    dt, dr, 5, 4, threads=threads, dtype=dtype, head=head
+                )
+                assert np.array_equal(ensemble.eig_samples, oracle), (
+                    dtype, threads, head is None,
+                )
 
 
 LAYERS = ("correlation", "channel_mc", "edof", "analytic_cdf", "cli")

@@ -3,6 +3,10 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -1080,9 +1084,72 @@ def test_precision_gate_chooses_the_draws_precision(
         assert csv != forced_csv
 
 
+def gated_config(threads=1):
+    config = parse_config(
+        {"geometry_t": SQUARE_169, "realizations": GATED_REALIZATIONS}, "edof-sweep"
+    )
+    config.threads = threads
+    return config
+
+
+def test_gate_holds_one_complex128_draw_at_a_time(lapack):
+    config = gated_config()
+    geom = config.geometry_t
+    n = effective_rank(geometry_spectrum(geom))
+    tracemalloc.start()
+    try:
+        _, _, extras = cli._mean_profile(config, geom, geom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert extras["precision"] == "complex64"
+    # the complex128 pair's buffers: one A, the float64 normals of at most
+    # all its rows and one Gram matrix, plus the solve's LAPACK workspace,
+    # which at rank 169 takes 0.43 of a Gram matrix. A second thread's Gram
+    # matrix and workspace would not fit; the complex64 draws, at half the
+    # bytes per entry, need less
+    a = gram = n * n * 16
+    normals = n * n * 8
+    assert peak < a + normals + 2 * gram, peak
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_gate_never_solves_two_complex128_draws_at_once(lapack, monkeypatch, threads):
+    # a complex128 Gram matrix is live from its `blas.gram` call until its
+    # eigenvalues are out; each solve is held open for a second thread to
+    # form its Gram matrix meanwhile
+    blas_gram, blas_eigvalsh, guard = blas.gram, blas.eigvalsh, threading.Lock()
+    live = {"now": 0, "most": 0, "solved": 0}
+
+    def gram(a, out):
+        if out.dtype == np.complex128:
+            with guard:
+                live["now"] += 1
+                live["most"] = max(live["most"], live["now"])
+        return blas_gram(a, out)
+
+    def eigvalsh(matrix):
+        if matrix.dtype != np.complex128:
+            return blas_eigvalsh(matrix)
+        time.sleep(0.05)
+        try:
+            return blas_eigvalsh(matrix)
+        finally:
+            with guard:
+                live["now"] -= 1
+                live["solved"] += 1
+
+    monkeypatch.setattr(blas, "gram", gram)
+    monkeypatch.setattr(blas, "eigvalsh", eigvalsh)
+    config = gated_config(threads)
+    _, _, extras = cli._mean_profile(config, config.geometry_t, config.geometry_t)
+    assert extras["precision"] == "complex64"
+    assert live == {"now": 0, "most": 1, "solved": cli.GATE_DRAWS}
+
+
 MANIFEST_KEYS = {
     "command", "target", "column", "config", "versions", "wall_time_s",
-    "composite_kernel", "jobs",
+    "peak_rss_mb", "composite_kernel", "jobs",
 }
 CONFIG_KEYS = {
     "realizations", "seed", "snr_grid_db", "threads", "max_elements", "options"
@@ -1124,6 +1191,7 @@ def test_every_run_writes_one_manifest_layout(tmp_path, monkeypatch, argv, paylo
     (path,) = out.glob("*_manifest.json")
     manifest = json.loads(path.read_text())
     assert set(manifest) == MANIFEST_KEYS
+    assert manifest["peak_rss_mb"] > 0
     assert set(manifest["config"]) == CONFIG_KEYS
     jobs = manifest["jobs"]
     assert sorted(p.name for p in out.glob("*.csv")) == sorted(j["file"] for j in jobs)
@@ -1147,3 +1215,18 @@ def test_every_run_writes_one_manifest_layout(tmp_path, monkeypatch, argv, paylo
         assert job["column"] is None
         assert job["geometry_t"] == payload["geometry_t"]
         assert job["geometry_r"] == payload.get("geometry_r", payload["geometry_t"])
+
+
+@pytest.mark.parametrize(
+    "platform, max_rss", [("linux", 3 * 2**10), ("darwin", 3 * 2**20)]
+)
+def test_manifest_peak_rss_is_in_mb(monkeypatch, platform, max_rss):
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    usage = types.SimpleNamespace(ru_maxrss=max_rss)
+    resource = types.SimpleNamespace(RUSAGE_SELF=0, getrusage=lambda who: usage)
+    monkeypatch.setitem(sys.modules, "resource", resource)
+    monkeypatch.setattr(sys, "platform", platform)
+    assert cli._peak_rss_mb() == 3.0
+    # a None entry makes the import raise ImportError, as on Windows
+    monkeypatch.setitem(sys.modules, "resource", None)
+    assert cli._peak_rss_mb() is None
