@@ -16,9 +16,9 @@ are float64 either way, so a complex64 A is the complex128 one rounded once,
 and realization i is the same draw of H in both precisions. Only the EDoF
 products (`edof-sweep`, `capacity-curve` and the figures built on them) ask
 for complex64, and only after a gate in runs of at least 20 draws: the CLI
-solves the run's first two draws in both precisions, the complex128 pair
-`serial`, and keeps complex128 unless the two mean profiles give the same
-EDoF within 0.01 at every point of the run's SNR grid.
+solves the run's first two draws in both precisions, the complex128 pair one
+draw per call, and keeps complex128 unless the two mean profiles give the
+same EDoF within 0.01 at every point of the run's SNR grid.
 `channel-eigs`, `bounds-audit` and every library caller stay in complex128:
 they publish or audit every ordered eigenvalue, and in float32 nothing below
 about 1e-7 of the largest is resolved, so at 12 wavelengths values in the
@@ -38,7 +38,7 @@ outside it. So a worker holds one A and one chunk, and each of its threads
 one Gram matrix and the eigensolve's workspace. At rank n, A and each Gram
 matrix take 16 n^2 bytes in complex128 and 8 n^2 in complex64: 6.2 and
 3.1 MB at rank 624, and 253 and 127 MB at the 32-wavelength rank of 3980.
-A `serial` ensemble runs one thread on one Gram matrix. At rank 624 on a
+A call with one draw left runs it on the calling thread. At rank 624 on a
 2-core VM on one BLAS thread, a complex64 draw's normals and scaling take
 17-19 ms, `cherk` 9-11 ms and `cheev_2stage` 47-66 ms (medians of 10, three
 runs), and two threads wait 5-9 ms per draw on the lock on average.
@@ -92,8 +92,8 @@ class _Draws:
     scaled by sqrt(1/2), then sqrt(Dr_n), then sqrt(Dt_n) in float64 and
     rounded once into A, of the ensemble's dtype, and A's Gram matrix. The
     normals go through a float64 chunk of A's rows, of _CHUNK_ENTRIES values
-    or fewer (but at least one row), filled in stream order. The worker's threads share the chunk and
-    A under `lock`."""
+    or fewer (but at least one row), filled in stream order. The worker's
+    threads share the chunk and A under `lock`."""
 
     def __init__(self, dt: np.ndarray, dr: np.ndarray, seed: int, dtype):
         self.seed = seed
@@ -139,7 +139,6 @@ def ensemble_from_spectra(
     threads: int = 1,
     dtype=np.complex128,
     head: np.ndarray | None = None,
-    serial: bool = False,
 ) -> ChannelEnsemble:
     """Monte Carlo ensemble over H for fixed normalized spectra.
 
@@ -151,9 +150,6 @@ def ensemble_from_spectra(
     complex64, is the precision of A, its Gram matrix and the eigensolve.
     `head`, when given, holds rows 0, 1, ... of this same ensemble, solved
     before at the same seed and dtype; they are copied in, not drawn again.
-    `serial` solves the draws one after the other on one thread, with one A
-    and one Gram matrix, whatever `threads` says: the rows are the same, and
-    only one Gram matrix is ever live.
     """
     if realizations < 1:
         raise ValidationError(
@@ -177,10 +173,16 @@ def ensemble_from_spectra(
     todo = realizations - first
     if todo == 0:
         return ChannelEnsemble(samples, dt, dr)
-    workers = 1 if serial else min(threads, todo)
+    workers = min(threads, todo)
     draws = [_Draws(dt_used, dr_used, seed, dtype) for _ in range(workers)]
+    if todo == 1:
+        # on this thread: a pool thread's malloc arena would keep the
+        # buffers it frees, so one-draw calls in a row would pile them up
+        with blas.one_thread():
+            _draw_and_solve(draws[0], range(first, realizations), samples)
+        return ChannelEnsemble(samples, dt, dr)
     # fewer than 2 * workers draws leave one draw per thread
-    runners = 1 if serial else min(2 * workers, todo)
+    runners = min(2 * workers, todo)
     with blas.one_thread(), ThreadPoolExecutor(max_workers=runners) as pool:
         runs = [
             pool.submit(

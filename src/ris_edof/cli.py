@@ -434,14 +434,17 @@ def _mean_profile(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
     dt, dr = _spectra(config, geom_t, geom_r)
     nt_nr = float(dt.size * dr.size)
 
-    def draw(realizations, dtype, **options):
+    def draw(realizations, dtype, head=None):
         return ensemble_from_spectra(dt, dr, realizations, config.seed,
-                                     threads=config.threads, dtype=dtype, **options)
+                                     threads=config.threads, dtype=dtype, head=head)
 
     extras, dtype, head = dict(UNGATED), np.complex128, None
     if config.realizations >= GATED_REALIZATIONS:
-        # the complex128 pair would set the run's peak memory on two threads
-        double = draw(GATE_DRAWS, np.complex128, serial=True).eig_samples
+        # one complex128 draw per call, so one thread holds one A and one
+        # Gram matrix: two at once would set the run's peak memory
+        double = None
+        for n in range(1, GATE_DRAWS + 1):
+            double = draw(n, np.complex128, head=double).eig_samples
         single = draw(GATE_DRAWS, np.complex64).eig_samples
         delta, at = _precision_gate(double, single, nt_nr, config.snr_grid_db)
         dtype, head = ((np.complex64, single) if delta <= GATE_TOL

@@ -378,6 +378,26 @@ def test_no_public_function_runs_off_the_main_thread(monkeypatch):
     assert [name for name, ident in calls if ident != main] == []
 
 
+@pytest.mark.parametrize("realizations", [1, 2])
+def test_one_draw_left_runs_on_the_calling_thread(monkeypatch, realizations):
+    # the precision gate solves its complex128 pair one draw per call; a
+    # pool thread per call would keep its freed buffers in its own arena
+    dt, dr = spectrum_of(12, 8), spectrum_of(12, 9)
+    expected = serial_ensemble(dt, dr, realizations, 5)
+    blas_eigvalsh, solved_on = blas.eigvalsh, []
+
+    def eigvalsh(matrix):
+        solved_on.append(threading.get_ident())
+        return blas_eigvalsh(matrix)
+
+    monkeypatch.setattr(blas, "eigvalsh", eigvalsh)
+    ensemble = ensemble_from_spectra(
+        dt, dr, realizations, 5, threads=2, head=expected[: realizations - 1]
+    )
+    assert solved_on == [threading.get_ident()]
+    assert np.array_equal(ensemble.eig_samples, expected)
+
+
 def test_one_worker_overlaps_solves_but_not_draw_stages(lapack, monkeypatch):
     dt, dr = spectrum_of(12, 8), spectrum_of(12, 9)
     expected = ensemble_from_spectra(dt, dr, 6, 1).eig_samples
