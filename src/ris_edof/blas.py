@@ -4,12 +4,13 @@ place that picks the library and the routine they run on.
 numpy's wheels bundle an ILP64 OpenBLAS whose symbols carry a ``scipy_``
 prefix and a ``64_`` suffix. When it exports ``zherk``, ``zheev_2stage``,
 their single-precision twins ``cherk`` and ``cheev_2stage``, and its
-thread-count getter and setter, `load` returns all six. ``zherk`` forms one
-triangle of the Gram matrix, half the flops of ``a @ a.conj().T`` and with
-no conjugate copy; ``zheev_2stage`` with jobz='N' returns its eigenvalues
-through the two-stage tridiagonal reduction; `one_thread` pins the library
-for a block of calls: the draws, and the correlation spectrum's
-``numpy.linalg.eigvalsh``, which runs on the same OpenBLAS. Otherwise
+thread-count getter and setter, `load` returns all six. ``zherk`` adds one
+triangle of a row chunk's Gram matrix into the draw's, half the flops of
+``a.conj().T @ a`` and with no conjugate copy; ``zheev_2stage`` with
+jobz='N' returns its eigenvalues through the two-stage tridiagonal
+reduction; `one_thread` pins the library for a block of calls: the draws,
+and the correlation spectrum's ``numpy.linalg.eigvalsh``, which runs on the
+same OpenBLAS. Otherwise
 (Accelerate, MKL, a source build) `load` gives None, and `gram` and
 `eigvalsh` run ``np.matmul`` and ``np.linalg.eigvalsh``. `composite_kernel`
 names the path. The library is found as ``perfbench/run.py`` finds it, on the
@@ -129,30 +130,31 @@ def one_thread() -> Iterator[None]:
         lapack.set_threads(old)
 
 
-def gram(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The smaller-side Gram matrix of ``a``, written into ``out`` (n x n,
-    n = min(a.shape)) and returned: A A^H when ``a`` has no more rows than
-    columns, otherwise A^H A, in the precision of ``out``. ``zherk`` and
-    ``cherk`` write only the lower triangle, and the strict upper triangle
-    of ``out`` keeps what it held; the numpy path writes the whole
-    product."""
-    a = np.ascontiguousarray(a, dtype=out.dtype)
-    rows, cols = a.shape
-    n = min(rows, cols)
-    if out.shape != (n, n):
-        raise ValueError(f"Gram buffer shape {out.shape} is not {(n, n)}")
+def gram(rows: np.ndarray, out: np.ndarray, accumulate: bool = False) -> np.ndarray:
+    """Writes rows^H rows into ``out`` (k x k for k columns of ``rows``), or
+    adds it to what ``out`` holds when ``accumulate``, in the precision of
+    ``out``, and returns ``out``. Called once per row chunk of A, with
+    ``accumulate`` from the second chunk on, it forms A^H A. ``zherk`` and
+    ``cherk`` (beta 0, then 1) write only the lower triangle, and the strict
+    upper triangle of ``out`` keeps what it held; the numpy path writes the
+    whole product."""
+    rows = np.ascontiguousarray(rows, dtype=out.dtype)
+    k = rows.shape[1]
+    if out.shape != (k, k):
+        raise ValueError(f"Gram buffer shape {out.shape} is not {(k, k)}")
     lapack = load()
     if lapack is None:
-        left, right = (a, a.conj().T) if rows <= cols else (a.conj().T, a)
-        return np.matmul(left, right, out=out)
+        if accumulate:
+            out += rows.conj().T @ rows
+            return out
+        return np.matmul(rows.conj().T, rows, out=out)
     herk = getattr(lapack, _names(out.dtype)[0])
     scalar = np.ctypeslib.as_ctypes_type(out.real.dtype)
-    # LAPACK reads the row-major ``a`` as its cols x rows transpose F, and
-    # F^H F = conj(A A^H), F F^H = conj(A^H A) have the same eigenvalues
-    trans, k = (b"C", cols) if rows <= cols else (b"N", rows)
-    herk(b"L", trans, ctypes.c_int64(n), ctypes.c_int64(k), scalar(1.0), a,
-         ctypes.c_int64(max(cols, 1)), scalar(0.0), out,
-         ctypes.c_int64(max(n, 1)), 1, 1)
+    # LAPACK reads the row-major ``rows`` as its k x r transpose F, and
+    # F F^H = conj(rows^H rows) has the same eigenvalues
+    ld = ctypes.c_int64(max(k, 1))
+    herk(b"L", b"N", ctypes.c_int64(k), ctypes.c_int64(len(rows)), scalar(1.0),
+         rows, ld, scalar(float(accumulate)), out, ld, 1, 1)
     return out
 
 

@@ -3,12 +3,15 @@
 The composite channel is B = Dr_n H Dt_n H^H where Dt_n, Dr_n are the
 normalized correlation spectra of the two RIS panels (each summing to 1)
 and H has i.i.d. unit-variance circularly-symmetric complex Gaussian
-entries. B has the nonzero spectrum of the Gram matrix of
-A = Dr_n^{1/2} H Dt_n^{1/2}, taken on the smaller side (A A^H or A^H A).
-`ensemble_from_spectra` is the one draw path: each draw forms that Gram
-matrix with `blas.gram` and takes its eigenvalues with `blas.eigvalsh`,
-which pick the library (numpy's OpenBLAS LAPACK, or numpy.linalg; see
-`blas`).
+entries. B has the nonzero spectrum of the Gram matrix A^H A, taken on the
+smaller side: A = Dr_n^{1/2} H Dt_n^{1/2} when n_r >= n_t, and otherwise
+A = Dt_n^{1/2} H^T Dr_n^{1/2}, whose Gram matrix is the complex conjugate of
+Dr_n^{1/2} H Dt_n H^H Dr_n^{1/2}, with the same eigenvalues. So the panel
+with more kept modes runs along A's rows, and for n_t > n_r the stream fills
+H^T, an equally distributed draw of H. `ensemble_from_spectra` is the one
+draw path: each draw adds A's Gram matrix up over its row chunks with
+`blas.gram` and takes its eigenvalues with `blas.eigvalsh`, which pick the
+library (numpy's OpenBLAS LAPACK, or numpy.linalg; see `blas`).
 
 Precision: the ensemble runs A, its Gram matrix and the eigensolve in the
 `dtype` it is given, complex128 by default. The normals and their scaling
@@ -27,18 +30,25 @@ rounding negatives reach past -1e-10 of the largest value, so the clamp
 floor grows with the precision (`correlation._clamp_negative`).
 
 Each worker runs two threads that each run whole draws. The draw stage
-streams the Philox normals through one float64 chunk of A's rows, 2**15
-values (256 KiB) or fewer unless one row is longer: all the real parts, then
-all the imaginary parts, so the stream is read in the order of one
-n_r x n_t draw per part. It scales each chunk into its rows of A and then
-forms A's Gram matrix. The solve takes its eigenvalues and clamps the
-rounding negatives. A worker's threads share its chunk and A, and its draw
-stages take turns under a lock; each thread solves its own Gram matrix
-outside it. So a worker holds one A and one chunk, and each of its threads
-one Gram matrix and the eigensolve's workspace. At rank n, A and each Gram
-matrix take 16 n^2 bytes in complex128 and 8 n^2 in complex64: 6.2 and
-3.1 MB at rank 624, and 253 and 127 MB at the 32-wavelength rank of 3980.
-A call with one draw left runs it on the calling thread. At rank 624 on a
+streams the Philox normals through a float64 chunk of 64 rows of A: all the
+real parts, then all the imaginary parts, so the stream is read in the order
+of one draw per part. It keeps only the real parts, rounded once to the
+dtype's real type: those of the first 64 rows in a complex chunk of 64 rows,
+the rest in a real buffer. In the imaginary pass each chunk of rows is
+completed in the complex chunk, and `blas.gram` adds its Gram matrix into
+the thread's. The solve takes its eigenvalues and clamps the rounding
+negatives. A worker's threads share its buffers, and its draw stages take
+turns under a lock; each thread solves its own Gram matrix outside it. So a
+worker holds half of A's bytes and the two chunks, and each of its threads
+one Gram matrix and the eigensolve's workspace; all of them are allocated
+on the calling thread. At rank n on square panels, A takes 16 n^2 bytes in
+complex128 and 8 n^2 in complex64, and the worker's buffers about half of
+that plus 64 rows of normals: 3.8 and 2.0 MB at rank 624 (a full A and its
+chunk took 6.5 and 3.4 MB), and 131 and 66 MB at the 32-wavelength rank of
+3980 (254 and 127 MB). Each Gram matrix takes a full A's bytes: 6.2 and
+3.1 MB at rank 624, 253 and 127 MB at rank 3980, and the workspace 0.11 of
+it at rank 624. A call with one draw left runs it on the calling thread.
+At rank 624 on a
 2-core VM on one BLAS thread, a complex64 draw's normals and scaling take
 17-19 ms, `cherk` 9-11 ms and `cheev_2stage` 47-66 ms (medians of 10, three
 runs), and two threads wait 5-9 ms per draw on the lock on average.
@@ -60,8 +70,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blas
-from .correlation import _CHUNK_ENTRIES, _clamp_negative, effective_rank
+from .correlation import _clamp_negative, effective_rank
 from .errors import ValidationError
+
+# rows of A per chunk: at rank 624 in complex128, `zherk` forms the Gram
+# matrix of 1024 rows in 26 ms from 64-row chunks, 34 ms from 16-row ones
+# and 25 ms in one call
+_CHUNK_ROWS = 64
 
 
 @dataclass
@@ -87,43 +102,60 @@ class EigStats:
 
 
 class _Draws:
-    """One worker's draw stage: realization i's normals from the Philox
-    stream keyed by (seed, i), the real parts then the imaginary parts, each
-    scaled by sqrt(1/2), then sqrt(Dr_n), then sqrt(Dt_n) in float64 and
-    rounded once into A, of the ensemble's dtype, and A's Gram matrix. The
-    normals go through a float64 chunk of A's rows, of _CHUNK_ENTRIES values
-    or fewer (but at least one row), filled in stream order. The worker's
-    threads share the chunk and A under `lock`."""
+    """One worker's draw stage. The panel with more kept modes runs along
+    the rows of A: A = Dr_n^{1/2} H Dt_n^{1/2} when n_r >= n_t, otherwise
+    the stream fills H^T and A = Dt_n^{1/2} H^T Dr_n^{1/2}, and the draw's
+    Gram matrix is A^H A. Realization i's normals come from the Philox
+    stream keyed by (seed, i): the real parts of A row by row, then its
+    imaginary parts, each scaled by sqrt(1/2), then the row spectrum's root,
+    then the column spectrum's in float64 and rounded once to the ensemble's
+    dtype. They go through a float64 chunk of rows. The rounded real parts
+    wait in the complex chunk (the first rows) and in `kept` (the rest); in
+    the imaginary pass each chunk of rows is completed in the complex chunk
+    and its Gram matrix added to the draw's. The worker's threads share the
+    buffers under `lock`."""
 
     def __init__(self, dt: np.ndarray, dr: np.ndarray, seed: int, dtype):
         self.seed = seed
-        self.sqrt_dt, self.sqrt_dr = np.sqrt(dt), np.sqrt(dr)[:, None]
-        rows = min(dr.size, max(1, _CHUNK_ENTRIES // dt.size))
-        self.chunk = np.empty((rows, dt.size))
-        self.a = np.empty((dr.size, dt.size), dtype=dtype)
+        long, short = (dr, dt) if dr.size >= dt.size else (dt, dr)
+        self.sqrt_rows, self.sqrt_cols = np.sqrt(long)[:, None], np.sqrt(short)
+        step = min(long.size, _CHUNK_ROWS)
+        self.normals = np.empty((step, short.size))
+        self.chunk = np.empty((step, short.size), dtype=dtype)
+        self.kept = np.empty((long.size - step, short.size), self.chunk.real.dtype)
         self.lock = threading.Lock()
+
+    def _fill(self, stream, lo: int, out: np.ndarray):
+        """The stream's next normals, scaled, into ``out``: rows lo, lo + 1,
+        ... of one part of A."""
+        normals = self.normals[: len(out)]
+        stream.standard_normal(out=normals)
+        normals *= np.sqrt(0.5)
+        normals *= self.sqrt_rows[lo : lo + len(out)]
+        np.multiply(normals, self.sqrt_cols, out=out)
 
     def __call__(self, index: int, gram: np.ndarray) -> np.ndarray:
         with self.lock:
             seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(index,))
             stream = np.random.Generator(np.random.Philox(seq))
-            step = len(self.chunk)
-            for out in (self.a.real, self.a.imag):
-                for lo in range(0, len(out), step):
-                    rows = out[lo : lo + step]
-                    chunk = self.chunk[: len(rows)]
-                    stream.standard_normal(out=chunk)
-                    chunk *= np.sqrt(0.5)
-                    chunk *= self.sqrt_dr[lo : lo + step]
-                    np.multiply(chunk, self.sqrt_dt, out=rows)
-            return blas.gram(self.a, gram)
+            step, n = len(self.chunk), len(self.sqrt_rows)
+            self._fill(stream, 0, self.chunk.real)
+            for lo in range(step, n, step):
+                self._fill(stream, lo, self.kept[lo - step : lo])
+            for lo in range(0, n, step):
+                chunk = self.chunk[: n - lo]
+                if lo:
+                    chunk.real = self.kept[lo - step : lo]
+                self._fill(stream, lo, chunk.imag)
+                blas.gram(chunk, gram, accumulate=lo > 0)
+            return gram
 
 
-def _draw_and_solve(draws: _Draws, indices: range, samples: np.ndarray):
+def _draw_and_solve(
+    draws: _Draws, indices: range, samples: np.ndarray, gram: np.ndarray
+):
     """Draw and solve the listed realizations into their rows of
     ``samples``, one after the other, on this thread's own Gram matrix."""
-    n = min(draws.a.shape)
-    gram = np.empty((n, n), dtype=draws.a.dtype)
     for index in indices:
         values = blas.eigvalsh(draws(index, gram))
         row = _clamp_negative(values[::-1], "composite eigenvalue")
@@ -165,6 +197,14 @@ def ensemble_from_spectra(
                 f"spectrum {name} has no positive value, so every draw is zero",
                 field=name,
             )
+    if head is not None and (
+        np.ndim(head) != 2 or len(head) > realizations or np.shape(head)[1] != dr.size
+    ):
+        raise ValidationError(
+            f"head of shape {np.shape(head)} is not at most {realizations} "
+            f"rows of {dr.size} values",
+            field="head",
+        )
     samples = np.zeros((realizations, dr.size))
     first = 0
     if head is not None:
@@ -175,14 +215,19 @@ def ensemble_from_spectra(
         return ChannelEnsemble(samples, dt, dr)
     workers = min(threads, todo)
     draws = [_Draws(dt_used, dr_used, seed, dtype) for _ in range(workers)]
+    n = min(dt_used.size, dr_used.size)
     if todo == 1:
         # on this thread: a pool thread's malloc arena would keep the
         # buffers it frees, so one-draw calls in a row would pile them up
         with blas.one_thread():
-            _draw_and_solve(draws[0], range(first, realizations), samples)
+            _draw_and_solve(draws[0], range(first, realizations), samples,
+                            np.empty((n, n), dtype))
         return ChannelEnsemble(samples, dt, dr)
     # fewer than 2 * workers draws leave one draw per thread
     runners = min(2 * workers, todo)
+    # the Gram matrices too come from this thread's heap, which reuses what
+    # earlier calls freed, where a pool thread's arena would take new pages
+    grams = [np.empty((n, n), dtype) for _ in range(runners)]
     with blas.one_thread(), ThreadPoolExecutor(max_workers=runners) as pool:
         runs = [
             pool.submit(
@@ -190,6 +235,7 @@ def ensemble_from_spectra(
                 draws[k % workers],
                 range(first + k, realizations, runners),
                 samples,
+                grams[k],
             )
             for k in range(runners)
         ]

@@ -3,11 +3,12 @@ import inspect
 import sys
 import threading
 import time
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
-from draws import draw_eigs, hw_draw, serial_ensemble
+from draws import channel_draw, draw_eigs, hw_draw, serial_ensemble
 from scipy import stats as scipy_stats
 
 from ris_edof import blas, channel_mc
@@ -112,7 +113,8 @@ DRAWS = {
 
 @pytest.mark.parametrize("dt, dr", DRAWS.values(), ids=DRAWS.keys())
 def test_kernel_path_matches_dense_eigvalsh(lapack, dt, dr):
-    oracle = dense_gram_eigs(dt, dr, hw_draw(3, 0, dr.size, dt.size))[::-1]
+    # for a denser transmit panel the stream fills H^T
+    oracle = dense_gram_eigs(dt, dr, channel_draw(3, 0, dr.size, dt.size))[::-1]
     n = min(dt.size, dr.size)
     assert composite_kernel()["routines"] == LAPACK_ROUTINES
     for dtype in PRECISIONS:
@@ -209,6 +211,21 @@ def test_run_ensemble_rejects_zero_realizations():
         ensemble_from_spectra(np.ones(1), np.ones(1), realizations=0, seed=1)
 
 
+@pytest.mark.parametrize(
+    "head", [np.ones((3, 4)), np.ones((1, 3)), np.ones(4)],
+    ids=["more-rows-than-realizations", "short-rows", "one-dimensional"],
+)
+def test_ensemble_rejects_a_head_that_does_not_fit(monkeypatch, head):
+    def pinned():
+        raise AssertionError("pinned BLAS before validating the head")
+
+    monkeypatch.setattr(blas, "one_thread", pinned)
+    flat = np.ones(4) / 4
+    with pytest.raises(ValidationError, match="head") as failure:
+        ensemble_from_spectra(flat, flat, 2, 1, head=head)
+    assert failure.value.field == "head"
+
+
 @pytest.mark.parametrize("field", ["dt", "dr"])
 def test_ensemble_rejects_spectrum_without_positive_value(monkeypatch, field):
     def pinned():
@@ -279,8 +296,11 @@ def fast_switching():
         # 25 -> 169 elements; the receive rank at RANK_TOL is 112, so each
         # row pads from at most 25 solved values straight to 169
         (RisGeometry(2, 2, 0.5, 0.5), RisGeometry(2, 2, 1 / 6, 1 / 6)),
+        # the same panels swapped: the denser panel transmits, and the
+        # stream fills H^T with the 112 transmit modes along its rows
+        (RisGeometry(2, 2, 1 / 6, 1 / 6), RisGeometry(2, 2, 0.5, 0.5)),
     ],
-    ids=["3-half", "2-half-to-2-sixth"],
+    ids=["3-half", "2-half-to-2-sixth", "wide"],
 )
 def test_worker_count_does_not_change_results(
     geom_t, geom_r, monkeypatch, fast_switching
@@ -306,21 +326,22 @@ def test_worker_count_does_not_change_results(
                         assert np.array_equal(
                             ensemble.eig_samples, oracle[:realizations]
                         ), (loader, dtype, realizations, threads, head is None)
-            assert np.all(oracle[:, geom_t.n:] == 0.0)
+            assert np.all(oracle[:, min(geom_t.n, geom_r.n):] == 0.0)
 
 
 @pytest.mark.parametrize("loader", ["lapack", "numpy"])
-@pytest.mark.parametrize("shape", ["tall", "square"])
+@pytest.mark.parametrize("shape", ["tall", "square", "wide"])
 def test_row_chunks_draw_the_stream_in_order(monkeypatch, loader, shape):
     dt, dr = DRAWS[shape]
     if loader == "numpy":
         monkeypatch.setattr(blas, "load", lambda: None)
     elif blas.load() is None:
         pytest.skip("numpy's BLAS does not export the LAPACK routines")
-    # 4 * n_t - 1 entries make chunks of 3 rows: 31 rows split 10 x 3 + 1
-    # and 40 rows 13 x 3 + 1, so each part of A takes 11 or 14 calls of the
-    # stream, the last one ragged; every panel elsewhere fits in one chunk
-    monkeypatch.setattr(channel_mc, "_CHUNK_ENTRIES", 4 * dt.size - 1)
+    # chunks of 3 rows: 31 rows split 10 x 3 + 1 and 40 rows 13 x 3 + 1, so
+    # each part of A takes 11 or 14 calls of the stream and the Gram matrix
+    # as many chunks, the last one ragged; the panels of the other tests
+    # here fit in one chunk
+    monkeypatch.setattr(channel_mc, "_CHUNK_ROWS", 3)
     for dtype in PRECISIONS:
         oracle = serial_ensemble(dt, dr, 5, 4, dtype)
         for threads in (1, 2):
@@ -400,6 +421,8 @@ def test_one_draw_left_runs_on_the_calling_thread(monkeypatch, realizations):
 
 def test_one_worker_overlaps_solves_but_not_draw_stages(lapack, monkeypatch):
     dt, dr = spectrum_of(12, 8), spectrum_of(12, 9)
+    # chunks of 3 rows, so each draw stage adds 4 chunks into its Gram matrix
+    monkeypatch.setattr(channel_mc, "_CHUNK_ROWS", 3)
     expected = ensemble_from_spectra(dt, dr, 6, 1).eig_samples
     # each thread's first solve waits for the other thread's, so a worker
     # that solves one draw at a time breaks the barrier instead of hanging
@@ -413,25 +436,52 @@ def test_one_worker_overlaps_solves_but_not_draw_stages(lapack, monkeypatch):
             barrier.wait()
         lapack.zheev_2stage(*args)
 
-    blas_gram, guard = blas.gram, threading.Lock()
+    blas_gram, guard, stage = blas.gram, threading.Lock(), threading.local()
     drawing = {"now": 0, "most": 0}
 
-    def gram(*args):
-        with guard:
-            drawing["now"] += 1
-            drawing["most"] = max(drawing["most"], drawing["now"])
-        try:
-            time.sleep(0.005)  # holds the stage open for an unlocked thread to join
-            return blas_gram(*args)
-        finally:
+    def gram(rows, out, accumulate=False):
+        # a draw stage runs from its first chunk until its Gram matrix holds
+        # all 12 rows
+        if not accumulate:
+            stage.rows = 0
+            with guard:
+                drawing["now"] += 1
+                drawing["most"] = max(drawing["most"], drawing["now"])
+        time.sleep(0.005)  # holds the stage open for an unlocked thread to join
+        blas_gram(rows, out, accumulate)
+        stage.rows += len(rows)
+        if stage.rows == len(dr):
             with guard:
                 drawing["now"] -= 1
+        return out
 
     monkeypatch.setattr(blas, "load", lambda: lapack._replace(zheev_2stage=zheev))
     monkeypatch.setattr(blas, "gram", gram)
     ensemble = ensemble_from_spectra(dt, dr, 6, 1, threads=1)
-    assert drawing["most"] == 1
+    assert drawing == {"now": 0, "most": 1}
     assert np.array_equal(ensemble.eig_samples, expected)
+
+
+def test_draws_keep_the_real_half_of_a(lapack):
+    # 1000 x 200: each draw's Gram matrix sums 16 chunks of at most 64
+    # rows, and A's real half takes 1.6 MB
+    rows, cols = 1000, 200
+    dt, dr = spectrum_of(cols, 1), spectrum_of(rows, 2)
+    tracemalloc.start()
+    try:
+        ensemble_from_spectra(dt, dr, 4, 7, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the worker's real half of A and its float64 and complex128 chunks;
+    # each of its two threads' Gram matrices and the solve's workspace,
+    # which at rank 200 takes 0.36 of a Gram matrix; and the samples. A
+    # full complex A would add another 1.6 MB
+    half_a = rows * cols * 8
+    chunks = channel_mc._CHUNK_ROWS * cols * (8 + 16)
+    gram = cols * cols * 16
+    samples = 4 * rows * 8
+    assert peak < half_a + chunks + 2 * (gram + gram // 2) + samples, peak
 
 
 def test_rank_bounded_by_spectra():

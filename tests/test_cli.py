@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ris_edof
-from ris_edof import analytic_cdf, blas
+from ris_edof import analytic_cdf, blas, channel_mc
 from ris_edof import cli
 from ris_edof.cli import (
     DESK_COLUMNS,
@@ -1092,10 +1092,24 @@ def gated_config(threads=1):
     return config
 
 
-def test_gate_holds_one_complex128_draw_at_a_time(lapack):
+def test_gate_holds_one_complex128_draw_at_a_time(lapack, monkeypatch):
     config = gated_config()
     geom = config.geometry_t
     n = effective_rank(geometry_spectrum(geom))
+    ensemble, grown = cli.ensemble_from_spectra, []
+
+    def measured(*args, dtype, **kwargs):
+        # what a complex128 call adds to the memory live before it
+        if dtype != np.complex128:
+            return ensemble(*args, dtype=dtype, **kwargs)
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        try:
+            return ensemble(*args, dtype=dtype, **kwargs)
+        finally:
+            grown.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(cli, "ensemble_from_spectra", measured)
     tracemalloc.start()
     try:
         _, _, extras = cli._mean_profile(config, geom, geom)
@@ -1103,30 +1117,34 @@ def test_gate_holds_one_complex128_draw_at_a_time(lapack):
     finally:
         tracemalloc.stop()
     assert extras["precision"] == "complex64"
-    # the complex128 pair's buffers: one A, the float64 normals of at most
-    # all its rows and one Gram matrix, plus the solve's LAPACK workspace,
-    # which at rank 169 takes 0.43 of a Gram matrix. A second thread's Gram
-    # matrix and workspace would not fit; the complex64 draws, at half the
-    # bytes per entry, need less
-    a = gram = n * n * 16
-    normals = n * n * 8
-    assert peak < a + normals + 2 * gram, peak
+    assert len(grown) == cli.GATE_DRAWS
+    # each complex128 draw holds the real half of A, its float64 and
+    # complex128 row chunks and one Gram matrix, plus the solve's LAPACK
+    # workspace, which at rank 169 takes 0.43 of a Gram matrix. A full
+    # complex A, or a second thread's Gram matrix and workspace, would not
+    # fit
+    half_a = n * n * 8
+    chunks = channel_mc._CHUNK_ROWS * n * (8 + 16)
+    gram = n * n * 16
+    assert max(grown) < half_a + chunks + gram + gram // 2, grown
+    # the run's peak, also over the complex64 draws on two threads
+    assert peak < half_a + chunks + 2 * gram, peak
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_gate_never_solves_two_complex128_draws_at_once(lapack, monkeypatch, threads):
-    # a complex128 Gram matrix is live from its `blas.gram` call until its
-    # eigenvalues are out; each solve is held open for a second thread to
-    # form its Gram matrix meanwhile
+    # a complex128 Gram matrix is live from its first row chunk's
+    # `blas.gram` call until its eigenvalues are out; each solve is held
+    # open for a second thread to form its Gram matrix meanwhile
     blas_gram, blas_eigvalsh, guard = blas.gram, blas.eigvalsh, threading.Lock()
     live = {"now": 0, "most": 0, "solved": 0}
 
-    def gram(a, out):
-        if out.dtype == np.complex128:
+    def gram(rows, out, accumulate=False):
+        if out.dtype == np.complex128 and not accumulate:
             with guard:
                 live["now"] += 1
                 live["most"] = max(live["most"], live["now"])
-        return blas_gram(a, out)
+        return blas_gram(rows, out, accumulate)
 
     def eigvalsh(matrix):
         if matrix.dtype != np.complex128:
