@@ -440,8 +440,8 @@ def _mean_profile(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
 
     extras, dtype, head = dict(UNGATED), np.complex128, None
     if config.realizations >= GATED_REALIZATIONS:
-        # one complex128 draw per call, so one thread holds one A and one
-        # Gram matrix: two at once would set the run's peak memory
+        # one complex128 draw per call, so one thread holds one draw's
+        # buffers and Gram matrix: two at once would set the run's peak memory
         double = None
         for n in range(1, GATE_DRAWS + 1):
             double = draw(n, np.complex128, head=double).eig_samples

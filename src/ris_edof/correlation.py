@@ -102,8 +102,7 @@ PARITIES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 # Threads that solve the blocks of one spectrum, each on one BLAS thread.
 SOLVER_THREADS = 2
 # Entries per row chunk of a block gather, so that the chunk's index arrays
-# and gathered terms stay small beside the block itself; the Monte Carlo
-# draws stream their normals through chunks of the same size.
+# and gathered terms stay small beside the block itself.
 _CHUNK_ENTRIES = 1 << 15
 # sqrt(1/2)**k for k = 0..6, each rounded once: 1 or sqrt(1/2) times 2**-(k//2)
 _SQRT_HALF_POWERS = np.ldexp([1.0, np.sqrt(0.5)] * 3 + [1.0], -(np.arange(7) // 2))

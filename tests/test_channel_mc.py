@@ -339,8 +339,7 @@ def test_row_chunks_draw_the_stream_in_order(monkeypatch, loader, shape):
         pytest.skip("numpy's BLAS does not export the LAPACK routines")
     # chunks of 3 rows: 31 rows split 10 x 3 + 1 and 40 rows 13 x 3 + 1, so
     # each part of A takes 11 or 14 calls of the stream and the Gram matrix
-    # as many chunks, the last one ragged; the panels of the other tests
-    # here fit in one chunk
+    # as many chunks, the last one ragged
     monkeypatch.setattr(channel_mc, "_CHUNK_ROWS", 3)
     for dtype in PRECISIONS:
         oracle = serial_ensemble(dt, dr, 5, 4, dtype)
