@@ -47,11 +47,15 @@ that plus 64 rows of normals: 3.8 and 2.0 MB at rank 624 (a full A and its
 chunk took 6.5 and 3.4 MB), and 131 and 66 MB at the 32-wavelength rank of
 3980 (254 and 127 MB). Each Gram matrix takes a full A's bytes: 6.2 and
 3.1 MB at rank 624, 253 and 127 MB at rank 3980, and the workspace 0.11 of
-it at rank 624. A call with one draw left runs it on the calling thread.
-At rank 624 on a
-2-core VM on one BLAS thread, a complex64 draw's normals and scaling take
-17-19 ms, `cherk` 9-11 ms and `cheev_2stage` 47-66 ms (medians of 10, three
-runs), and two threads wait 5-9 ms per draw on the lock on average.
+it at rank 624 (0.05 for complex64's `cheev`). A call with one draw left
+runs it on the calling thread.
+At rank 624 on a 2-core VM on one BLAS thread, a complex64 draw's normals
+and scaling take 15-23 ms, `cherk` 8-11 ms and its eigensolve, `cheev` (see
+`blas.eigensolver`), 27-44 ms (medians of 20-40 draws, six runs; the host's
+speed drifted 1.5x between them). Where `cheev` took 27-28 ms,
+`cheev_2stage` took 38-39 ms. So the draw stage under the lock takes about
+as long as the solve, and two threads wait 2.5-9 ms per draw on the lock on
+average.
 OpenBLAS runs on one thread for the whole ensemble, since a second BLAS
 thread's spinning pool takes the core the other draws need: over 40
 complex128 draws one worker took 81-87 ms per draw pinned and 159-178 ms
@@ -59,8 +63,8 @@ unpinned, and two workers 82-93 ms and 355-380 ms.
 
 Reproducibility: realization i always draws from a Philox stream keyed by
 (master seed, i), and its row depends on nothing else, so results are
-bit-identical regardless of how many workers participate. The two kernels
-give the same bits on one BLAS thread as on several.
+bit-identical regardless of how many workers participate. The kernels give
+the same bits on one BLAS thread as on several.
 """
 
 import threading
@@ -86,6 +90,7 @@ class ChannelEnsemble:
     eig_samples: np.ndarray  # shape (realizations, len(dr)), rows non-increasing
     dt: np.ndarray  # normalized transmit spectrum
     dr: np.ndarray  # normalized receive spectrum
+    eigensolver: str  # the routine that solved the draws (`blas.eigensolver`)
 
     @property
     def realizations(self) -> int:
@@ -206,23 +211,24 @@ def ensemble_from_spectra(
             field="head",
         )
     samples = np.zeros((realizations, dr.size))
+    n = min(dt_used.size, dr_used.size)
+    ensemble = ChannelEnsemble(samples, dt, dr, blas.eigensolver(dtype, n))
     first = 0
     if head is not None:
         first = len(head)
         samples[:first] = head
     todo = realizations - first
     if todo == 0:
-        return ChannelEnsemble(samples, dt, dr)
+        return ensemble
     workers = min(threads, todo)
     draws = [_Draws(dt_used, dr_used, seed, dtype) for _ in range(workers)]
-    n = min(dt_used.size, dr_used.size)
     if todo == 1:
         # on this thread: a pool thread's malloc arena would keep the
         # buffers it frees, so one-draw calls in a row would pile them up
         with blas.one_thread():
             _draw_and_solve(draws[0], range(first, realizations), samples,
                             np.empty((n, n), dtype))
-        return ChannelEnsemble(samples, dt, dr)
+        return ensemble
     # fewer than 2 * workers draws leave one draw per thread
     runners = min(2 * workers, todo)
     # the Gram matrices too come from this thread's heap, which reuses what
@@ -241,7 +247,7 @@ def ensemble_from_spectra(
         ]
         for run in runs:
             run.result()
-    return ChannelEnsemble(samples, dt, dr)
+    return ensemble
 
 
 def ensemble_stats(ensemble: ChannelEnsemble) -> EigStats:

@@ -6,9 +6,9 @@ geometry -> spectrum -> profile -> EDoF chain, and writes one CSV table. A
 command runs one job on the config's panels; a reproduce target runs one job
 per column, both panels at the column's geometry. One JSON manifest per run
 records the command, target and column, the run-level config, versions, wall
-time, peak memory and composite kernel, and per job its file, sha256, size,
-panels and the product's extras. A run exits with a distinct code per
-failure class:
+time, peak memory, composite kernel and OpenBLAS core, and per job its file,
+sha256, size, panels and the product's extras. A run exits with a distinct
+code per failure class:
 
     0  success
     1  unexpected internal error
@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blas import composite_kernel
+from .blas import blas_core, composite_kernel
 from .channel_mc import ensemble_from_spectra, ensemble_stats
 from .correlation import DEFAULT_MAX_ELEMENTS, SpectrumLog, geometry_spectrum
 from .edof import (
@@ -79,13 +79,16 @@ MAX_REALIZATIONS = 100_000
 GATE_DRAWS = 2
 GATE_TOL = 0.01
 # The gate solves its draws in both precisions, which costs about as much
-# as complex64 then saves on 7-16 draws at 12 wavelengths: a complex64 draw
-# takes 0.7-0.8x the wall time of a complex128 one there, since its float64
-# normals cost the same. A run of fewer draws than this stays in complex128
-# without the gate; at 8 draws the gate made a 625-to-2401-element sweep 6%
-# slower.
+# as complex64 then saves on 8-12 draws at 12 wavelengths: at one worker a
+# complex64 draw takes 0.6x the wall time of a complex128 one there, since
+# its float64 normals cost the same, and with the gate 8 draws took 1.18x
+# as long as without it and 12 draws 0.91x (the square panel at half a
+# wavelength and the half-to-quarter-wavelength sweep alike, medians of 6
+# alternating pairs). A run of fewer draws than this stays in complex128
+# without the gate, as the 8-draw 625-to-2401-element sweep does.
 GATED_REALIZATIONS = 20
-# The extras of a Monte Carlo job that ran in complex128 without the gate.
+# The extras of a Monte Carlo job that ran in complex128 without the gate;
+# every Monte Carlo job also names the eigensolver its draws ran on.
 UNGATED = {"precision": "complex128", "gate_delta_edof": None, "gate_snr_db": None}
 
 # Reference-dataset columns: element spacings (x, z) in wavelengths.
@@ -361,6 +364,7 @@ def write_manifest(
         "wall_time_s": round(time.perf_counter() - started, 3),
         "peak_rss_mb": _peak_rss_mb(),
         "composite_kernel": composite_kernel(),
+        "blas_core": blas_core(),
         "jobs": [
             {
                 "column": column,
@@ -451,7 +455,9 @@ def _mean_profile(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
                        else (np.complex128, double))
         extras = {"precision": np.dtype(dtype).name, "gate_delta_edof": delta,
                   "gate_snr_db": at}
-    stats = ensemble_stats(draw(config.realizations, dtype, head=head))
+    ensemble = draw(config.realizations, dtype, head=head)
+    stats = ensemble_stats(ensemble)
+    extras["eigensolver"] = ensemble.eigensolver
     return EigenvalueProfile.from_values(stats.mean_profile), nt_nr, extras
 
 
@@ -465,9 +471,12 @@ def _spectrum(config, geom_t, geom_r):
 
 
 def _mean_std(config, geom_t, geom_r):
-    stats = ensemble_stats(_ensemble(config, geom_t, geom_r))
+    ensemble = _ensemble(config, geom_t, geom_r)
+    stats = ensemble_stats(ensemble)
     rows = _indexed(stats.mean_profile, stats.std_profile)
-    return ["k", "mean", "std"], rows, {"eigsum_mean": stats.eigsum_mean, **UNGATED}
+    extras = {"eigsum_mean": stats.eigsum_mean, **UNGATED,
+              "eigensolver": ensemble.eigensolver}
+    return ["k", "mean", "std"], rows, extras
 
 
 def _bounds_report(config, geom_t, geom_r):
@@ -480,6 +489,7 @@ def _bounds_report(config, geom_t, geom_r):
         "slack": slack,
         "violation_count": len(violations),
         **UNGATED,
+        "eigensolver": ensemble.eigensolver,
     }
     header = ["k", "realization", "value", "bound", "kind"]
     return header, [astuple(v) for v in violations], extras

@@ -22,7 +22,7 @@ SMALL = RisGeometry(3, 3, 0.5, 0.5)  # 49 elements
 PRECISIONS = (np.complex128, np.complex64)
 LAPACK_ROUTINES = {
     "complex128": ["zherk", "zheev_2stage"],
-    "complex64": ["cherk", "cheev_2stage"],
+    "complex64": ["cherk", "cheev", "cheev_2stage"],
 }
 
 
@@ -125,6 +125,73 @@ def test_kernel_path_matches_dense_eigvalsh(lapack, dt, dr):
         assert np.all(eigs[n:] == 0.0)
 
 
+@pytest.fixture
+def solved(lapack, monkeypatch):
+    """Loads numpy's OpenBLAS with each eigensolver wrapped, and returns
+    the list of (routine, n) it appends to on every call: a workspace query
+    and a solve per Gram matrix."""
+    calls = []
+
+    def counted(name):
+        heev = getattr(lapack, name)
+
+        def run(*args):
+            calls.append((name, args[2].value))
+            heev(*args)
+
+        return run
+
+    names = {"zheev_2stage", "cheev", "cheev_2stage"}
+    fake = lapack._replace(**{name: counted(name) for name in names})
+    monkeypatch.setattr(blas, "load", lambda: fake)
+    return calls
+
+
+@pytest.mark.parametrize("rank", [11, 12, 13, 40])
+def test_cheev_solves_up_to_its_rank_and_cheev_2stage_above(
+    solved, monkeypatch, rank
+):
+    # the switch moved down to 12 rows: complex64 Gram matrices of rank 11
+    # and 12 run the one-stage cheev, those of rank 13 and 40 cheev_2stage,
+    # and complex128 ones zheev_2stage at every rank
+    monkeypatch.setattr(blas, "CHEEV_MAX_RANK", 12)
+    dt, dr = spectrum_of(rank, 10), spectrum_of(rank + 5, 11)
+    routines = {np.complex128: "zheev_2stage",
+                np.complex64: "cheev" if rank <= 12 else "cheev_2stage"}
+    for dtype, routine in routines.items():
+        solved.clear()
+        ensemble = ensemble_from_spectra(dt, dr, 3, 4, threads=2, dtype=dtype)
+        assert ensemble.eigensolver == routine
+        assert sorted(solved) == [(routine, rank)] * 6
+        tol = max(1e-13, 4 * rank * np.finfo(dtype).eps)
+        for i, eigs in enumerate(ensemble.eig_samples):
+            hw = channel_draw(4, i, dr.size, dt.size)
+            oracle = dense_gram_eigs(dt, dr, hw)[::-1]
+            assert np.max(np.abs(eigs[:rank] - oracle)) <= tol * oracle[0]
+            assert np.all(eigs[rank:] == 0.0)
+
+
+def test_cheev_negatives_stay_far_above_the_clamp_floor(
+    solved, monkeypatch, half_spectrum
+):
+    # rank 624 on square 12-wavelength panels, whose Gram matrix reaches
+    # down to 0: cheev's rounding negatives stay within 1e-8 of the largest
+    # value, a 30,000th of the float32 clamp floor
+    eigvalsh, extremes = blas.eigvalsh, []
+
+    def raw(gram):
+        values = eigvalsh(gram)
+        extremes.append((values[0], values[-1]))
+        return values
+
+    monkeypatch.setattr(blas, "eigvalsh", raw)
+    ensemble_from_spectra(half_spectrum, half_spectrum, 2, 42, dtype=np.complex64)
+    assert {name for name, _ in solved} == {"cheev"}
+    assert len(extremes) == 2
+    for low, top in extremes:
+        assert -1e-8 * top <= low < 0.0, (low, top)
+
+
 def test_fallback_runs_without_kernels(monkeypatch):
     dt, dr = DRAWS["tall"]
     monkeypatch.setattr(blas, "load", lambda: None)
@@ -132,8 +199,10 @@ def test_fallback_runs_without_kernels(monkeypatch):
     assert composite_kernel() == {
         "library": "numpy.linalg",
         "routines": {"complex128": pair, "complex64": pair},
+        "cheev_max_rank": None,
         "blas_threads": None,
     }
+    assert blas.blas_core() is None
     for dtype in PRECISIONS:
         eigs = ensemble_from_spectra(dt, dr, 2, 3, dtype=dtype).eig_samples[1]
         hw = hw_draw(3, 1, dr.size, dt.size)
@@ -173,6 +242,7 @@ OPENBLAS_SYMBOLS = (
     "scipy_openblas_set_num_threads64_",
     "scipy_cherk_64_",
     "scipy_cheev_2stage_64_",
+    "scipy_cheev_64_",
 )
 
 
@@ -187,7 +257,8 @@ def uncached_load():
 
 @pytest.mark.parametrize(
     "missing", [None, *OPENBLAS_SYMBOLS[2:]],
-    ids=["all-four", "no-getter", "no-setter", "no-cherk", "no-cheev"],
+    ids=["all-four", "no-getter", "no-setter", "no-cherk", "no-cheev",
+         "no-one-stage-cheev"],
 )
 def test_load_needs_the_thread_count_functions(monkeypatch, uncached_load, missing):
     def cdll(path):
@@ -202,6 +273,8 @@ def test_load_needs_the_thread_count_functions(monkeypatch, uncached_load, missi
     loaded = uncached_load()
     if missing is None:
         assert loaded.library == "libfake_openblas.so"
+        # a build without the core-name getter loads, and names no core
+        assert loaded.core is None
     else:
         assert loaded is None
 
@@ -501,7 +574,7 @@ def test_rows_sorted_and_nonnegative():
 def test_stats_on_identical_samples():
     row = np.array([[3.0, 2.0, 1.0]])
     flat = np.ones(3) / 3
-    ensemble = ChannelEnsemble(np.repeat(row, 4, axis=0), flat, flat)
+    ensemble = ChannelEnsemble(np.repeat(row, 4, axis=0), flat, flat, "eigvalsh")
     stats = ensemble_stats(ensemble)
     assert np.array_equal(stats.std_profile, np.zeros(3))
     assert np.array_equal(stats.mean_profile, row[0])
@@ -510,7 +583,7 @@ def test_stats_on_identical_samples():
 
 def test_stats_require_two_realizations():
     flat = np.ones(2) / 2
-    ensemble = ChannelEnsemble(np.ones((1, 2)), flat, flat)
+    ensemble = ChannelEnsemble(np.ones((1, 2)), flat, flat, "eigvalsh")
     with pytest.raises(ValidationError):
         ensemble_stats(ensemble)
 
@@ -534,7 +607,7 @@ def test_eigensum_scalar_channel():
 def test_eigensum_zero_channel_injected():
     # ensemble_stats needs two realizations
     flat = np.ones(2) / 2
-    ensemble = ChannelEnsemble(np.zeros((2, 2)), flat, flat)
+    ensemble = ChannelEnsemble(np.zeros((2, 2)), flat, flat, "eigvalsh")
     assert ensemble_stats(ensemble).eigsum_mean == 0.0
 
 

@@ -458,7 +458,7 @@ def test_bounds_audit_rows_lie_outside_their_bounds(tmp_path):
     ]
     assert extras == {
         "regime": "nt_much_less", "slack": 0.0, "violation_count": len(rows),
-        **UNGATED,
+        **UNGATED, "eigensolver": blas.eigensolver(np.complex128, 4),
     }
     assert rows
     for k, realization, value, bound, kind in rows:
@@ -853,7 +853,7 @@ def test_unexpected_exception_exits_1_with_json(tmp_path, capsys, monkeypatch):
     assert "boom" in err["error"]["message"]
 
 
-def _manifests_record(tmp_path, expected):
+def _manifests_record(tmp_path, expected, core):
     cfg = write_config(tmp_path, TINY)
     for command in ("corr-eigs", "channel-eigs"):
         out = tmp_path / command
@@ -861,6 +861,7 @@ def _manifests_record(tmp_path, expected):
         stem = command.replace("-", "_")
         manifest = json.loads((out / f"{stem}_manifest.json").read_text())
         assert manifest["composite_kernel"] == expected
+        assert manifest["blas_core"] == core
 
 
 def test_manifest_records_lapack_kernel(tmp_path, lapack):
@@ -868,11 +869,12 @@ def test_manifest_records_lapack_kernel(tmp_path, lapack):
         "library": lapack.library,
         "routines": {
             "complex128": ["zherk", "zheev_2stage"],
-            "complex64": ["cherk", "cheev_2stage"],
+            "complex64": ["cherk", "cheev", "cheev_2stage"],
         },
+        "cheev_max_rank": blas.CHEEV_MAX_RANK,
         "blas_threads": 1,
     }
-    _manifests_record(tmp_path, expected)
+    _manifests_record(tmp_path, expected, lapack.core)
 
 
 def test_manifest_records_numpy_fallback(tmp_path, monkeypatch):
@@ -881,9 +883,10 @@ def test_manifest_records_numpy_fallback(tmp_path, monkeypatch):
     expected = {
         "library": "numpy.linalg",
         "routines": {"complex128": pair, "complex64": pair},
+        "cheev_max_rank": None,
         "blas_threads": None,
     }
-    _manifests_record(tmp_path, expected)
+    _manifests_record(tmp_path, expected, None)
 
 
 def test_lapack_failure_exits_4_with_info(tmp_path, capsys, zheev_info):
@@ -1018,7 +1021,7 @@ def test_sweep_records_profile_rank_and_ref_clip(tmp_path, geometry_t, clipped):
     curve_extras = json.loads(
         (out / "capacity_curve_manifest.json").read_text()
     )["jobs"][0]["extras"]
-    gate = {key: extras.pop(key) for key in UNGATED}
+    gate = {key: extras.pop(key) for key in [*UNGATED, "eigensolver"]}
     assert extras == {"profile_rank": rank, "ref_clipped": clipped}
     assert gate == curve_extras
     assert (rank == 16) if clipped else (rank > 28)
@@ -1072,6 +1075,11 @@ def test_precision_gate_chooses_the_draws_precision(
         return
     assert extras["precision"] == precision
     assert forced["precision"] == "complex128"
+    # rank 169 at most, below the switch: complex64 runs the one-stage solver
+    solvers = {"complex128": "zheev_2stage", "complex64": "cheev"}
+    if blas.load() is not None:
+        for ran in (extras, forced):
+            assert ran["eigensolver"] == solvers[ran["precision"]]
     assert forced["gate_delta_edof"] == extras["gate_delta_edof"]
     snrs = parse_config(payload, "edof-sweep").snr_grid_db
     assert extras["gate_snr_db"] in snrs
@@ -1167,7 +1175,7 @@ def test_gate_never_solves_two_complex128_draws_at_once(lapack, monkeypatch, thr
 
 MANIFEST_KEYS = {
     "command", "target", "column", "config", "versions", "wall_time_s",
-    "peak_rss_mb", "composite_kernel", "jobs",
+    "peak_rss_mb", "composite_kernel", "blas_core", "jobs",
 }
 CONFIG_KEYS = {
     "realizations", "seed", "snr_grid_db", "threads", "max_elements", "options"
