@@ -175,7 +175,7 @@ def test_cheev_negatives_stay_far_above_the_clamp_floor(
     solved, monkeypatch, half_spectrum
 ):
     # rank 624 on square 12-wavelength panels, whose Gram matrix reaches
-    # down to 0: cheev's rounding negatives stay within 1e-8 of the largest
+    # down to 0: cheev's rounding negatives stay above -1e-8 of the largest
     # value, a 30,000th of the float32 clamp floor
     eigvalsh, extremes = blas.eigvalsh, []
 
