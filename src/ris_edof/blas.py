@@ -1,20 +1,25 @@
-"""Gram matrices and their eigenvalues for the Monte Carlo draws: the one
-place that picks the library and the routine they run on.
+"""Gram matrices and eigenvalues for the Monte Carlo draws and the
+correlation spectrum: the one place that picks the library and the routine
+they run on.
 
 numpy's wheels bundle an ILP64 OpenBLAS whose symbols carry a ``scipy_``
 prefix and a ``64_`` suffix. When it exports ``zherk``, ``zheev_2stage``,
 their single-precision twins ``cherk`` and ``cheev_2stage``, the one-stage
-``cheev``, and its thread-count getter and setter, `load` returns all seven,
-with the name of the CPU kernels OpenBLAS picked (`blas_core`). ``zherk``
-adds one triangle of a row chunk's Gram matrix into the draw's, half the
-flops of ``a.conj().T @ a`` and with no conjugate copy; the ``heev``
-routines with jobz='N' return its eigenvalues; `one_thread` pins the library
-for a block of calls: the draws, and the correlation spectrum's
-``numpy.linalg.eigvalsh``, which runs on the same OpenBLAS. Otherwise
-(Accelerate, MKL, a source build) `load` gives None, and `gram` and
-`eigvalsh` run ``np.matmul`` and ``np.linalg.eigvalsh``. `composite_kernel`
-names the path. The library is found as ``perfbench/run.py`` finds it, on the
-first call of `load`.
+``cheev``, the real symmetric ``dsyevd``, and its thread-count getter and
+setter, `load` returns all eight, with the name of the CPU kernels OpenBLAS
+picked (`blas_core`). ``zherk`` adds one triangle of a row chunk's Gram
+matrix into the draw's, half the flops of ``a.conj().T @ a`` and with no
+conjugate copy; the ``heev`` routines with jobz='N' return its eigenvalues.
+``dsyevd`` is the routine numpy's own ``numpy.linalg.eigvalsh`` imports from
+this library, and `eigvalsh` runs it as numpy does on each float64
+correlation block, in place: numpy would first copy the block into a
+column-major buffer of its own, a second block's worth of memory per solver
+thread that ``tracemalloc`` cannot see. `one_thread` pins the library for a
+block of calls: the draws and the spectrum's blocks. Otherwise (Accelerate,
+MKL, a source build) `load` gives None, and `gram` and `eigvalsh` run
+``np.matmul`` and ``np.linalg.eigvalsh``. `composite_kernel` names the draws'
+path and `eigensolver` each solve's routine. The library is found as
+``perfbench/run.py`` finds it, on the first call of `load`.
 
 Precision follows the buffers: `gram` runs ``zherk`` on complex128 and
 ``cherk`` on complex64, and the numpy path keeps the dtype it is given. Each
@@ -66,6 +71,7 @@ class Lapack(NamedTuple):
     cherk: object  # the single-precision twins of the two above
     cheev_2stage: object
     cheev: object  # the one-stage solver for complex64 ranks up to CHEEV_MAX_RANK
+    dsyevd: object  # the real symmetric solver of the correlation blocks
     get_threads: object  # OpenBLAS's thread-count getter and setter
     set_threads: object
     core: str | None  # the CPU kernels OpenBLAS picked, None when it does not say
@@ -80,20 +86,23 @@ ROUTINES = {
     np.dtype(np.complex128): ("zherk", "zheev_2stage", "zheev_2stage"),
     np.dtype(np.complex64): ("cherk", "cheev", "cheev_2stage"),
 }
+# the eigensolver of a float64 matrix, the routine ``numpy.linalg.eigvalsh``
+# runs on it
+SYEVD = "dsyevd"
 
 
 @functools.cache
 def load() -> Lapack | None:
-    """The five routines, the thread-count getter and setter and the core
+    """The six routines, the thread-count getter and setter and the core
     name from numpy's bundled OpenBLAS, or None when that build does not
-    export all seven functions."""
+    export all eight functions."""
     libs = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*")
     for path in sorted(glob.glob(libs)):
         lib = ctypes.CDLL(path)
         try:
             zherk, zheev = lib.scipy_zherk_64_, lib.scipy_zheev_2stage_64_
             cherk, cheev_2stage = lib.scipy_cherk_64_, lib.scipy_cheev_2stage_64_
-            cheev = lib.scipy_cheev_64_
+            cheev, dsyevd = lib.scipy_cheev_64_, lib.scipy_dsyevd_64_
             get = lib.scipy_openblas_get_num_threads64_
             set_ = lib.scipy_openblas_set_num_threads64_
         except AttributeError:
@@ -114,10 +123,15 @@ def load() -> Lapack | None:
                 heev.argtypes = [c, c, i64, z, i64, d, z, i64, d, i64,
                                  length, length]
                 heev.restype = None
+        d = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+        ints = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+        dsyevd.argtypes = [c, c, i64, d, i64, d, d, i64, ints, i64, i64,
+                           length, length]
+        dsyevd.restype = None
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
         return Lapack(os.path.basename(path), zherk, zheev, cherk, cheev_2stage,
-                      cheev, get, set_, _core_name(lib))
+                      cheev, dsyevd, get, set_, _core_name(lib))
     return None
 
 
@@ -161,9 +175,11 @@ def blas_core() -> str | None:
 
 
 def eigensolver(dtype, n: int) -> str:
-    """The routine `eigvalsh` runs on an n x n Gram matrix of ``dtype``."""
+    """The routine `eigvalsh` runs on an n x n matrix of ``dtype``."""
     if load() is None:
         return "eigvalsh"
+    if np.dtype(dtype) == np.float64:
+        return SYEVD
     _, small, large = _names(np.dtype(dtype))
     return small if n <= CHEEV_MAX_RANK else large
 
@@ -226,11 +242,17 @@ def gram(rows: np.ndarray, out: np.ndarray, accumulate: bool = False) -> np.ndar
 
 def eigvalsh(gram: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian matrix whose lower triangle
-    ``gram`` holds, float64 for a complex128 ``gram`` and float32 for a
-    complex64 one. The kernel path overwrites ``gram``."""
+    ``gram`` holds: float64 for a float64 or complex128 ``gram``, float32 for
+    a complex64 one. The kernel path reads ``gram`` column by column, as
+    LAPACK does, and overwrites it. A float64 ``gram`` runs ``dsyevd`` with
+    numpy's arguments, so its values are ``numpy.linalg.eigvalsh``'s bit for
+    bit, and in Fortran order, as the correlation blocks come, it is solved
+    with no copy."""
     lapack = load()
     if lapack is None:
         return np.linalg.eigvalsh(gram)
+    if gram.dtype == np.float64:
+        return _syevd(lapack.dsyevd, np.asfortranarray(gram))
     n = gram.shape[0]
     name = eigensolver(gram.dtype, n)
     heev = getattr(lapack, name)
@@ -243,15 +265,42 @@ def eigvalsh(gram: np.ndarray) -> np.ndarray:
     def solve(work: np.ndarray, lwork: int) -> None:
         heev(b"N", b"L", c_n, gram, ld, values, work, ctypes.c_int64(lwork),
              rwork, info, 1, 1)
-        if info.value != 0:
-            raise NumericError(
-                f"LAPACK {name} returned info = {info.value} on a "
-                f"{n} x {n} Gram matrix",
-                {"routine": name, "info": info.value, "n": n},
-            )
+        _check(info, name, n)
 
     query = np.empty(1, dtype=gram.dtype)
     solve(query, -1)  # the workspace query writes the optimal size
     work = np.empty(max(1, int(query[0].real)), dtype=gram.dtype)
     solve(work, work.size)
     return values
+
+
+def _syevd(dsyevd, matrix: np.ndarray) -> np.ndarray:
+    """``dsyevd`` with jobz='N' and uplo='L' on the Fortran-order ``matrix``
+    itself, after the workspace query that ``numpy.linalg.eigvalsh`` makes
+    too."""
+    n = matrix.shape[0]
+    c_n, ld = ctypes.c_int64(n), ctypes.c_int64(max(n, 1))
+    values = np.empty(n)
+    info = ctypes.c_int64(0)
+
+    def solve(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int) -> None:
+        dsyevd(b"N", b"L", c_n, matrix, ld, values, work, ctypes.c_int64(lwork),
+               iwork, ctypes.c_int64(liwork), info, 1, 1)
+        _check(info, SYEVD, n)
+
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    solve(work, -1, iwork, -1)  # the workspace query writes the optimal sizes
+    work = np.empty(max(1, int(work[0])))
+    iwork = np.empty(max(1, int(iwork[0])), dtype=np.int64)
+    solve(work, work.size, iwork, iwork.size)
+    return values
+
+
+def _check(info: ctypes.c_int64, name: str, n: int) -> None:
+    """Raises when LAPACK ``name`` reported a nonzero info on an n x n
+    matrix."""
+    if info.value != 0:
+        raise NumericError(
+            f"LAPACK {name} returned info = {info.value} on a {n} x {n} matrix",
+            {"routine": name, "info": info.value, "n": n},
+        )

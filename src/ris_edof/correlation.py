@@ -46,6 +46,17 @@ threads solve the blocks in list order with OpenBLAS pinned to one thread
 (`blas.one_thread`), so at most two blocks are alive at once, and the
 spectrum's bits depend on neither the BLAS thread count nor the CLI's
 --threads.
+
+The blocks are solved in place: `blas.eigvalsh` runs LAPACK's ``dsyevd``,
+the routine numpy's eigvalsh runs, on the gathered block itself, so no
+solver thread holds numpy's column-major copy beside its block (the
+spectrum of the 12-wavelength panel at a twelfth of a wavelength peaked at
+573 MB with the copies and 307 MB without). LAPACK overwrites the block, so
+the trace is taken before the solve. A swap block is not symmetric bit for
+bit: its swap term adds the four reflected table terms in a different order
+at (i, j) than at (j, i). LAPACK must therefore read the triangle numpy
+reads, so each block is gathered in Fortran order, LAPACK's layout, and the
+values are numpy's bit for bit.
 """
 
 import math
@@ -123,14 +134,17 @@ class SpectrumLog:
     """How geometry_spectrum got its values: the symmetry it split R by
     (`swap` or `parity`), each block's (rows, count) in merge order, the
     blocks' trace sum(count * trace) (N for a unit diagonal), R's smallest
-    eigenvalue before the clamp (the most negative, if any is), and the
-    normalized spectrum's rank at RANK_TOL."""
+    eigenvalue before the clamp (the most negative, if any is), the
+    normalized spectrum's rank at RANK_TOL, and the routine that solved the
+    blocks (`blas.eigensolver`: ``dsyevd``, or ``eigvalsh`` on the numpy
+    path)."""
 
     symmetry: str = ""
     blocks: list[tuple[int, int]] = field(default_factory=list)
     trace: float = math.nan
     min_eigenvalue: float = math.nan
     rank: int = 0
+    eigensolver: str = ""
 
 
 def offset_table(geom: RisGeometry) -> np.ndarray:
@@ -148,17 +162,20 @@ def _gather(
     """The block whose row i stands for lattice representative (x[i], z[i]):
     entry (i, j) is sqrt(1/2)**(halves[i] + halves[j]) times G(i, j) + swap *
     G(i, j with x_j and z_j exchanged), G the four reflected table terms.
-    Built a chunk of rows at a time."""
+    Returned in Fortran order, the layout LAPACK reads, so the solve needs no
+    copy: the C-order buffer under it holds column j of the block in row j,
+    built a chunk of buffer rows at a time."""
     n_x, n_z = table.shape
     flat = table.ravel()
     m = x.size
     block = np.empty((m, m))
-    partners = [(x, z, 1)] + ([(z, x, swap)] if swap else [])
+    xs, zs = x[None, :], z[None, :]  # the block's row i is buffer column i
     step = max(1, _CHUNK_ENTRIES // max(m, 1))
     for lo in range(0, m, step):
         rows = slice(lo, lo + step)
         out = block[rows]
-        xs, zs = x[rows, None], z[rows, None]
+        x_j, z_j = x[rows, None], z[rows, None]  # the block's columns j
+        partners = [(x_j, z_j, 1)] + ([(z_j, x_j, swap)] if swap else [])
         first = True
         for cols_x, cols_z, sign in partners:
             # direct and mirrored offsets as flat table indices, x * n_z + z
@@ -181,9 +198,9 @@ def _gather(
                     else:
                         out -= flat.take(off_x + off_z)
         # sqrt(1/2)**(h_i + h_j) rounded once, so two halves make exactly 1/2
-        # and the block is symmetric bit for bit
+        # and (i, j) takes the weight of (j, i) bit for bit
         out *= _SQRT_HALF_POWERS[halves[rows, None] + halves[None, :]]
-    return block
+    return block.T
 
 
 def _lattice_block(
@@ -218,11 +235,13 @@ def _blocks(table: np.ndarray, square: bool) -> tuple[str, list[Block]]:
 
 def _solve(block: Block) -> tuple[np.ndarray, float]:
     """Ascending eigenvalues and trace of one block, which lives only for
-    this call."""
+    this call and is solved in place."""
     matrix = block.build()
+    trace = np.trace(matrix)  # before LAPACK overwrites the block
     try:
-        values = np.linalg.eigvalsh(matrix)
-    except np.linalg.LinAlgError as exc:
+        values = blas.eigvalsh(matrix)
+    except (np.linalg.LinAlgError, NumericError) as exc:
+        matrix = block.build()  # the block as gathered, not as LAPACK left it
         diag = {
             "block_dim": matrix.shape[0],
             "fro_norm": float(np.linalg.norm(matrix)),
@@ -231,7 +250,7 @@ def _solve(block: Block) -> tuple[np.ndarray, float]:
         raise NumericError(
             f"eigensolver failed to converge: {exc}", diag
         ) from exc
-    return values, np.trace(matrix)
+    return values, trace
 
 
 def eigen_decompose(
@@ -245,8 +264,8 @@ def eigen_decompose(
     Small negative eigenvalues (rounding noise from the PSD kernel) are
     clamped to zero; anything below -NEGATIVE_CLAMP_REL * alpha_1 raises, and
     so does a sum that misses the blocks' trace by more than 1e-10 relative.
-    `log`, when given, receives the trace and the smallest eigenvalue before
-    the clamp.
+    `log`, when given, receives the trace, the smallest eigenvalue before
+    the clamp and the eigensolver.
     """
     with blas.one_thread(), ThreadPoolExecutor(SOLVER_THREADS) as pool:
         parts = list(pool.map(_solve, blocks))
@@ -256,6 +275,7 @@ def eigen_decompose(
     trace_in = float(sum(block.count * t for block, (_, t) in zip(blocks, parts)))
     if log is not None:
         log.trace, log.min_eigenvalue = trace_in, float(values[-1])
+        log.eigensolver = blas.eigensolver(np.float64, values.size)
     values = _clamp_negative(values, "correlation eigenvalue")
 
     total = float(values.sum())

@@ -243,6 +243,7 @@ OPENBLAS_SYMBOLS = (
     "scipy_cherk_64_",
     "scipy_cheev_2stage_64_",
     "scipy_cheev_64_",
+    "scipy_dsyevd_64_",
 )
 
 
@@ -258,7 +259,7 @@ def uncached_load():
 @pytest.mark.parametrize(
     "missing", [None, *OPENBLAS_SYMBOLS[2:]],
     ids=["all-four", "no-getter", "no-setter", "no-cherk", "no-cheev",
-         "no-one-stage-cheev"],
+         "no-one-stage-cheev", "no-dsyevd"],
 )
 def test_load_needs_the_thread_count_functions(monkeypatch, uncached_load, missing):
     def cdll(path):

@@ -367,7 +367,9 @@ def test_spectrum_jobs_record_their_diagnostics(tmp_path, argv, symmetries):
     assert [job["extras"]["symmetry"] for job in jobs] == symmetries
     for job in jobs:
         extras, geom = job["extras"], RisGeometry(**job["geometry_t"])
-        assert set(extras) == {"symmetry", "blocks", "trace", "min_eigenvalue", "rank"}
+        assert set(extras) == {"symmetry", "blocks", "trace", "min_eigenvalue",
+                               "rank", "eigensolver"}
+        assert extras["eigensolver"] == ("eigvalsh" if blas.load() is None else "dsyevd")
         assert sum(rows * count for rows, count in extras["blocks"]) == geom.n
         # the trace is R's, whose diagonal is 1
         assert extras["trace"] == pytest.approx(geom.n, rel=1e-12)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ris_edof import correlation
+from ris_edof import blas, correlation
 from ris_edof.correlation import (
     PARITIES,
     Block,
@@ -49,8 +49,9 @@ def parity_blocks(geom: RisGeometry) -> list[np.ndarray]:
 
 
 def as_blocks(*matrices: np.ndarray) -> list[Block]:
-    """Blocks that hand over the given matrices, each counted once."""
-    return [Block(m.shape[0], lambda m=m: m) for m in matrices]
+    """Blocks that hand over a copy of each given matrix, which the solve
+    overwrites, each counted once."""
+    return [Block(m.shape[0], m.copy) for m in matrices]
 
 
 def test_half_wavelength_pair_is_uncorrelated():
@@ -141,21 +142,43 @@ def test_sum_off_the_trace_is_refused():
         eigen_decompose(as_blocks(block))
 
 
-def test_solver_failure_is_a_numeric_error(monkeypatch):
-    eigvalsh = np.linalg.eigvalsh
-
-    def fails_past_one_row(block):
-        if block.shape[0] > 1:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigvalsh(block)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", fails_past_one_row)
+def assert_failure_describes_the_gathered_block():
     block = np.array([[2.0, -3.0], [-3.0, 1.0]])
     with pytest.raises(NumericError, match="failed to converge") as info:
         eigen_decompose(as_blocks(np.eye(1), block))
     assert info.value.diagnostics == {
         "block_dim": 2, "fro_norm": math.sqrt(23.0), "max_abs_entry": 3.0,
     }
+
+
+def test_solver_failure_is_a_numeric_error(lapack, monkeypatch):
+    # dsyevd fails past one row and leaves the block overwritten, as LAPACK
+    # may; the diagnostics describe the block as gathered
+    def dsyevd(*args):
+        n, matrix, lwork, info = args[2].value, args[3], args[7], args[10]
+        if n == 1 or lwork.value == -1:
+            lapack.dsyevd(*args)
+        else:
+            matrix[...] = np.nan
+            info.value = 2
+
+    fake = lapack._replace(dsyevd=dsyevd)
+    monkeypatch.setattr(blas, "load", lambda: fake)
+    assert_failure_describes_the_gathered_block()
+
+
+def test_solver_failure_on_the_numpy_path_is_a_numeric_error(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+
+    def fails_past_one_row(matrix):
+        if matrix.shape[0] > 1:
+            matrix[...] = np.nan
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(blas, "load", lambda: None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails_past_one_row)
+    assert_failure_describes_the_gathered_block()
 
 
 def test_normalized_sum_off_one_is_refused(monkeypatch):
@@ -291,6 +314,73 @@ def test_plus_minus_values_come_in_bitwise_pairs(monkeypatch):
     assert np.max(np.abs(minus_plus - plus_minus)) <= 1e-13 * plus_minus[-1]
 
 
+def formula_block(table, x, z, p_x, p_z, halves, swap) -> np.ndarray:
+    """Oracle: the block entry by entry from the module docstring's formula
+    in scalar floats, row i for representative (x[i], z[i]); the terms are
+    added in the order the builder adds them, so the entries match its bits."""
+    n_x, n_z = table.shape
+    m = len(x)
+    block = np.empty((m, m))
+    for i, j in np.ndindex(m, m):
+        partners = [(x[j], z[j], 1)] + ([(z[j], x[j], swap)] if swap else [])
+        total = None
+        for col_x, col_z, sign in partners:
+            for d_z, s_z in ((abs(z[i] - col_z), 1), (abs(z[i] + col_z - n_z + 1), p_z)):
+                for d_x, s_x in ((abs(x[i] - col_x), 1), (abs(x[i] + col_x - n_x + 1), p_x)):
+                    term = float(table[d_x, d_z])
+                    if total is None:
+                        total = term
+                    elif sign * s_x * s_z > 0:
+                        total += term
+                    else:
+                        total -= term
+        h = int(halves[i] + halves[j])
+        block[i, j] = total * ((1.0, math.sqrt(0.5))[h % 2] * 2.0 ** -(h // 2))
+    return block
+
+
+@pytest.mark.parametrize(
+    "geom, asymmetric",
+    [(square(3, 0.5), 0), (square(4, 0.3), 2), (RisGeometry(2, 1.5, 0.5, 0.5), 0),
+     (RisGeometry(12, 12, 0.5, 0.5), 4)],
+    ids=["3x3", "4x4", "5x4", "12-half"],
+)
+def test_blocks_are_solved_in_place_as_numpy_solves_them(
+    lapack, monkeypatch, geom, asymmetric
+):
+    # square lattices give the (+,-) parity block and both swap halves of
+    # (+,+) and (-,-), the 5 x 4 one all four parity blocks. Each block is
+    # gathered in Fortran order and handed to dsyevd with no copy, and its
+    # values are np.linalg.eigvalsh's of the block as numpy reads it, bit for
+    # bit. Swap blocks are not symmetric bit for bit, so the layout reaches
+    # the values.
+    received = []
+
+    def dsyevd(*args):
+        received.append(args[3])
+        lapack.dsyevd(*args)
+
+    fake = lapack._replace(dsyevd=dsyevd)
+    monkeypatch.setattr(blas, "load", lambda: fake)
+    _, blocks = _blocks(offset_table(geom), square=geom.n_x == geom.n_z)
+    seen = 0
+    for block in blocks:
+        formula = formula_block(*block.build.args)
+        seen += not np.array_equal(formula, formula.T)
+        gathered = block.build()
+        assert gathered.flags.f_contiguous
+        assert np.array_equal(gathered, formula)
+        with blas.one_thread():
+            expected = np.linalg.eigvalsh(formula)
+            received.clear()
+            values, trace = correlation._solve(block._replace(build=lambda: gathered))
+        assert np.array_equal(values, expected)
+        assert len(received) == 2  # the workspace query and the solve
+        assert all(matrix.ctypes.data == gathered.ctypes.data for matrix in received)
+        assert trace == np.trace(formula)
+    assert seen == asymmetric
+
+
 @pytest.mark.parametrize(
     "geom, blocks",
     [
@@ -309,6 +399,7 @@ def test_log_matches_direct_computation(geom, blocks):
     dense = np.linalg.eigvalsh(dense_correlation(geom))
     assert abs(log.min_eigenvalue - dense[0]) <= 1e-12 * dense[-1]
     assert log.rank == effective_rank(values) == effective_rank(dense[::-1])
+    assert log.eigensolver == ("eigvalsh" if blas.load() is None else "dsyevd")
 
 
 def test_eigen_decompose_logs_trace_and_smallest_value_before_clamp():
@@ -318,6 +409,10 @@ def test_eigen_decompose_logs_trace_and_smallest_value_before_clamp():
     assert (log.trace, log.min_eigenvalue) == (3.0 - 1e-12, -1e-12)
 
 
+# tracemalloc sees only numpy's own allocations: a copy that C code makes
+# with malloc, such as np.linalg.eigvalsh's column-major copy of the block,
+# escapes it (test_blocks_are_solved_in_place_as_numpy_solves_them checks
+# that the blocks reach LAPACK uncopied)
 def test_spectrum_peak_memory_below_half_dense_matrix():
     geom = RisGeometry(8.5, 8.5, 0.25, 0.25)  # 35 x 35 = 1225 elements
     dense_bytes = 8 * geom.n**2
