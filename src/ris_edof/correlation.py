@@ -113,8 +113,11 @@ PARITIES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 # Threads that solve the blocks of one spectrum, each on one BLAS thread.
 SOLVER_THREADS = 2
 # Entries per row chunk of a block gather, so that the chunk's index arrays
-# and gathered terms stay small beside the block itself.
-_CHUNK_ENTRIES = 1 << 15
+# and gathered terms stay small beside the block itself. At 1 << 15 (256 KB
+# per array) the two threads' gathers raised the peak RSS of the 9-wavelength
+# panel at a sixth of a wavelength to 45.4-45.6 MB in about half the runs,
+# against 42.2-43.3 MB at 1 << 14, which took the same time within noise.
+_CHUNK_ENTRIES = 1 << 14
 # sqrt(1/2)**k for k = 0..6, each rounded once: 1 or sqrt(1/2) times 2**-(k//2)
 _SQRT_HALF_POWERS = np.ldexp([1.0, np.sqrt(0.5)] * 3 + [1.0], -(np.arange(7) // 2))
 
