@@ -123,9 +123,10 @@ def load() -> Lapack | None:
                 heev.argtypes = [c, c, i64, z, i64, d, z, i64, d, i64,
                                  length, length]
                 heev.restype = None
-        d = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+        # the matrix in LAPACK's column-major layout, then 1-d arrays
+        f = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
         ints = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-        dsyevd.argtypes = [c, c, i64, d, i64, d, d, i64, ints, i64, i64,
+        dsyevd.argtypes = [c, c, i64, f, i64, f, f, i64, ints, i64, i64,
                            length, length]
         dsyevd.restype = None
         get.argtypes, get.restype = [], ctypes.c_int

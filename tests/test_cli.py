@@ -369,7 +369,8 @@ def test_spectrum_jobs_record_their_diagnostics(tmp_path, argv, symmetries):
         extras, geom = job["extras"], RisGeometry(**job["geometry_t"])
         assert set(extras) == {"symmetry", "blocks", "trace", "min_eigenvalue",
                                "rank", "eigensolver"}
-        assert extras["eigensolver"] == ("eigvalsh" if blas.load() is None else "dsyevd")
+        solver = "eigvalsh" if blas.load() is None else "dsyevd"
+        assert extras["eigensolver"] == solver
         assert sum(rows * count for rows, count in extras["blocks"]) == geom.n
         # the trace is R's, whose diagonal is 1
         assert extras["trace"] == pytest.approx(geom.n, rel=1e-12)
