@@ -49,9 +49,9 @@ spectrum's bits depend on neither the BLAS thread count nor the CLI's
 
 The blocks are solved in place: `blas.eigvalsh` runs LAPACK's ``dsyevd``,
 the routine numpy's eigvalsh runs, on the gathered block itself, so no
-solver thread holds numpy's column-major copy beside its block (the
-spectrum of the 12-wavelength panel at a twelfth of a wavelength peaked at
-573 MB with the copies and 307 MB without). LAPACK overwrites the block, so
+solver thread holds numpy's column-major copy beside its block (on a
+2-core VM the spectrum of the 12-wavelength panel at a twelfth of a
+wavelength peaked at 573 MB with the copies and 307 MB without). LAPACK overwrites the block, so
 the trace is taken before the solve. A swap block is not symmetric bit for
 bit: its swap term adds the four reflected table terms in a different order
 at (i, j) than at (j, i). LAPACK must therefore read the triangle numpy
@@ -113,10 +113,11 @@ PARITIES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 # Threads that solve the blocks of one spectrum, each on one BLAS thread.
 SOLVER_THREADS = 2
 # Entries per row chunk of a block gather, so that the chunk's index arrays
-# and gathered terms stay small beside the block itself. At 1 << 15 (256 KB
-# per array) the two threads' gathers raised the peak RSS of the 9-wavelength
-# panel at a sixth of a wavelength to 45.4-45.6 MB in about half the runs,
-# against 42.2-43.3 MB at 1 << 14, which took the same time within noise.
+# and gathered terms stay small beside the block itself. On a 2-core VM, at
+# 1 << 15 (256 KB per array) the two threads' gathers raised the peak RSS of
+# the 9-wavelength panel at a sixth of a wavelength to 45.4-45.6 MB in about
+# half the runs, against 42.2-43.3 MB at 1 << 14, which took the same time
+# within noise.
 _CHUNK_ENTRIES = 1 << 14
 # sqrt(1/2)**k for k = 0..6, each rounded once: 1 or sqrt(1/2) times 2**-(k//2)
 _SQRT_HALF_POWERS = np.ldexp([1.0, np.sqrt(0.5)] * 3 + [1.0], -(np.arange(7) // 2))
