@@ -19,9 +19,10 @@ are float64 either way, so a complex64 A is the complex128 one rounded once,
 and realization i is the same draw of H in both precisions. Only the EDoF
 products (`edof-sweep`, `capacity-curve` and the figures built on them) ask
 for complex64, and only after a gate in runs of at least 20 draws: the CLI
-solves the run's first two draws in both precisions, the complex128 pair one
-draw per call, and keeps complex128 unless the two mean profiles give the
-same EDoF within 0.01 at every point of the run's SNR grid.
+solves draw 0 in both precisions, one one-draw call each, and keeps
+complex128 unless the two profiles give the same EDoF within 0.01 at every
+point of the run's SNR grid. The ensemble then draws every row, row 0
+included, in the precision the gate chose.
 `channel-eigs`, `bounds-audit` and every library caller stay in complex128:
 they publish or audit every ordered eigenvalue, and in float32 nothing below
 about 1e-7 of the largest is resolved, so at 12 wavelengths values in the
@@ -47,8 +48,8 @@ that plus 64 rows of normals: 3.8 and 2.0 MB at rank 624 (a full A and its
 chunk took 6.5 and 3.4 MB), and 131 and 66 MB at the 32-wavelength rank of
 3980 (254 and 127 MB). Each Gram matrix takes a full A's bytes: 6.2 and
 3.1 MB at rank 624, 253 and 127 MB at rank 3980, and the workspace 0.11 of
-it at rank 624 (0.05 for complex64's `cheev`). A call with one draw left
-runs it on the calling thread.
+it at rank 624 (0.05 for complex64's `cheev`). A one-draw call runs its
+draw on the calling thread.
 At rank 624 on a 2-core VM on one BLAS thread, a complex64 draw's normals
 and scaling take 15-23 ms, `cherk` 8-11 ms and its eigensolve, `cheev` (see
 `blas.eigensolver`), 27-44 ms (medians of 20-40 draws, six runs; the host's
@@ -175,7 +176,6 @@ def ensemble_from_spectra(
     *,
     threads: int = 1,
     dtype=np.complex128,
-    head: np.ndarray | None = None,
 ) -> ChannelEnsemble:
     """Monte Carlo ensemble over H for fixed normalized spectra.
 
@@ -185,13 +185,13 @@ def ensemble_from_spectra(
     threads over every (2 * threads)-th realization each, with OpenBLAS
     pinned to one thread for the whole ensemble. `dtype`, complex128 or
     complex64, is the precision of A, its Gram matrix and the eigensolve.
-    `head`, when given, holds rows 0, 1, ... of this same ensemble, solved
-    before at the same seed and dtype; they are copied in, not drawn again.
     """
     if realizations < 1:
         raise ValidationError(
             f"realizations must be >= 1, got {realizations}", field="realizations"
         )
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}", field="threads")
     dt = np.asarray(dt, dtype=float)
     dr = np.asarray(dr, dtype=float)
     dt_used = dt[: effective_rank(dt)]
@@ -202,35 +202,20 @@ def ensemble_from_spectra(
                 f"spectrum {name} has no positive value, so every draw is zero",
                 field=name,
             )
-    if head is not None and (
-        np.ndim(head) != 2 or len(head) > realizations or np.shape(head)[1] != dr.size
-    ):
-        raise ValidationError(
-            f"head of shape {np.shape(head)} is not at most {realizations} "
-            f"rows of {dr.size} values",
-            field="head",
-        )
     samples = np.zeros((realizations, dr.size))
     n = min(dt_used.size, dr_used.size)
     ensemble = ChannelEnsemble(samples, dt, dr, blas.eigensolver(dtype, n))
-    first = 0
-    if head is not None:
-        first = len(head)
-        samples[:first] = head
-    todo = realizations - first
-    if todo == 0:
-        return ensemble
-    workers = min(threads, todo)
+    workers = min(threads, realizations)
     draws = [_Draws(dt_used, dr_used, seed, dtype) for _ in range(workers)]
-    if todo == 1:
+    if realizations == 1:
         # on this thread: a pool thread's malloc arena would keep the
-        # buffers it frees, so one-draw calls in a row would pile them up
+        # buffers it frees, so the gate's one-draw calls would leave them
+        # behind for the ensemble after them
         with blas.one_thread():
-            _draw_and_solve(draws[0], range(first, realizations), samples,
-                            np.empty((n, n), dtype))
+            _draw_and_solve(draws[0], range(1), samples, np.empty((n, n), dtype))
         return ensemble
     # fewer than 2 * workers draws leave one draw per thread
-    runners = min(2 * workers, todo)
+    runners = min(2 * workers, realizations)
     # the Gram matrices too come from this thread's heap, which reuses what
     # earlier calls freed, where a pool thread's arena would take new pages
     grams = [np.empty((n, n), dtype) for _ in range(runners)]
@@ -239,7 +224,7 @@ def ensemble_from_spectra(
             pool.submit(
                 _draw_and_solve,
                 draws[k % workers],
-                range(first + k, realizations, runners),
+                range(k, realizations, runners),
                 samples,
                 grams[k],
             )

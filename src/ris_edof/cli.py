@@ -67,25 +67,28 @@ MAX_GRID_POINTS = 10_001
 # holds realizations x N_r eigenvalues (0.5 GB at the cap for that panel), so
 # a far larger count would otherwise fail on allocation.
 MAX_REALIZATIONS = 100_000
-# The EDoF products draw in complex64 when the mean profiles of the run's
-# first GATE_DRAWS draws, solved in both precisions, give EDoF within
-# GATE_TOL of each other at every point of the run's SNR grid, and in
-# complex128 otherwise. Draw i depends only on (seed, i), so the gate's
-# draws are the ensemble's first rows in either precision. Measured at seed
-# 42 on 12-wavelength panels at half a wavelength, the two differ by 1.6e-4
-# at 40 dB but by 7.3e-2 at 80 dB and 4.2e-2 at 100 dB, where float32 no
-# longer resolves the tail that a square panel's Gram matrix reaches down to
-# 0; not monotonically in SNR, so the gate checks every grid point.
-GATE_DRAWS = 2
+# The EDoF products draw in complex64 when the profiles of the run's draw 0,
+# solved in both precisions, give EDoF within GATE_TOL of each other at
+# every point of the run's SNR grid, and in complex128 otherwise. Draw i
+# depends only on (seed, i), so the gate's draw is the ensemble's row 0 in
+# either precision. Measured at seed 42 on 12-wavelength panels at half a
+# wavelength, the two differ by 6.7e-4 at 40 dB but by 0.23 on the grid
+# that runs on to 100 dB, where float32 no longer resolves the tail that a
+# square panel's Gram matrix reaches down to 0; not monotonically in SNR, so
+# the gate checks every grid point. Over seeds 42-46, the three desk
+# columns, the half-to-quarter-wavelength sweep and three SNR grids, one
+# draw made the same 60 decisions as the mean of two: passes at most 5.6e-3
+# apart (two draws: 5.4e-3), failures at least 0.125 (two draws: 0.027).
 GATE_TOL = 0.01
-# The gate solves its draws in both precisions, which costs about as much
-# as complex64 then saves on 8-12 draws at 12 wavelengths: at one worker a
+# The gate solves one draw in each precision, which costs about as much as
+# complex64 then saves on about 6 draws at 12 wavelengths: at one worker a
 # complex64 draw takes 0.6x the wall time of a complex128 one there, since
-# its float64 normals cost the same, and with the gate 8 draws took 1.18x
-# as long as without it and 12 draws 0.91x (the square panel at half a
-# wavelength and the half-to-quarter-wavelength sweep alike, medians of 6
-# alternating pairs). A run of fewer draws than this stays in complex128
-# without the gate, as the 8-draw 625-to-2401-element sweep does.
+# its float64 normals cost the same, and with the gate 4 draws took
+# 1.10-1.22x as long as without it, 6 draws 0.95-1.00x, 8 draws 0.90x and
+# 12 draws 0.80-0.82x (the square panel at half a wavelength and the
+# half-to-quarter-wavelength sweep, medians of 6 alternating pairs). The
+# threshold stays above that so that the 8-draw 625-to-2401-element sweep
+# keeps its complex128 bytes.
 GATED_REALIZATIONS = 20
 # The extras of a Monte Carlo job that ran in complex128 without the gate;
 # every Monte Carlo job also names the eigensolver its draws ran on.
@@ -415,11 +418,10 @@ def _ensemble(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
 
 def _precision_gate(double: np.ndarray, single: np.ndarray, nt_nr: float,
                     snr_grid_db) -> tuple[float, float]:
-    """The largest |n_s*| difference over the SNR grid between the mean
-    profiles of the same first draws solved in complex128 (``double``'s
-    rows) and in complex64 (``single``'s), and the SNR where it fell."""
-    profiles = [EigenvalueProfile.from_values(rows.mean(axis=0))
-                for rows in (double, single)]
+    """The largest |n_s*| difference over the SNR grid between the profiles
+    of one draw solved in complex128 (``double``) and in complex64
+    (``single``), and the SNR where it fell."""
+    profiles = [EigenvalueProfile.from_values(row) for row in (double, single)]
     worst, at = -1.0, None
     for snr_db in snr_grid_db:
         rho = snr_db_to_linear(snr_db)
@@ -438,24 +440,21 @@ def _mean_profile(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
     dt, dr = _spectra(config, geom_t, geom_r)
     nt_nr = float(dt.size * dr.size)
 
-    def draw(realizations, dtype, head=None):
+    def draw(realizations, dtype):
         return ensemble_from_spectra(dt, dr, realizations, config.seed,
-                                     threads=config.threads, dtype=dtype, head=head)
+                                     threads=config.threads, dtype=dtype)
 
-    extras, dtype, head = dict(UNGATED), np.complex128, None
+    extras, dtype = dict(UNGATED), np.complex128
     if config.realizations >= GATED_REALIZATIONS:
-        # one complex128 draw per call, so one thread holds one draw's
-        # buffers and Gram matrix: two at once would set the run's peak memory
-        double = None
-        for n in range(1, GATE_DRAWS + 1):
-            double = draw(n, np.complex128, head=double).eig_samples
-        single = draw(GATE_DRAWS, np.complex64).eig_samples
+        # draw 0 in each precision, each solved on this thread: a one-draw
+        # call holds one draw's buffers and Gram matrix and starts no pool
+        double = draw(1, np.complex128).eig_samples[0]
+        single = draw(1, np.complex64).eig_samples[0]
         delta, at = _precision_gate(double, single, nt_nr, config.snr_grid_db)
-        dtype, head = ((np.complex64, single) if delta <= GATE_TOL
-                       else (np.complex128, double))
+        dtype = np.complex64 if delta <= GATE_TOL else np.complex128
         extras = {"precision": np.dtype(dtype).name, "gate_delta_edof": delta,
                   "gate_snr_db": at}
-    ensemble = draw(config.realizations, dtype, head=head)
+    ensemble = draw(config.realizations, dtype)
     stats = ensemble_stats(ensemble)
     extras["eigensolver"] = ensemble.eigensolver
     return EigenvalueProfile.from_values(stats.mean_profile), nt_nr, extras
@@ -635,10 +634,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads", type=int,
             help=(
-                "Monte Carlo workers, at least 1 and at most half the CPU "
-                "count, which is the default; outputs do not depend on it. "
-                "Each worker runs two draws at once, so it keeps two cores "
-                "busy"
+                "Monte Carlo workers, at least 1 and at most half the CPUs "
+                "this process may run on, which is the default; outputs do "
+                "not depend on it. Each worker runs two draws at once, so it "
+                "keeps two cores busy"
             ),
         )
         p.add_argument("--out", type=Path, help="output directory")
@@ -703,6 +702,14 @@ def _jobs(args: argparse.Namespace, config: RunConfig):
     return product, f"reproduce_{target}", jobs
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     config = parse_config(_load_raw_config(args.config), args.command)
@@ -715,7 +722,7 @@ def _run(args: argparse.Namespace) -> int:
             f"threads must be >= 1, got {args.threads}", field="threads"
         )
     # each worker runs two draw threads
-    cap = max(1, (os.cpu_count() or 1) // 2)
+    cap = max(1, _usable_cpus() // 2)
     config.threads = min(args.threads or cap, cap)
     if args.allow_large:
         config.max_elements = ALLOW_LARGE_MAX_ELEMENTS

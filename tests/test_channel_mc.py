@@ -285,19 +285,17 @@ def test_run_ensemble_rejects_zero_realizations():
         ensemble_from_spectra(np.ones(1), np.ones(1), realizations=0, seed=1)
 
 
-@pytest.mark.parametrize(
-    "head", [np.ones((3, 4)), np.ones((1, 3)), np.ones(4)],
-    ids=["more-rows-than-realizations", "short-rows", "one-dimensional"],
-)
-def test_ensemble_rejects_a_head_that_does_not_fit(monkeypatch, head):
+@pytest.mark.parametrize("realizations", [1, 3])
+@pytest.mark.parametrize("threads", [0, -2])
+def test_ensemble_rejects_fewer_than_one_thread(monkeypatch, realizations, threads):
     def pinned():
-        raise AssertionError("pinned BLAS before validating the head")
+        raise AssertionError("pinned BLAS before validating the thread count")
 
     monkeypatch.setattr(blas, "one_thread", pinned)
     flat = np.ones(4) / 4
-    with pytest.raises(ValidationError, match="head") as failure:
-        ensemble_from_spectra(flat, flat, 2, 1, head=head)
-    assert failure.value.field == "head"
+    with pytest.raises(ValidationError, match="threads") as failure:
+        ensemble_from_spectra(flat, flat, realizations, 1, threads=threads)
+    assert failure.value.field == "threads"
 
 
 @pytest.mark.parametrize("field", ["dt", "dr"])
@@ -386,20 +384,15 @@ def test_worker_count_does_not_change_results(
         for dtype in PRECISIONS:
             oracle = serial_ensemble(dt, dr, 11, 9, dtype)
             # 1-3 draws leave some of the 2 * threads threads without a draw;
-            # 11 split unevenly over 2, 4 and 6 threads; rows 0-1 solved
-            # before and passed as the head are copied, the rest drawn
+            # 11 split unevenly over 2, 4 and 6 threads
             for realizations in (1, 2, 3, 11):
                 for threads in (1, 2, 3):
-                    for head in (None, oracle[:2]):
-                        if head is not None and realizations < 2:
-                            continue
-                        ensemble = ensemble_from_spectra(
-                            dt, dr, realizations, 9, threads=threads,
-                            dtype=dtype, head=head,
-                        )
-                        assert np.array_equal(
-                            ensemble.eig_samples, oracle[:realizations]
-                        ), (loader, dtype, realizations, threads, head is None)
+                    ensemble = ensemble_from_spectra(
+                        dt, dr, realizations, 9, threads=threads, dtype=dtype
+                    )
+                    assert np.array_equal(
+                        ensemble.eig_samples, oracle[:realizations]
+                    ), (loader, dtype, realizations, threads)
             assert np.all(oracle[:, min(geom_t.n, geom_r.n):] == 0.0)
 
 
@@ -418,13 +411,10 @@ def test_row_chunks_draw_the_stream_in_order(monkeypatch, loader, shape):
     for dtype in PRECISIONS:
         oracle = serial_ensemble(dt, dr, 5, 4, dtype)
         for threads in (1, 2):
-            for head in (None, oracle[:2]):
-                ensemble = ensemble_from_spectra(
-                    dt, dr, 5, 4, threads=threads, dtype=dtype, head=head
-                )
-                assert np.array_equal(ensemble.eig_samples, oracle), (
-                    dtype, threads, head is None,
-                )
+            ensemble = ensemble_from_spectra(
+                dt, dr, 5, 4, threads=threads, dtype=dtype
+            )
+            assert np.array_equal(ensemble.eig_samples, oracle), (dtype, threads)
 
 
 LAYERS = ("correlation", "channel_mc", "edof", "analytic_cdf", "cli")
@@ -472,12 +462,12 @@ def test_no_public_function_runs_off_the_main_thread(monkeypatch):
     assert [name for name, ident in calls if ident != main] == []
 
 
-@pytest.mark.parametrize("realizations", [1, 2])
-def test_one_draw_left_runs_on_the_calling_thread(monkeypatch, realizations):
-    # the precision gate solves its complex128 pair one draw per call; a
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_draw_left_runs_on_the_calling_thread(monkeypatch, threads):
+    # the precision gate solves draw 0 in each precision, one call each; a
     # pool thread per call would keep its freed buffers in its own arena
     dt, dr = spectrum_of(12, 8), spectrum_of(12, 9)
-    expected = serial_ensemble(dt, dr, realizations, 5)
+    expected = serial_ensemble(dt, dr, 1, 5)
     blas_eigvalsh, solved_on = blas.eigvalsh, []
 
     def eigvalsh(matrix):
@@ -485,9 +475,7 @@ def test_one_draw_left_runs_on_the_calling_thread(monkeypatch, realizations):
         return blas_eigvalsh(matrix)
 
     monkeypatch.setattr(blas, "eigvalsh", eigvalsh)
-    ensemble = ensemble_from_spectra(
-        dt, dr, realizations, 5, threads=2, head=expected[: realizations - 1]
-    )
+    ensemble = ensemble_from_spectra(dt, dr, 1, 5, threads=threads)
     assert solved_on == [threading.get_ident()]
     assert np.array_equal(ensemble.eig_samples, expected)
 

@@ -259,14 +259,15 @@ def test_threads_below_one_exit_2(tmp_path, capsys, threads):
 
 def test_threads_capped_at_cpu_count(tmp_path):
     # two realizations bound the worker count whatever the cap does; each
-    # worker runs two draw threads, so the cap is half the CPU count
+    # worker runs two draw threads, so the cap is half the CPUs the process
+    # may run on
     payload = {
         "geometry_t": {"len_x": 0.5, "len_z": 0.5, "spacing_x": 0.5, "spacing_z": 0.5},
         "realizations": 2,
     }
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "o"
-    cpus = os.cpu_count() or 1
+    cpus = cli._usable_cpus()
     code = main(
         ["channel-eigs", "--config", str(cfg), "--out", str(out),
          "--threads", str(cpus + 5)]
@@ -276,10 +277,22 @@ def test_threads_capped_at_cpu_count(tmp_path):
     assert manifest["config"]["threads"] == max(1, cpus // 2)
 
 
+def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
+    # a run pinned to 2 of 64 CPUs caps the workers at 1, not 32
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4, 5}, raising=False)
+    assert cli._usable_cpus() == 2
+    # without the call (macOS, Windows) every CPU counts
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
+
+
 def test_edof_sweep_csv_does_not_depend_on_threads(tmp_path, monkeypatch):
     # 5 draws: one worker runs them on 2 threads, two workers on 4; 4 CPUs
     # let 2 workers through the cap on any machine
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     cfg = write_config(tmp_path, dict(TINY, geometry_r=HALF_2, realizations=5))
     digests = set()
     for threads in ("1", "2"):
@@ -293,7 +306,7 @@ def test_edof_sweep_csv_does_not_depend_on_threads(tmp_path, monkeypatch):
 def test_threads_default_to_the_cap(tmp_path, monkeypatch):
     # 4 CPUs cap the workers at 2; a run without --threads takes the cap and
     # writes the bytes of one worker
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     cfg = write_config(tmp_path, dict(TINY, geometry_r=HALF_2, realizations=5))
     runs = {"default": [], "one": ["--threads", "1"]}
     for name, flags in runs.items():
@@ -1040,8 +1053,8 @@ def test_sweep_records_profile_rank_and_ref_clip(tmp_path, geometry_t, clipped):
 
 # 6 x 6 wavelengths at half a wavelength: 169 elements and a square Gram
 # matrix, whose spectrum reaches down to 0. At seed 7 single precision moves
-# the gate's n_s* by at most 1.2e-4 up to 40 dB, and by 0.028-0.38 from
-# 70 dB on (most at 90 dB)
+# the gate's n_s* by at most 1.3e-4 up to 40 dB, by 1.4e-3-4.6e-3 at
+# 70-90 dB and by 0.73 at 100 dB
 SQUARE_169 = {"len_x": 6, "len_z": 6, "spacing_x": 0.5, "spacing_z": 0.5}
 
 
@@ -1128,8 +1141,8 @@ def test_gate_holds_one_complex128_draw_at_a_time(lapack, monkeypatch):
     finally:
         tracemalloc.stop()
     assert extras["precision"] == "complex64"
-    assert len(grown) == cli.GATE_DRAWS
-    # each complex128 draw holds the real half of A, its float64 and
+    assert len(grown) == 1
+    # the complex128 draw holds the real half of A, its float64 and
     # complex128 row chunks and one Gram matrix, plus the solve's LAPACK
     # workspace, which at rank 169 takes 0.43 of a Gram matrix. A full
     # complex A, or a second thread's Gram matrix and workspace, would not
@@ -1173,7 +1186,43 @@ def test_gate_never_solves_two_complex128_draws_at_once(lapack, monkeypatch, thr
     config = gated_config(threads)
     _, _, extras = cli._mean_profile(config, config.geometry_t, config.geometry_t)
     assert extras["precision"] == "complex64"
-    assert live == {"now": 0, "most": 1, "solved": cli.GATE_DRAWS}
+    assert live == {"now": 0, "most": 1, "solved": 1}
+
+
+@pytest.mark.parametrize("tol, precision", [(GATE_TOL, np.complex64),
+                                            (-1.0, np.complex128)],
+                         ids=["passes", "fails"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_gate_draws_row_0_once_per_precision(monkeypatch, tol, precision, threads):
+    # draw 0 in complex128, then in complex64, each a one-draw call solved on
+    # the calling thread; then every draw in the precision the gate chose
+    monkeypatch.setattr(cli, "GATE_TOL", tol)
+    ensemble, blas_eigvalsh = cli.ensemble_from_spectra, blas.eigvalsh
+    calls, solved_on = [], []
+
+    def recorded(dt, dr, realizations, seed, **kwargs):
+        calls.append((realizations, kwargs))
+        solved_on.append([])
+        return ensemble(dt, dr, realizations, seed, **kwargs)
+
+    def eigvalsh(matrix):
+        # the spectrum's real blocks are solved here too
+        if np.iscomplexobj(matrix):
+            solved_on[-1].append(threading.get_ident())
+        return blas_eigvalsh(matrix)
+
+    monkeypatch.setattr(cli, "ensemble_from_spectra", recorded)
+    monkeypatch.setattr(blas, "eigvalsh", eigvalsh)
+    config = gated_config(threads)
+    _, _, extras = cli._mean_profile(config, config.geometry_t, config.geometry_t)
+    assert extras["precision"] == np.dtype(precision).name
+    assert calls == [
+        (1, {"threads": threads, "dtype": np.complex128}),
+        (1, {"threads": threads, "dtype": np.complex64}),
+        (GATED_REALIZATIONS, {"threads": threads, "dtype": precision}),
+    ]
+    assert solved_on[:2] == [[threading.get_ident()]] * 2
+    assert len(solved_on[2]) == GATED_REALIZATIONS
 
 
 MANIFEST_KEYS = {
