@@ -30,33 +30,34 @@ last quarter of the indices came out up to 5-32% off. A float32 solve's
 rounding negatives reach past -1e-10 of the largest value, so the clamp
 floor grows with the precision (`correlation._clamp_negative`).
 
-Each worker runs two threads that each run whole draws. The draw stage
-streams the Philox normals through a float64 chunk of 64 rows of A: all the
-real parts, then all the imaginary parts, so the stream is read in the order
-of one draw per part. It keeps only the real parts, rounded once to the
-dtype's real type: those of the first 64 rows in a complex chunk of 64 rows,
-the rest in a real buffer. In the imaginary pass each chunk of rows is
-completed in the complex chunk, and `blas.gram` adds its Gram matrix into
-the thread's. The solve takes its eigenvalues and clamps the rounding
-negatives. A worker's threads share its buffers, and its draw stages take
-turns under a lock; each thread solves its own Gram matrix outside it. So a
-worker holds half of A's bytes and the two chunks, and each of its threads
-one Gram matrix and the eigensolve's workspace; all of them are allocated
-on the calling thread. At rank n on square panels, A takes 16 n^2 bytes in
-complex128 and 8 n^2 in complex64, and the worker's buffers about half of
-that plus 64 rows of normals: 3.8 and 2.0 MB at rank 624 (a full A and its
-chunk took 6.5 and 3.4 MB), and 131 and 66 MB at the 32-wavelength rank of
-3980 (254 and 127 MB). Each Gram matrix takes a full A's bytes: 6.2 and
-3.1 MB at rank 624, 253 and 127 MB at rank 3980, and the workspace 0.11 of
-it at rank 624 (0.05 for complex64's `cheev`). A one-draw call runs its
-draw on the calling thread.
-At rank 624 on a 2-core VM on one BLAS thread, a complex64 draw's normals
-and scaling take 15-23 ms, `cherk` 8-11 ms and its eigensolve, `cheev` (see
-`blas.eigensolver`), 27-44 ms (medians of 20-40 draws, six runs; the host's
-speed drifted 1.5x between them). Where `cheev` took 27-28 ms,
-`cheev_2stage` took 38-39 ms. So the draw stage under the lock takes about
-as long as the solve, and two threads wait 2.5-9 ms per draw on the lock on
-average.
+Each worker runs two draw threads, the calling thread among them, and
+each thread runs whole draws on buffers of its own: no lock is taken and
+no buffer is shared, and each thread writes only its own rows of the
+samples. The Philox stream gives all the real parts of A before any
+imaginary part, so a draw reads it with two cursors: `real` from its
+start, and `imag` after drawing the real normals a second time and
+dropping them. The two fill a complex chunk of 64 rows of A through a
+float64 chunk of 64 rows of normals, each part rounded once to the dtype,
+and `blas.gram` adds the chunk's Gram matrix into the thread's. The solve
+takes its eigenvalues and clamps the rounding negatives. So each thread
+holds its two chunks, one Gram matrix and the eigensolve's workspace, all
+allocated on the calling thread. On square panels at rank n, the chunks
+take 64 n (16 + 8) bytes in complex128 and 64 n (8 + 8) in complex64: 0.96
+and 0.64 MB at rank 624, 6.1 and 4.1 MB at the 32-wavelength rank of 3980.
+Each Gram matrix takes A's bytes, 16 n^2 and 8 n^2: 6.2 and 3.1 MB at rank
+624, 253 and 127 MB at rank 3980, and the workspace 0.11 of it at rank 624
+(0.05 for complex64's `cheev`).
+At rank 624 on a 2-core VM on one BLAS thread, one pass of the stream's
+n^2 normals takes 7-10 ms, and a draw stage, which makes three passes,
+28-34 ms in complex64 and 36-38 ms in complex128 (medians of 30 draws,
+three runs); a complex64 draw's `cherk` takes 8-11 ms and its eigensolve,
+`cheev` (see `blas.eigensolver`), 27-44 ms (medians of 20-40 draws, six
+runs; the host's speed drifted 1.5x between them). Where `cheev` took
+27-28 ms, `cheev_2stage` took 38-39 ms. A worker's two draw stages run at
+once, with no wait on a lock, and 40 draws on one worker took as long as
+with the real half of A kept: 1.44 against 1.48 s in complex64 and 2.58
+against 2.67 s in complex128 (medians of 8 alternating processes; see
+`BENCH_28.json` for whole runs).
 OpenBLAS runs on one thread for the whole ensemble, since a second BLAS
 thread's spinning pool takes the core the other draws need: over 40
 complex128 draws one worker took 81-87 ms per draw pinned and 159-178 ms
@@ -68,7 +69,6 @@ bit-identical regardless of how many workers participate. The kernels give
 the same bits on one BLAS thread as on several.
 """
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -108,18 +108,18 @@ class EigStats:
 
 
 class _Draws:
-    """One worker's draw stage. The panel with more kept modes runs along
-    the rows of A: A = Dr_n^{1/2} H Dt_n^{1/2} when n_r >= n_t, otherwise
-    the stream fills H^T and A = Dt_n^{1/2} H^T Dr_n^{1/2}, and the draw's
-    Gram matrix is A^H A. Realization i's normals come from the Philox
-    stream keyed by (seed, i): the real parts of A row by row, then its
-    imaginary parts, each scaled by sqrt(1/2), then the row spectrum's root,
-    then the column spectrum's in float64 and rounded once to the ensemble's
-    dtype. They go through a float64 chunk of rows. The rounded real parts
-    wait in the complex chunk (the first rows) and in `kept` (the rest); in
-    the imaginary pass each chunk of rows is completed in the complex chunk
-    and its Gram matrix added to the draw's. The worker's threads share the
-    buffers under `lock`."""
+    """One draw thread's draw stage. The panel with more kept modes runs
+    along the rows of A: A = Dr_n^{1/2} H Dt_n^{1/2} when n_r >= n_t,
+    otherwise the stream fills H^T and A = Dt_n^{1/2} H^T Dr_n^{1/2}, and the
+    draw's Gram matrix is A^H A. Realization i's normals come from the
+    Philox stream keyed by (seed, i): the real parts of A row by row, then
+    its imaginary parts, each scaled by sqrt(1/2), then the row spectrum's
+    root, then the column spectrum's in float64 and rounded once to the
+    ensemble's dtype. Two cursors read that stream: `real` from its start,
+    and `imag` after drawing the real normals a second time and dropping
+    them. So each chunk of rows gets its real and imaginary parts at once,
+    and its Gram matrix goes into the draw's. The buffers are the thread's
+    own: a chunk of rows in the dtype and its float64 normals."""
 
     def __init__(self, dt: np.ndarray, dr: np.ndarray, seed: int, dtype):
         self.seed = seed
@@ -128,8 +128,6 @@ class _Draws:
         step = min(long.size, _CHUNK_ROWS)
         self.normals = np.empty((step, short.size))
         self.chunk = np.empty((step, short.size), dtype=dtype)
-        self.kept = np.empty((long.size - step, short.size), self.chunk.real.dtype)
-        self.lock = threading.Lock()
 
     def _fill(self, stream, lo: int, out: np.ndarray):
         """The stream's next normals, scaled, into ``out``: rows lo, lo + 1,
@@ -141,20 +139,17 @@ class _Draws:
         np.multiply(normals, self.sqrt_cols, out=out)
 
     def __call__(self, index: int, gram: np.ndarray) -> np.ndarray:
-        with self.lock:
-            seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(index,))
-            stream = np.random.Generator(np.random.Philox(seq))
-            step, n = len(self.chunk), len(self.sqrt_rows)
-            self._fill(stream, 0, self.chunk.real)
-            for lo in range(step, n, step):
-                self._fill(stream, lo, self.kept[lo - step : lo])
-            for lo in range(0, n, step):
-                chunk = self.chunk[: n - lo]
-                if lo:
-                    chunk.real = self.kept[lo - step : lo]
-                self._fill(stream, lo, chunk.imag)
-                blas.gram(chunk, gram, accumulate=lo > 0)
-            return gram
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(index,))
+        real, imag = (np.random.Generator(np.random.Philox(seq)) for _ in range(2))
+        step, n = len(self.chunk), len(self.sqrt_rows)
+        for lo in range(0, n, step):
+            imag.standard_normal(out=self.normals[: n - lo])
+        for lo in range(0, n, step):
+            chunk = self.chunk[: n - lo]
+            self._fill(real, lo, chunk.real)
+            self._fill(imag, lo, chunk.imag)
+            blas.gram(chunk, gram, accumulate=lo > 0)
+        return gram
 
 
 def _draw_and_solve(
@@ -181,9 +176,10 @@ def ensemble_from_spectra(
 
     Eigenvalues below RANK_TOL * largest are dropped from the per-realization
     solve (they contribute nothing at double precision); each row is
-    zero-padded back to length len(dr). Each of `threads` workers runs two
-    threads over every (2 * threads)-th realization each, with OpenBLAS
-    pinned to one thread for the whole ensemble. `dtype`, complex128 or
+    zero-padded back to length len(dr). `threads` workers run two draw
+    threads each, the calling thread among them, and each thread runs every
+    (2 * threads)-th realization on its own buffers, with OpenBLAS pinned
+    to one thread for the whole ensemble. `dtype`, complex128 or
     complex64, is the precision of A, its Gram matrix and the eigensolve.
     """
     if realizations < 1:
@@ -205,33 +201,22 @@ def ensemble_from_spectra(
     samples = np.zeros((realizations, dr.size))
     n = min(dt_used.size, dr_used.size)
     ensemble = ChannelEnsemble(samples, dt, dr, blas.eigensolver(dtype, n))
-    workers = min(threads, realizations)
-    draws = [_Draws(dt_used, dr_used, seed, dtype) for _ in range(workers)]
-    if realizations == 1:
-        # on this thread: a pool thread's malloc arena would keep the
-        # buffers it frees, so the gate's one-draw calls would leave them
-        # behind for the ensemble after them
-        with blas.one_thread():
-            _draw_and_solve(draws[0], range(1), samples, np.empty((n, n), dtype))
-        return ensemble
-    # fewer than 2 * workers draws leave one draw per thread
-    runners = min(2 * workers, realizations)
-    # the Gram matrices too come from this thread's heap, which reuses what
-    # earlier calls freed, where a pool thread's arena would take new pages
-    grams = [np.empty((n, n), dtype) for _ in range(runners)]
-    with blas.one_thread(), ThreadPoolExecutor(max_workers=runners) as pool:
-        runs = [
-            pool.submit(
-                _draw_and_solve,
-                draws[k % workers],
-                range(k, realizations, runners),
-                samples,
-                grams[k],
-            )
-            for k in range(runners)
-        ]
-        for run in runs:
-            run.result()
+    # fewer than 2 * threads draws leave one draw per thread
+    runners = min(2 * threads, realizations)
+    # every runner's buffers and Gram matrix come from this thread's heap,
+    # which reuses what earlier calls freed, where a pool thread's arena
+    # would take new pages
+    runs = [
+        (_Draws(dt_used, dr_used, seed, dtype), range(k, realizations, runners),
+         samples, np.empty((n, n), dtype))
+        for k in range(runners)
+    ]
+    with blas.one_thread(), ThreadPoolExecutor(max(1, runners - 1)) as pool:
+        # runner 0 runs on this thread, so a one-draw call starts no thread
+        others = [pool.submit(_draw_and_solve, *run) for run in runs[1:]]
+        _draw_and_solve(*runs[0])
+        for other in others:
+            other.result()
     return ensemble
 
 

@@ -409,13 +409,6 @@ def _spectra(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
     return dt, geometry_spectrum(geom_r, max_elements=config.max_elements)
 
 
-def _ensemble(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
-    dt, dr = _spectra(config, geom_t, geom_r)
-    return ensemble_from_spectra(
-        dt, dr, config.realizations, config.seed, threads=config.threads
-    )
-
-
 def _precision_gate(double: np.ndarray, single: np.ndarray, nt_nr: float,
                     snr_grid_db) -> tuple[float, float]:
     """The largest |n_s*| difference over the SNR grid between the profiles
@@ -432,32 +425,40 @@ def _precision_gate(double: np.ndarray, single: np.ndarray, nt_nr: float,
     return worst, at
 
 
-def _mean_profile(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
-    """Monte Carlo mean eigenvalue profile, n_t * n_r and the extras that
-    say which precision the draws ran in and why (see GATE_TOL). A run of
-    fewer than GATED_REALIZATIONS draws runs them in complex128 without the
-    gate."""
+def _draws(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry,
+           gated: bool):
+    """The run's Monte Carlo ensemble and the extras that say which
+    precision its draws ran in, why (see GATE_TOL) and which eigensolver
+    solved them. Only a ``gated`` product runs the gate, and only on at
+    least GATED_REALIZATIONS draws; every other run draws in complex128."""
     dt, dr = _spectra(config, geom_t, geom_r)
-    nt_nr = float(dt.size * dr.size)
 
     def draw(realizations, dtype):
         return ensemble_from_spectra(dt, dr, realizations, config.seed,
                                      threads=config.threads, dtype=dtype)
 
     extras, dtype = dict(UNGATED), np.complex128
-    if config.realizations >= GATED_REALIZATIONS:
+    if gated and config.realizations >= GATED_REALIZATIONS:
         # draw 0 in each precision, each solved on this thread: a one-draw
         # call holds one draw's buffers and Gram matrix and starts no pool
         double = draw(1, np.complex128).eig_samples[0]
         single = draw(1, np.complex64).eig_samples[0]
-        delta, at = _precision_gate(double, single, nt_nr, config.snr_grid_db)
+        delta, at = _precision_gate(double, single, float(dt.size * dr.size),
+                                    config.snr_grid_db)
         dtype = np.complex64 if delta <= GATE_TOL else np.complex128
         extras = {"precision": np.dtype(dtype).name, "gate_delta_edof": delta,
                   "gate_snr_db": at}
     ensemble = draw(config.realizations, dtype)
-    stats = ensemble_stats(ensemble)
     extras["eigensolver"] = ensemble.eigensolver
-    return EigenvalueProfile.from_values(stats.mean_profile), nt_nr, extras
+    return ensemble, extras
+
+
+def _mean_profile(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
+    """Monte Carlo mean eigenvalue profile of the gated draws, n_t * n_r and
+    the draws' extras."""
+    ensemble, extras = _draws(config, geom_t, geom_r, gated=True)
+    profile = EigenvalueProfile.from_values(ensemble_stats(ensemble).mean_profile)
+    return profile, float(ensemble.dt.size * ensemble.dr.size), extras
 
 
 # Products: (config, geom_t, geom_r) -> (header, rows, the job's extras).
@@ -470,26 +471,20 @@ def _spectrum(config, geom_t, geom_r):
 
 
 def _mean_std(config, geom_t, geom_r):
-    ensemble = _ensemble(config, geom_t, geom_r)
+    ensemble, extras = _draws(config, geom_t, geom_r, gated=False)
     stats = ensemble_stats(ensemble)
     rows = _indexed(stats.mean_profile, stats.std_profile)
-    extras = {"eigsum_mean": stats.eigsum_mean, **UNGATED,
-              "eigensolver": ensemble.eigensolver}
+    extras["eigsum_mean"] = stats.eigsum_mean
     return ["k", "mean", "std"], rows, extras
 
 
 def _bounds_report(config, geom_t, geom_r):
     slack = float(config.options.get("slack", DEFAULT_SLACK))
-    ensemble = _ensemble(config, geom_t, geom_r)
+    ensemble, extras = _draws(config, geom_t, geom_r, gated=False)
     table = per_eig_bounds(ensemble.dt, ensemble.dr, slack=slack)
     violations = check_bounds(ensemble.eig_samples, table)
-    extras = {
-        "regime": table.regime,
-        "slack": slack,
-        "violation_count": len(violations),
-        **UNGATED,
-        "eigensolver": ensemble.eigensolver,
-    }
+    extras.update(regime=table.regime, slack=slack,
+                  violation_count=len(violations))
     header = ["k", "realization", "value", "bound", "kind"]
     return header, [astuple(v) for v in violations], extras
 

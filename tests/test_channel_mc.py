@@ -2,7 +2,6 @@ import importlib
 import inspect
 import sys
 import threading
-import time
 import tracemalloc
 import types
 
@@ -480,23 +479,15 @@ def test_one_draw_left_runs_on_the_calling_thread(monkeypatch, threads):
     assert np.array_equal(ensemble.eig_samples, expected)
 
 
-def test_one_worker_overlaps_solves_but_not_draw_stages(lapack, monkeypatch):
+def test_one_worker_overlaps_its_draw_stages(monkeypatch):
     dt, dr = spectrum_of(12, 8), spectrum_of(12, 9)
     # chunks of 3 rows, so each draw stage adds 4 chunks into its Gram matrix
     monkeypatch.setattr(channel_mc, "_CHUNK_ROWS", 3)
-    expected = ensemble_from_spectra(dt, dr, 6, 1).eig_samples
-    # each thread's first solve waits for the other thread's, so a worker
-    # that solves one draw at a time breaks the barrier instead of hanging
+    expected = serial_ensemble(dt, dr, 6, 1)
+    # each thread's first draw stage waits in its first chunk for the other
+    # thread's, so a worker whose draw stages take turns breaks the barrier
+    # instead of hanging
     barrier = threading.Barrier(2, timeout=10)
-    solved = threading.local()
-
-    def zheev(*args):
-        # args[7] is lwork, -1 on the workspace query
-        if args[7].value != -1 and not getattr(solved, "once", False):
-            solved.once = True
-            barrier.wait()
-        lapack.zheev_2stage(*args)
-
     blas_gram, guard, stage = blas.gram, threading.Lock(), threading.local()
     drawing = {"now": 0, "most": 0}
 
@@ -508,7 +499,9 @@ def test_one_worker_overlaps_solves_but_not_draw_stages(lapack, monkeypatch):
             with guard:
                 drawing["now"] += 1
                 drawing["most"] = max(drawing["most"], drawing["now"])
-        time.sleep(0.005)  # holds the stage open for an unlocked thread to join
+            if not getattr(stage, "met", False):
+                stage.met = True
+                barrier.wait()
         blas_gram(rows, out, accumulate)
         stage.rows += len(rows)
         if stage.rows == len(dr):
@@ -516,16 +509,15 @@ def test_one_worker_overlaps_solves_but_not_draw_stages(lapack, monkeypatch):
                 drawing["now"] -= 1
         return out
 
-    monkeypatch.setattr(blas, "load", lambda: lapack._replace(zheev_2stage=zheev))
     monkeypatch.setattr(blas, "gram", gram)
     ensemble = ensemble_from_spectra(dt, dr, 6, 1, threads=1)
-    assert drawing == {"now": 0, "most": 1}
+    assert drawing == {"now": 0, "most": 2}
     assert np.array_equal(ensemble.eig_samples, expected)
 
 
-def test_draws_keep_the_real_half_of_a(lapack):
+def test_draw_threads_hold_one_chunk_each(lapack):
     # 1000 x 200: each draw's Gram matrix sums 16 chunks of at most 64
-    # rows, and A's real half takes 1.6 MB
+    # rows; A's real half, which no draw keeps, would take 1.6 MB
     rows, cols = 1000, 200
     dt, dr = spectrum_of(cols, 1), spectrum_of(rows, 2)
     tracemalloc.start()
@@ -534,15 +526,13 @@ def test_draws_keep_the_real_half_of_a(lapack):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the worker's real half of A and its float64 and complex128 chunks;
-    # each of its two threads' Gram matrices and the solve's workspace,
-    # which at rank 200 takes 0.36 of a Gram matrix; and the samples. A
-    # full complex A would add another 1.6 MB
-    half_a = rows * cols * 8
+    # each of the worker's two threads' float64 and complex128 chunks, its
+    # Gram matrix and the solve's workspace, which at rank 200 takes 0.36
+    # of a Gram matrix; and the samples
     chunks = channel_mc._CHUNK_ROWS * cols * (8 + 16)
     gram = cols * cols * 16
     samples = 4 * rows * 8
-    assert peak < half_a + chunks + 2 * (gram + gram // 2) + samples, peak
+    assert peak < 2 * (chunks + gram + gram // 2) + samples, peak
 
 
 def test_rank_bounded_by_spectra():

@@ -1142,11 +1142,11 @@ def test_gate_holds_one_complex128_draw_at_a_time(lapack, monkeypatch):
         tracemalloc.stop()
     assert extras["precision"] == "complex64"
     assert len(grown) == 1
-    # the complex128 draw holds the real half of A, its float64 and
-    # complex128 row chunks and one Gram matrix, plus the solve's LAPACK
-    # workspace, which at rank 169 takes 0.43 of a Gram matrix. A full
-    # complex A, or a second thread's Gram matrix and workspace, would not
-    # fit
+    # the complex128 draw holds its float64 and complex128 row chunks and
+    # one Gram matrix, plus the solve's LAPACK workspace, which at rank 169
+    # takes 0.43 of a Gram matrix; the bound adds half of A's bytes of
+    # headroom. A full complex A, or a second thread's Gram matrix and
+    # workspace, would not fit
     half_a = n * n * 8
     chunks = channel_mc._CHUNK_ROWS * n * (8 + 16)
     gram = n * n * 16
