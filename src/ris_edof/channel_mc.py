@@ -18,11 +18,13 @@ Precision: the ensemble runs A, its Gram matrix and the eigensolve in the
 are float64 either way, so a complex64 A is the complex128 one rounded once,
 and realization i is the same draw of H in both precisions. Only the EDoF
 products (`edof-sweep`, `capacity-curve` and the figures built on them) ask
-for complex64, and only after a gate in runs of at least 20 draws: the CLI
-solves draw 0 in both precisions, one one-draw call each, and keeps
-complex128 unless the two profiles give the same EDoF within 0.01 at every
-point of the run's SNR grid. The ensemble then draws every row, row 0
-included, in the precision the gate chose.
+for complex64, and only after a gate in runs of at least 6 draws: the CLI
+solves draw 0 in complex128 in a one-draw call, then draws the complex64
+ensemble with an `accept` check. Its calling thread solves row 0 first and
+checks that the two profiles give the same EDoF within 0.01 at every point
+of the run's SNR grid while the other threads go on drawing. A refusal
+stops every thread after the draw it is in, and the CLI draws the ensemble
+again in complex128.
 `channel-eigs`, `bounds-audit` and every library caller stay in complex128:
 they publish or audit every ordered eigenvalue, and in float32 nothing below
 about 1e-7 of the largest is resolved, so at 12 wavelengths values in the
@@ -69,6 +71,7 @@ bit-identical regardless of how many workers participate. The kernels give
 the same bits on one BLAS thread as on several.
 """
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -153,14 +156,21 @@ class _Draws:
 
 
 def _draw_and_solve(
-    draws: _Draws, indices: range, samples: np.ndarray, gram: np.ndarray
+    draws: _Draws, indices: range, samples: np.ndarray, gram: np.ndarray,
+    stop: threading.Event, accept=None,
 ):
     """Draw and solve the listed realizations into their rows of
-    ``samples``, one after the other, on this thread's own Gram matrix."""
+    ``samples``, one after the other, on this thread's own Gram matrix,
+    until ``stop`` is set. ``accept`` sees row 0 once it is solved, and a
+    refusal sets ``stop``."""
     for index in indices:
+        if stop.is_set():
+            return
         values = blas.eigvalsh(draws(index, gram))
         row = _clamp_negative(values[::-1], "composite eigenvalue")
         samples[index, : row.size] = row
+        if index == 0 and accept is not None and not accept(samples[0].copy()):
+            stop.set()
 
 
 def ensemble_from_spectra(
@@ -171,7 +181,8 @@ def ensemble_from_spectra(
     *,
     threads: int = 1,
     dtype=np.complex128,
-) -> ChannelEnsemble:
+    accept=None,
+) -> ChannelEnsemble | None:
     """Monte Carlo ensemble over H for fixed normalized spectra.
 
     Eigenvalues below RANK_TOL * largest are dropped from the per-realization
@@ -181,6 +192,11 @@ def ensemble_from_spectra(
     (2 * threads)-th realization on its own buffers, with OpenBLAS pinned
     to one thread for the whole ensemble. `dtype`, complex128 or
     complex64, is the precision of A, its Gram matrix and the eigensolve.
+
+    `accept`, if given and more than one draw is asked for, is called once
+    on the calling thread with a copy of row 0 as soon as that row is
+    solved, while the other threads keep drawing. If it returns false,
+    every thread stops after the draw it is in and the call returns None.
     """
     if realizations < 1:
         raise ValidationError(
@@ -206,18 +222,20 @@ def ensemble_from_spectra(
     # every runner's buffers and Gram matrix come from this thread's heap,
     # which reuses what earlier calls freed, where a pool thread's arena
     # would take new pages
+    stop = threading.Event()
     runs = [
         (_Draws(dt_used, dr_used, seed, dtype), range(k, realizations, runners),
-         samples, np.empty((n, n), dtype))
+         samples, np.empty((n, n), dtype), stop)
         for k in range(runners)
     ]
     with blas.one_thread(), ThreadPoolExecutor(max(1, runners - 1)) as pool:
-        # runner 0 runs on this thread, so a one-draw call starts no thread
+        # runner 0 runs on this thread, so a one-draw call starts no thread,
+        # and it solves row 0 first, so `accept` runs here
         others = [pool.submit(_draw_and_solve, *run) for run in runs[1:]]
-        _draw_and_solve(*runs[0])
+        _draw_and_solve(*runs[0], accept if realizations > 1 else None)
         for other in others:
             other.result()
-    return ensemble
+    return None if stop.is_set() else ensemble
 
 
 def ensemble_stats(ensemble: ChannelEnsemble) -> EigStats:

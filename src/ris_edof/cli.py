@@ -70,26 +70,29 @@ MAX_REALIZATIONS = 100_000
 # The EDoF products draw in complex64 when the profiles of the run's draw 0,
 # solved in both precisions, give EDoF within GATE_TOL of each other at
 # every point of the run's SNR grid, and in complex128 otherwise. Draw i
-# depends only on (seed, i), so the gate's draw is the ensemble's row 0 in
-# either precision. Measured at seed 42 on 12-wavelength panels at half a
-# wavelength, the two differ by 6.7e-4 at 40 dB but by 0.23 on the grid
-# that runs on to 100 dB, where float32 no longer resolves the tail that a
-# square panel's Gram matrix reaches down to 0; not monotonically in SNR, so
-# the gate checks every grid point. Over seeds 42-46, the three desk
-# columns, the half-to-quarter-wavelength sweep and three SNR grids, one
-# draw made the same 60 decisions as the mean of two: passes at most 5.6e-3
-# apart (two draws: 5.4e-3), failures at least 0.125 (two draws: 0.027).
+# depends only on (seed, i), so the gate's complex128 draw is that
+# ensemble's row 0, and its complex64 draw is the complex64 ensemble's own
+# row 0, gated as soon as it is solved. Measured at seed 42 on 12-wavelength
+# panels at half a wavelength, the two differ by 6.7e-4 at 40 dB but by 0.23
+# on the grid that runs on to 100 dB, where float32 no longer resolves the
+# tail that a square panel's Gram matrix reaches down to 0; not
+# monotonically in SNR, so the gate checks every grid point. Over seeds
+# 42-46, the three desk columns, the half-to-quarter-wavelength sweep and
+# three SNR grids, one draw made the same 60 decisions as the mean of two:
+# passes at most 5.6e-3 apart (two draws: 5.4e-3), failures at least 0.125
+# (two draws: 0.027).
 GATE_TOL = 0.01
-# The gate solves one draw in each precision, which costs about as much as
-# complex64 then saves on about 6 draws at 12 wavelengths: at one worker a
-# complex64 draw takes 0.6x the wall time of a complex128 one there, since
-# its float64 normals cost the same, and with the gate 4 draws took
-# 1.10-1.22x as long as without it, 6 draws 0.95-1.00x, 8 draws 0.90x and
-# 12 draws 0.80-0.82x (the square panel at half a wavelength and the
-# half-to-quarter-wavelength sweep, medians of 6 alternating pairs). The
-# threshold stays above that so that the 8-draw 625-to-2401-element sweep
-# keeps its complex128 bytes.
-GATED_REALIZATIONS = 20
+# The gate costs one complex128 draw, solved alone on the calling thread,
+# and the EDoF solves of one profile per SNR point, which run while the
+# other draw threads go on. At one worker a complex64 draw takes 0.6x the
+# wall time of a complex128 one at 12 wavelengths, since its float64
+# normals cost the same, so the gate pays for itself from about 6 draws: a
+# gated run took 0.95-1.19x the ungated wall time at 6 draws, 0.72-1.00x at
+# 8 and 0.67-0.91x at 12 (in-process `_mean_profile`, spectra built
+# beforehand, the square panel at half a wavelength and the
+# half-to-quarter-wavelength sweep; medians of 6, 6 and 10 alternating
+# pairs in three sets on a 2-core VM whose speed drifted).
+GATED_REALIZATIONS = 6
 # The extras of a Monte Carlo job that ran in complex128 without the gate;
 # every Monte Carlo job also names the eigensolver its draws ran on.
 UNGATED = {"precision": "complex128", "gate_delta_edof": None, "gate_snr_db": None}
@@ -433,22 +436,30 @@ def _draws(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry,
     least GATED_REALIZATIONS draws; every other run draws in complex128."""
     dt, dr = _spectra(config, geom_t, geom_r)
 
-    def draw(realizations, dtype):
+    def draw(realizations, dtype, accept=None):
         return ensemble_from_spectra(dt, dr, realizations, config.seed,
-                                     threads=config.threads, dtype=dtype)
+                                     threads=config.threads, dtype=dtype,
+                                     accept=accept)
 
-    extras, dtype = dict(UNGATED), np.complex128
+    extras, ensemble = dict(UNGATED), None
     if gated and config.realizations >= GATED_REALIZATIONS:
-        # draw 0 in each precision, each solved on this thread: a one-draw
-        # call holds one draw's buffers and Gram matrix and starts no pool
+        # draw 0 in complex128 on this thread: a one-draw call holds one
+        # draw's buffers and Gram matrix and starts no pool
         double = draw(1, np.complex128).eig_samples[0]
-        single = draw(1, np.complex64).eig_samples[0]
-        delta, at = _precision_gate(double, single, float(dt.size * dr.size),
-                                    config.snr_grid_db)
-        dtype = np.complex64 if delta <= GATE_TOL else np.complex128
-        extras = {"precision": np.dtype(dtype).name, "gate_delta_edof": delta,
-                  "gate_snr_db": at}
-    ensemble = draw(config.realizations, dtype)
+
+        def accept(single):
+            # the complex64 ensemble's row 0, gated on this thread while the
+            # other draw threads go on
+            delta, at = _precision_gate(double, single, float(dt.size * dr.size),
+                                        config.snr_grid_db)
+            passed = delta <= GATE_TOL
+            extras.update(precision="complex64" if passed else "complex128",
+                          gate_delta_edof=delta, gate_snr_db=at)
+            return passed
+
+        ensemble = draw(config.realizations, np.complex64, accept=accept)
+    if ensemble is None:
+        ensemble = draw(config.realizations, np.complex128)
     extras["eigensolver"] = ensemble.eigensolver
     return ensemble, extras
 

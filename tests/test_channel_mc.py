@@ -463,8 +463,8 @@ def test_no_public_function_runs_off_the_main_thread(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_one_draw_left_runs_on_the_calling_thread(monkeypatch, threads):
-    # the precision gate solves draw 0 in each precision, one call each; a
-    # pool thread per call would keep its freed buffers in its own arena
+    # the precision gate solves its complex128 draw 0 in a one-draw call; a
+    # pool thread would keep its freed buffers in its own arena
     dt, dr = spectrum_of(12, 8), spectrum_of(12, 9)
     expected = serial_ensemble(dt, dr, 1, 5)
     blas_eigvalsh, solved_on = blas.eigvalsh, []
@@ -477,6 +477,74 @@ def test_one_draw_left_runs_on_the_calling_thread(monkeypatch, threads):
     ensemble = ensemble_from_spectra(dt, dr, 1, 5, threads=threads)
     assert solved_on == [threading.get_ident()]
     assert np.array_equal(ensemble.eig_samples, expected)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_accept_sees_row_0_once_on_the_calling_thread(threads):
+    # an accepted ensemble is the ensemble drawn without the gate
+    dt, dr = spectrum_of(12, 8), spectrum_of(12, 9)
+    seen = []
+
+    def accept(row):
+        seen.append((threading.get_ident(), row))
+        return True
+
+    for dtype in PRECISIONS:
+        seen.clear()
+        expected = ensemble_from_spectra(dt, dr, 9, 3, threads=threads, dtype=dtype)
+        ensemble = ensemble_from_spectra(
+            dt, dr, 9, 3, threads=threads, dtype=dtype, accept=accept
+        )
+        assert np.array_equal(ensemble.eig_samples, expected.eig_samples)
+        [(thread, row)] = seen
+        assert thread == threading.get_ident()
+        assert np.array_equal(row, expected.eig_samples[0])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_refused_row_0_stops_every_thread_after_its_draw(monkeypatch, threads):
+    dt, dr = spectrum_of(12, 8), spectrum_of(12, 9)
+    runners = 2 * threads
+    # each pool thread's first solve waits until every pool thread is in
+    # one and the gate has row 0, and then until the refusal has set the
+    # ensemble's stop event, so each pool thread solves exactly one draw
+    barrier = threading.Barrier(runners, timeout=10)
+    draw_and_solve, blas_eigvalsh = channel_mc._draw_and_solve, blas.eigvalsh
+    stops, solved, guard = [], {}, threading.Lock()
+
+    def recorded(draws, indices, samples, gram, stop, *accept):
+        stops.append(stop)
+        return draw_and_solve(draws, indices, samples, gram, stop, *accept)
+
+    def eigvalsh(matrix):
+        thread = threading.get_ident()
+        if thread != threading.main_thread().ident:
+            with guard:
+                solved[thread] = solved.get(thread, 0) + 1
+                first = solved[thread] == 1
+            if first:
+                barrier.wait()
+                assert stops[0].wait(timeout=10)
+        return blas_eigvalsh(matrix)
+
+    def refuse(row):
+        barrier.wait()
+        return False
+
+    monkeypatch.setattr(channel_mc, "_draw_and_solve", recorded)
+    monkeypatch.setattr(blas, "eigvalsh", eigvalsh)
+    assert ensemble_from_spectra(dt, dr, 12, 3, threads=threads, accept=refuse) is None
+    assert list(solved.values()) == [1] * (runners - 1)
+
+
+def test_accept_is_ignored_on_one_draw(monkeypatch):
+    dt, dr = spectrum_of(12, 8), spectrum_of(12, 9)
+
+    def refuse(row):
+        raise AssertionError("a one-draw call gated its row")
+
+    ensemble = ensemble_from_spectra(dt, dr, 1, 5, accept=refuse)
+    assert np.array_equal(ensemble.eig_samples, serial_ensemble(dt, dr, 1, 5))
 
 
 def test_one_worker_overlaps_its_draw_stages(monkeypatch):

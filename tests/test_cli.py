@@ -1155,6 +1155,31 @@ def test_gate_holds_one_complex128_draw_at_a_time(lapack, monkeypatch):
     assert peak < half_a + chunks + 2 * gram, peak
 
 
+def test_gated_run_peaks_below_a_refused_one(lapack, monkeypatch):
+    # a rectangular pair, 169 to 625 elements: a run whose gate passes holds
+    # one complex128 Gram matrix, then two complex64 ones; a refused gate
+    # goes on to two complex128 ones, one per draw thread
+    config = parse_config(
+        {"geometry_t": SQUARE_169, "geometry_r": SQUARE_625,
+         "realizations": GATED_REALIZATIONS}, "edof-sweep"
+    )
+    config.threads = 1
+    geoms = config.geometry_t, config.geometry_r
+    spectra = cli._spectra(config, *geoms)
+    # the spectra are built before tracing: their blocks outweigh the draws
+    monkeypatch.setattr(cli, "_spectra", lambda *args: spectra)
+    peaks = {}
+    for tol in (GATE_TOL, -1.0):
+        monkeypatch.setattr(cli, "GATE_TOL", tol)
+        tracemalloc.start()
+        try:
+            _, _, extras = cli._mean_profile(config, *geoms)
+            _, peaks[extras["precision"]] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks["complex64"] < peaks["complex128"], peaks
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_gate_never_solves_two_complex128_draws_at_once(lapack, monkeypatch, threads):
     # a complex128 Gram matrix is live from its first row chunk's
@@ -1194,15 +1219,26 @@ def test_gate_never_solves_two_complex128_draws_at_once(lapack, monkeypatch, thr
                          ids=["passes", "fails"])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_gate_draws_row_0_once_per_precision(monkeypatch, tol, precision, threads):
-    # draw 0 in complex128, then in complex64, each a one-draw call solved on
-    # the calling thread; then every draw in the precision the gate chose
+    # draw 0 in complex128, a one-draw call solved on the calling thread;
+    # then every draw in complex64, whose row 0 the calling thread solves
+    # first and gates; a refusal draws every row again in complex128
     monkeypatch.setattr(cli, "GATE_TOL", tol)
     ensemble, blas_eigvalsh = cli.ensemble_from_spectra, blas.eigvalsh
-    calls, solved_on = [], []
+    main_thread = threading.get_ident()
+    calls, solved_on, gated = [], [], []
 
     def recorded(dt, dr, realizations, seed, **kwargs):
-        calls.append((realizations, kwargs))
+        accept = kwargs.pop("accept", None)
+        calls.append((realizations, dict(kwargs), accept is not None))
         solved_on.append([])
+        if accept is not None:
+            def gate(row):
+                # the calling thread's complex solves so far in this call
+                gated.append((threading.get_ident(), solved_on[-1].count(main_thread),
+                              row))
+                return accept(row)
+
+            kwargs["accept"] = gate
         return ensemble(dt, dr, realizations, seed, **kwargs)
 
     def eigvalsh(matrix):
@@ -1216,13 +1252,23 @@ def test_gate_draws_row_0_once_per_precision(monkeypatch, tol, precision, thread
     config = gated_config(threads)
     _, _, extras = cli._mean_profile(config, config.geometry_t, config.geometry_t)
     assert extras["precision"] == np.dtype(precision).name
-    assert calls == [
-        (1, {"threads": threads, "dtype": np.complex128}),
-        (1, {"threads": threads, "dtype": np.complex64}),
-        (GATED_REALIZATIONS, {"threads": threads, "dtype": precision}),
+    expected = [
+        (1, {"threads": threads, "dtype": np.complex128}, False),
+        (GATED_REALIZATIONS, {"threads": threads, "dtype": np.complex64}, True),
     ]
-    assert solved_on[:2] == [[threading.get_ident()]] * 2
-    assert len(solved_on[2]) == GATED_REALIZATIONS
+    if precision == np.complex128:
+        expected.append(
+            (GATED_REALIZATIONS, {"threads": threads, "dtype": np.complex128}, False)
+        )
+    assert calls == expected
+    assert solved_on[0] == [main_thread]
+    assert len(solved_on[-1]) == GATED_REALIZATIONS
+    # the gate saw complex64 row 0 right after the calling thread solved it
+    spectrum = geometry_spectrum(config.geometry_t)
+    row_0 = ensemble(spectrum, spectrum, 1, config.seed, dtype=np.complex64)
+    [(thread, solved, row)] = gated
+    assert (thread, solved) == (main_thread, 1)
+    assert np.array_equal(row, row_0.eig_samples[0])
 
 
 MANIFEST_KEYS = {
