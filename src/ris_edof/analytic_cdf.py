@@ -17,10 +17,11 @@ Hence P^-1 = V_b^-T C^-1 V_a^-1 and
 
     tr(E P^-1) = sum_k k! / (-a)^k * (V_a^-1 E V_b^-T)[k, k].
 
-Only E and C depend on a. unordered_cdf inverts V_a and V_b once per call,
-in closed form (Lagrange interpolation, O(N^3)), at the highest precision
-any of its points asks for. Each point then costs N^2 exponentials and one
-O(N^3) contraction; P itself is never formed or inverted.
+Only E and C depend on a. unordered_cdf inverts V_a and V_b in closed form
+(Lagrange interpolation, O(N^3)) at the precision its first point, F(0+),
+asks for, which is the most any point asks for in practice, and again only
+when a later point asks for more. Each point then costs N^2 exponentials
+and one O(N^3) contraction; P itself is never formed or inverted.
 
 The kernel arguments are the *reciprocals* of the spectrum values; this is
 the convention under which the N = 1 case reduces to the exact exponential
@@ -286,21 +287,6 @@ class _Kernel:
         return min(1.0, alpha * self.x_min) / self.n**2
 
 
-def _kernel(
-    pair: EigenProfilePair, alphas, log: PrecisionLog | None = None
-) -> _Kernel:
-    """The kernel, with the mp factors at the digits the first evaluation of
-    any of `alphas` asks for."""
-    kernel = _Kernel(pair, log or PrecisionLog())
-    kernel.factors(
-        max(
-            _digits(_error_coefficient(kernel, a), kernel.first_guess(a))
-            for a in alphas
-        )
-    )
-    return kernel
-
-
 def _error_coefficient(kernel: _Kernel, alpha: float) -> float:
     """log10 of ERROR_FACTOR (M + 1) / N, the error bound on F_raw at
     10^-p = 1.
@@ -390,7 +376,7 @@ def unordered_cdf(
     scale = float(pair.dr_vals[0] * pair.dt_vals[0])
     tiny = TINY_ALPHA_FACTOR * scale
     inside = (alphas > tiny) & (alphas < HUGE_ALPHA_FACTOR * scale)
-    kernel = _kernel(pair, [tiny, *alphas[inside]], log)
+    kernel = _Kernel(pair, log or PrecisionLog())
     raw_lo = _raw_cdf(kernel, tiny)
     logger.debug("raw CDF endpoints: F(0+) = %.6g, F(inf) = 1/N", raw_lo)
     span = 1.0 / pair.n_r - raw_lo

@@ -24,31 +24,13 @@ path and `eigensolver` each solve's routine. The library is found as
 Precision follows the buffers: `gram` runs ``zherk`` on complex128 and
 ``cherk`` on complex64, and the numpy path keeps the dtype it is given. Each
 precision has its own eigensolver, because the two-stage reduction pays off
-at a different rank in each (`eigensolver`). Measured on a 2-core VM with
-numpy's OpenBLAS (core SkylakeX) on one BLAS thread, medians of 7:
-
-- complex64 at rank 624: ``cheev`` (``chetrd`` + ``ssterf``, the same
-  arguments) takes 27-29 ms against 39-43 ms for ``cheev_2stage``, and two
-  solves at once, as a worker's two threads run them, 38-57 against
-  68-76 ms; at rank 1021, 131-150 against 149-209 ms;
-- whole complex64 ensembles at one worker (4 draws on synthetic spectra,
-  alternating): ``cheev`` is 1.36x faster at rank 624, 1.18x at 1021,
-  1.05x at 1150 and 1.00x at 1300, and 0.99x and 0.98x at 1600 and 2000;
-  one solve at rank 2000 takes 0.71-0.94 s with ``cheev_2stage`` and
-  0.93-0.94 s with ``cheev``, and at rank 3980 6.95 against 8.21 s. So
-  complex64 Gram matrices up to CHEEV_MAX_RANK = 1300 run ``cheev``: every
-  desk column (ranks 624, 793 and 1021), and the 12-wavelength panels at a
-  sixth and a twelfth of a wavelength (1044, 1056); the 32-wavelength
-  draws (rank 3980) run ``cheev_2stage``;
-- complex128 at rank 624: ``zheev_2stage`` takes 58-65 ms against 77-79 ms
-  for the one-stage ``zheev``, and two at once 91-95 against 111-117 ms; at
-  rank 1021, 204-208 against 288-298 ms. So complex128 runs
-  ``zheev_2stage`` at every rank.
-
-Only the EDoF products draw in complex64, and only when a gate on the run's
-own first draws finds that single precision does not move the EDoF (see
-`ris_edof.cli`); everything else, and every library caller, stays in
-complex128.
+at a different rank in each (`eigensolver`). On numpy's OpenBLAS on one
+BLAS thread, the one-stage ``cheev`` solves complex64 Gram matrices faster
+than ``cheev_2stage``, alone and two at once, at the desk columns' ranks,
+and the two meet near rank 1300 (CHEEV_MAX_RANK), above which the two-stage
+solver wins; in complex128 ``zheev_2stage`` is already faster than ``zheev``
+at rank 624, so it runs at every rank. The README's Install section gives
+the timings. Which callers draw in complex64 is `ris_edof.cli`'s choice.
 """
 
 import contextlib

@@ -14,23 +14,17 @@ draw path: each draw adds A's Gram matrix up over its row chunks with
 library (numpy's OpenBLAS LAPACK, or numpy.linalg; see `blas`).
 
 Precision: the ensemble runs A, its Gram matrix and the eigensolve in the
-`dtype` it is given, complex128 by default. The normals and their scaling
-are float64 either way, so a complex64 A is the complex128 one rounded once,
-and realization i is the same draw of H in both precisions. Only the EDoF
-products (`edof-sweep`, `capacity-curve` and the figures built on them) ask
-for complex64, and only after a gate in runs of at least 6 draws: the CLI
-solves draw 0 in complex128 in a one-draw call, then draws the complex64
-ensemble with an `accept` check. Its calling thread solves row 0 first and
-checks that the two profiles give the same EDoF within 0.01 at every point
-of the run's SNR grid while the other threads go on drawing. A refusal
-stops every thread after the draw it is in, and the CLI draws the ensemble
-again in complex128.
-`channel-eigs`, `bounds-audit` and every library caller stay in complex128:
-they publish or audit every ordered eigenvalue, and in float32 nothing below
-about 1e-7 of the largest is resolved, so at 12 wavelengths values in the
-last quarter of the indices came out up to 5-32% off. A float32 solve's
-rounding negatives reach past -1e-10 of the largest value, so the clamp
-floor grows with the precision (`correlation._clamp_negative`).
+`dtype` it is given, complex128 by default, and records it as `precision`.
+The normals and their scaling are float64 either way, so a complex64 A is
+the complex128 one rounded once, and realization i is the same draw of H
+in both precisions. An `accept` check, if given, sees row 0 on the calling
+thread as soon as that row is solved, while the other threads go on
+drawing. A refusal stops every thread after the draw it is in; the call
+then frees its buffers and Gram matrices and draws every row again in
+complex128, so it returns what a complex128 call returns. Which products
+draw in complex64, and the check they pass, are `ris_edof.cli`'s. A float32
+solve's rounding negatives reach further below zero, so the clamp floor
+grows with the precision (`correlation._clamp_negative`).
 
 Each worker runs two draw threads, the calling thread among them, and
 each thread runs whole draws on buffers of its own: no lock is taken and
@@ -43,27 +37,11 @@ float64 chunk of 64 rows of normals, each part rounded once to the dtype,
 and `blas.gram` adds the chunk's Gram matrix into the thread's. The solve
 takes its eigenvalues and clamps the rounding negatives. So each thread
 holds its two chunks, one Gram matrix and the eigensolve's workspace, all
-allocated on the calling thread. On square panels at rank n, the chunks
-take 64 n (16 + 8) bytes in complex128 and 64 n (8 + 8) in complex64: 0.96
-and 0.64 MB at rank 624, 6.1 and 4.1 MB at the 32-wavelength rank of 3980.
-Each Gram matrix takes A's bytes, 16 n^2 and 8 n^2: 6.2 and 3.1 MB at rank
-624, 253 and 127 MB at rank 3980, and the workspace 0.11 of it at rank 624
-(0.05 for complex64's `cheev`).
-At rank 624 on a 2-core VM on one BLAS thread, one pass of the stream's
-n^2 normals takes 7-10 ms, and a draw stage, which makes three passes,
-28-34 ms in complex64 and 36-38 ms in complex128 (medians of 30 draws,
-three runs); a complex64 draw's `cherk` takes 8-11 ms and its eigensolve,
-`cheev` (see `blas.eigensolver`), 27-44 ms (medians of 20-40 draws, six
-runs; the host's speed drifted 1.5x between them). Where `cheev` took
-27-28 ms, `cheev_2stage` took 38-39 ms. A worker's two draw stages run at
-once, with no wait on a lock, and 40 draws on one worker took as long as
-with the real half of A kept: 1.44 against 1.48 s in complex64 and 2.58
-against 2.67 s in complex128 (medians of 8 alternating processes; see
-`BENCH_28.json` for whole runs).
-OpenBLAS runs on one thread for the whole ensemble, since a second BLAS
-thread's spinning pool takes the core the other draws need: over 40
-complex128 draws one worker took 81-87 ms per draw pinned and 159-178 ms
-unpinned, and two workers 82-93 ms and 355-380 ms.
+allocated on the calling thread: on square panels at rank n, 64 n (16 + 8)
+bytes of chunks and a 16 n^2-byte Gram matrix in complex128, 64 n (8 + 8)
+and 8 n^2 in complex64. OpenBLAS runs on one thread for the whole
+ensemble, since a second BLAS thread's spinning pool takes the core the
+other draws need.
 
 Reproducibility: realization i always draws from a Philox stream keyed by
 (master seed, i), and its row depends on nothing else, so results are
@@ -95,6 +73,7 @@ class ChannelEnsemble:
     dt: np.ndarray  # normalized transmit spectrum
     dr: np.ndarray  # normalized receive spectrum
     eigensolver: str  # the routine that solved the draws (`blas.eigensolver`)
+    precision: str  # the dtype they were solved in, complex128 or complex64
 
     @property
     def realizations(self) -> int:
@@ -182,7 +161,7 @@ def ensemble_from_spectra(
     threads: int = 1,
     dtype=np.complex128,
     accept=None,
-) -> ChannelEnsemble | None:
+) -> ChannelEnsemble:
     """Monte Carlo ensemble over H for fixed normalized spectra.
 
     Eigenvalues below RANK_TOL * largest are dropped from the per-realization
@@ -193,10 +172,11 @@ def ensemble_from_spectra(
     to one thread for the whole ensemble. `dtype`, complex128 or
     complex64, is the precision of A, its Gram matrix and the eigensolve.
 
-    `accept`, if given and more than one draw is asked for, is called once
-    on the calling thread with a copy of row 0 as soon as that row is
-    solved, while the other threads keep drawing. If it returns false,
-    every thread stops after the draw it is in and the call returns None.
+    `accept`, if given, is called once on the calling thread with a copy of
+    row 0 as soon as that row is solved, while the other threads keep
+    drawing. If it returns false, every thread stops after the draw it is
+    in, and the call draws every row again in complex128. The ensemble's
+    `precision` names the dtype its rows were solved in.
     """
     if realizations < 1:
         raise ValidationError(
@@ -216,26 +196,34 @@ def ensemble_from_spectra(
             )
     samples = np.zeros((realizations, dr.size))
     n = min(dt_used.size, dr_used.size)
-    ensemble = ChannelEnsemble(samples, dt, dr, blas.eigensolver(dtype, n))
     # fewer than 2 * threads draws leave one draw per thread
     runners = min(2 * threads, realizations)
-    # every runner's buffers and Gram matrix come from this thread's heap,
-    # which reuses what earlier calls freed, where a pool thread's arena
-    # would take new pages
-    stop = threading.Event()
-    runs = [
-        (_Draws(dt_used, dr_used, seed, dtype), range(k, realizations, runners),
-         samples, np.empty((n, n), dtype), stop)
-        for k in range(runners)
-    ]
-    with blas.one_thread(), ThreadPoolExecutor(max(1, runners - 1)) as pool:
-        # runner 0 runs on this thread, so a one-draw call starts no thread,
-        # and it solves row 0 first, so `accept` runs here
-        others = [pool.submit(_draw_and_solve, *run) for run in runs[1:]]
-        _draw_and_solve(*runs[0], accept if realizations > 1 else None)
-        for other in others:
-            other.result()
-    return None if stop.is_set() else ensemble
+    # a refused pass is followed by one in complex128, which solves every
+    # row again at the same length, so none of the refused rows is left
+    for dtype, accept in ((dtype, accept), (np.complex128, None)):
+        # every runner's buffers and Gram matrix come from this thread's
+        # heap, which reuses what earlier calls freed, where a pool thread's
+        # arena would take new pages
+        stop = threading.Event()
+        runs = [
+            (_Draws(dt_used, dr_used, seed, dtype), range(k, realizations, runners),
+             samples, np.empty((n, n), dtype), stop)
+            for k in range(runners)
+        ]
+        with blas.one_thread(), ThreadPoolExecutor(max(1, runners - 1)) as pool:
+            # runner 0 runs on this thread, so a one-draw call starts no
+            # thread, and it solves row 0 first, so `accept` runs here
+            others = [pool.submit(_draw_and_solve, *run) for run in runs[1:]]
+            _draw_and_solve(*runs[0], accept)
+            for other in others:
+                other.result()
+        if not stop.is_set():
+            break
+        # the refused pass's buffers and Gram matrices go before the
+        # complex128 pass makes its own
+        del runs
+    return ChannelEnsemble(samples, dt, dr, blas.eigensolver(dtype, n),
+                           np.dtype(dtype).name)
 
 
 def ensemble_stats(ensemble: ChannelEnsemble) -> EigStats:

@@ -18,6 +18,22 @@ code per failure class:
 
 Identical config + seed produces byte-identical CSV files; the manifest
 records everything needed to re-run them.
+
+Precision of the draws. The Monte Carlo products draw in complex128, but
+the EDoF products (`edof-sweep`, `capacity-curve` and the figures built on
+them) need only the EDoF of the mean ordered eigenvalue profile, so they may
+draw in complex64 behind a precision gate. A run of at least
+GATED_REALIZATIONS draws solves draw 0 in complex128 and then draws the
+complex64 ensemble with an `accept` check on its own row 0, since draw i
+depends only on (seed, i): the draws stay in complex64 when the profiles of
+the two draw-0 solves give EDoF n_s* within GATE_TOL of each other at every
+point of the run's SNR grid, and are drawn again in complex128 otherwise.
+So the precision follows from the config and seed alone, and a refused run
+writes the bytes of a run without the gate. `channel-eigs`, `bounds-audit`
+and the targets on them stay in complex128: they publish or audit every
+ordered eigenvalue, and float32 resolves nothing below about 1e-7 of the
+largest. The README's "Precision of the draws" records the measurements
+behind these choices.
 """
 
 import argparse
@@ -67,35 +83,19 @@ MAX_GRID_POINTS = 10_001
 # holds realizations x N_r eigenvalues (0.5 GB at the cap for that panel), so
 # a far larger count would otherwise fail on allocation.
 MAX_REALIZATIONS = 100_000
-# The EDoF products draw in complex64 when the profiles of the run's draw 0,
-# solved in both precisions, give EDoF within GATE_TOL of each other at
-# every point of the run's SNR grid, and in complex128 otherwise. Draw i
-# depends only on (seed, i), so the gate's complex128 draw is that
-# ensemble's row 0, and its complex64 draw is the complex64 ensemble's own
-# row 0, gated as soon as it is solved. Measured at seed 42 on 12-wavelength
-# panels at half a wavelength, the two differ by 6.7e-4 at 40 dB but by 0.23
-# on the grid that runs on to 100 dB, where float32 no longer resolves the
-# tail that a square panel's Gram matrix reaches down to 0; not
-# monotonically in SNR, so the gate checks every grid point. Over seeds
-# 42-46, the three desk columns, the half-to-quarter-wavelength sweep and
-# three SNR grids, one draw made the same 60 decisions as the mean of two:
-# passes at most 5.6e-3 apart (two draws: 5.4e-3), failures at least 0.125
-# (two draws: 0.027).
+# The gate's bound on the |n_s*| difference between the two draw-0 profiles
+# (see the module docstring). It lies between the largest difference of the
+# runs measured that float32 serves and the smallest of those it does not,
+# which one draw told apart as the mean of two did. The difference is not
+# monotone in SNR, so the gate checks every grid point: float32 stops
+# resolving the tail of a square panel's Gram matrix, which reaches down to
+# 0, as the grid reaches high SNR.
 GATE_TOL = 0.01
-# The gate costs one complex128 draw, solved alone on the calling thread,
-# and the EDoF solves of one profile per SNR point, which run while the
-# other draw threads go on. At one worker a complex64 draw takes 0.6x the
-# wall time of a complex128 one at 12 wavelengths, since its float64
-# normals cost the same, so the gate pays for itself from about 6 draws: a
-# gated run took 0.95-1.19x the ungated wall time at 6 draws, 0.72-1.00x at
-# 8 and 0.67-0.91x at 12 (in-process `_mean_profile`, spectra built
-# beforehand, the square panel at half a wavelength and the
-# half-to-quarter-wavelength sweep; medians of 6, 6 and 10 alternating
-# pairs in three sets on a 2-core VM whose speed drifted).
+# The fewest draws that run the gate. It costs one complex128 draw and the
+# EDoF solves of one profile per SNR point, and a complex64 draw saves on
+# its Gram matrix and eigensolve but not on its float64 normals, so the
+# gate pays for itself from about this many draws.
 GATED_REALIZATIONS = 6
-# The extras of a Monte Carlo job that ran in complex128 without the gate;
-# every Monte Carlo job also names the eigensolver its draws ran on.
-UNGATED = {"precision": "complex128", "gate_delta_edof": None, "gate_snr_db": None}
 
 # Reference-dataset columns: element spacings (x, z) in wavelengths.
 COLUMN_SPACINGS = {
@@ -195,6 +195,18 @@ def _parse_geometry(block, where: str) -> RisGeometry:
     )
 
 
+def _integer(value, field: str, low: int, high: int | None = None) -> int:
+    """A JSON integer in [low, high], or at least ``low`` when ``high`` is
+    None. Bools are refused."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        return value
+    span = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ValidationError(
+        f"{field} must be an integer {span}, got {value!r}", field=field
+    )
+
+
 def _check_options(options: dict) -> None:
     """Type and range checks for the per-command options."""
     slack = options.get("slack", 0.0)
@@ -204,23 +216,7 @@ def _check_options(options: dict) -> None:
             field="options.slack",
         )
     if "points" in options:
-        points = options["points"]
-        if (
-            not isinstance(points, int)
-            or isinstance(points, bool)
-            or not 2 <= points <= MAX_GRID_POINTS
-        ):
-            raise ValidationError(
-                f"options.points must be an integer in [2, {MAX_GRID_POINTS}], "
-                f"got {points!r}",
-                field="options.points",
-            )
-
-
-def _check_seed(seed) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError("seed must be a non-negative integer", field="seed")
-    return seed
+        _integer(options["points"], "options.points", 2, MAX_GRID_POINTS)
 
 
 def parse_config(raw: dict, command: str) -> RunConfig:
@@ -244,17 +240,11 @@ def parse_config(raw: dict, command: str) -> RunConfig:
         else geometry_t
     )
 
-    realizations = raw.get("realizations", 1000)
-    if not isinstance(realizations, int) or isinstance(realizations, bool):
-        raise ValidationError("realizations must be an integer", field="realizations")
     # the Monte Carlo statistics need two draws; refuse before any is made
-    if not 2 <= realizations <= MAX_REALIZATIONS:
-        raise ValidationError(
-            f"realizations must be in [2, {MAX_REALIZATIONS}], got {realizations}",
-            field="realizations",
-        )
-
-    seed = _check_seed(raw.get("seed", 42))
+    realizations = _integer(
+        raw.get("realizations", 1000), "realizations", 2, MAX_REALIZATIONS
+    )
+    seed = _integer(raw.get("seed", 42), "seed", 0)
 
     snr = raw.get("snr_grid_db", {"start": -10, "stop": 40, "step": 5})
     if isinstance(snr, list) and len(snr) == 3:
@@ -431,37 +421,33 @@ def _precision_gate(double: np.ndarray, single: np.ndarray, nt_nr: float,
 def _draws(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry,
            gated: bool):
     """The run's Monte Carlo ensemble and the extras that say which
-    precision its draws ran in, why (see GATE_TOL) and which eigensolver
-    solved them. Only a ``gated`` product runs the gate, and only on at
-    least GATED_REALIZATIONS draws; every other run draws in complex128."""
+    precision its draws ran in, what the gate measured (see the module
+    docstring) and which eigensolver solved them. Only a ``gated`` product
+    runs the gate, and only on at least GATED_REALIZATIONS draws."""
     dt, dr = _spectra(config, geom_t, geom_r)
-
-    def draw(realizations, dtype, accept=None):
-        return ensemble_from_spectra(dt, dr, realizations, config.seed,
-                                     threads=config.threads, dtype=dtype,
-                                     accept=accept)
-
-    extras, ensemble = dict(UNGATED), None
+    gate = {"gate_delta_edof": None, "gate_snr_db": None}
+    dtype, accept = np.complex128, None
     if gated and config.realizations >= GATED_REALIZATIONS:
         # draw 0 in complex128 on this thread: a one-draw call holds one
         # draw's buffers and Gram matrix and starts no pool
-        double = draw(1, np.complex128).eig_samples[0]
+        double = ensemble_from_spectra(
+            dt, dr, 1, config.seed, threads=config.threads
+        ).eig_samples[0]
 
         def accept(single):
             # the complex64 ensemble's row 0, gated on this thread while the
             # other draw threads go on
             delta, at = _precision_gate(double, single, float(dt.size * dr.size),
                                         config.snr_grid_db)
-            passed = delta <= GATE_TOL
-            extras.update(precision="complex64" if passed else "complex128",
-                          gate_delta_edof=delta, gate_snr_db=at)
-            return passed
+            gate.update(gate_delta_edof=delta, gate_snr_db=at)
+            return delta <= GATE_TOL
 
-        ensemble = draw(config.realizations, np.complex64, accept=accept)
-    if ensemble is None:
-        ensemble = draw(config.realizations, np.complex128)
-    extras["eigensolver"] = ensemble.eigensolver
-    return ensemble, extras
+        dtype = np.complex64
+    ensemble = ensemble_from_spectra(dt, dr, config.realizations, config.seed,
+                                     threads=config.threads, dtype=dtype,
+                                     accept=accept)
+    return ensemble, {"precision": ensemble.precision,
+                      "eigensolver": ensemble.eigensolver, **gate}
 
 
 def _mean_profile(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
@@ -720,13 +706,11 @@ def _run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     config = parse_config(_load_raw_config(args.config), args.command)
     if args.seed is not None:
-        config.seed = _check_seed(args.seed)
+        config.seed = _integer(args.seed, "seed", 0)
     if args.quick:
         config.realizations = QUICK_REALIZATIONS
-    if args.threads is not None and args.threads < 1:
-        raise ValidationError(
-            f"threads must be >= 1, got {args.threads}", field="threads"
-        )
+    if args.threads is not None:
+        _integer(args.threads, "threads", 1)
     # each worker runs two draw threads
     cap = max(1, _usable_cpus() // 2)
     config.threads = min(args.threads or cap, cap)

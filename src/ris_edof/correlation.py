@@ -87,13 +87,10 @@ def _clamp_negative(values: np.ndarray, what: str) -> np.ndarray:
     of NEGATIVE_CLAMP_REL and CLAMP_ULPS * n * eps(dtype) for n values.
 
     The correlation spectrum and every complex128 draw are float64, where
-    rel is NEGATIVE_CLAMP_REL. Only the EDoF products' draws may run in
-    complex64, when the gate on the run's first draws allows it (see
-    `ris_edof.cli`); their float32 values at rank 624 get rel = 3.0e-4. Over
-    10 complex64 draws at 12 wavelengths and half a wavelength (rank 624),
-    rounding left negatives down to -5.5e-10 of the largest value, past the
-    float64 floor, on the square Gram matrix whose spectrum reaches down
-    to 0."""
+    rel is NEGATIVE_CLAMP_REL. A complex64 draw (which ones run in it is
+    `ris_edof.cli`'s choice) gives float32 values, whose rel at rank 624 is
+    3.0e-4: on a square Gram matrix, whose spectrum reaches down to 0, their
+    rounding negatives reach past the float64 floor."""
     top = max(float(values[0]), 0.0)
     eps = np.finfo(values.dtype).eps
     rel = max(NEGATIVE_CLAMP_REL, CLAMP_ULPS * values.size * eps)

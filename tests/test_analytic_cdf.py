@@ -119,7 +119,7 @@ def determinant_sum_cdf(pair, alpha):
 
 def raw_cdf(pair, alphas):
     """The factored closed form at each of `alphas`, sharing one kernel."""
-    kernel = analytic_cdf._kernel(pair, alphas)
+    kernel = analytic_cdf._Kernel(pair, analytic_cdf.PrecisionLog())
     return [analytic_cdf._raw_cdf(kernel, alpha) for alpha in alphas]
 
 
@@ -286,7 +286,7 @@ def test_certified_precision_gives_the_float_of_fifty_more_digits(case, n):
     pair = oracle_pair(case, n)
     scale = float(pair.dr_vals[0] * pair.dt_vals[0])
     alphas = [float(factor * scale) for factor in DECADES]
-    kernel = analytic_cdf._kernel(pair, alphas)
+    kernel = analytic_cdf._Kernel(pair, analytic_cdf.PrecisionLog())
     certified = [analytic_cdf._raw_cdf(kernel, alpha) for alpha in alphas]
     digits = kernel.log.dps
     assert len(digits) == len(alphas)

@@ -496,6 +496,7 @@ def test_accept_sees_row_0_once_on_the_calling_thread(threads):
             dt, dr, 9, 3, threads=threads, dtype=dtype, accept=accept
         )
         assert np.array_equal(ensemble.eig_samples, expected.eig_samples)
+        assert ensemble.precision == np.dtype(dtype).name
         [(thread, row)] = seen
         assert thread == threading.get_ident()
         assert np.array_equal(row, expected.eig_samples[0])
@@ -505,9 +506,10 @@ def test_accept_sees_row_0_once_on_the_calling_thread(threads):
 def test_refused_row_0_stops_every_thread_after_its_draw(monkeypatch, threads):
     dt, dr = spectrum_of(12, 8), spectrum_of(12, 9)
     runners = 2 * threads
-    # each pool thread's first solve waits until every pool thread is in
-    # one and the gate has row 0, and then until the refusal has set the
-    # ensemble's stop event, so each pool thread solves exactly one draw
+    # each pool thread's first complex64 solve waits until every pool thread
+    # is in one and the gate has row 0, and then until the refusal has set
+    # the complex64 pass's stop event, so each pool thread solves exactly one
+    # complex64 draw before the call draws every row in complex128
     barrier = threading.Barrier(runners, timeout=10)
     draw_and_solve, blas_eigvalsh = channel_mc._draw_and_solve, blas.eigvalsh
     stops, solved, guard = [], {}, threading.Lock()
@@ -518,7 +520,7 @@ def test_refused_row_0_stops_every_thread_after_its_draw(monkeypatch, threads):
 
     def eigvalsh(matrix):
         thread = threading.get_ident()
-        if thread != threading.main_thread().ident:
+        if matrix.dtype == np.complex64 and thread != threading.main_thread().ident:
             with guard:
                 solved[thread] = solved.get(thread, 0) + 1
                 first = solved[thread] == 1
@@ -533,18 +535,61 @@ def test_refused_row_0_stops_every_thread_after_its_draw(monkeypatch, threads):
 
     monkeypatch.setattr(channel_mc, "_draw_and_solve", recorded)
     monkeypatch.setattr(blas, "eigvalsh", eigvalsh)
-    assert ensemble_from_spectra(dt, dr, 12, 3, threads=threads, accept=refuse) is None
+    ensemble = ensemble_from_spectra(
+        dt, dr, 12, 3, threads=threads, dtype=np.complex64, accept=refuse
+    )
     assert list(solved.values()) == [1] * (runners - 1)
+    assert ensemble.precision == "complex128"
+    assert np.array_equal(ensemble.eig_samples, serial_ensemble(dt, dr, 12, 3))
 
 
-def test_accept_is_ignored_on_one_draw(monkeypatch):
+@pytest.mark.parametrize("realizations", [1, 9])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_refused_call_returns_the_complex128_call(threads, realizations):
+    # a one-draw call gates its row too
     dt, dr = spectrum_of(12, 8), spectrum_of(12, 9)
+    plain = ensemble_from_spectra(dt, dr, realizations, 3, threads=threads)
+    seen = []
 
     def refuse(row):
-        raise AssertionError("a one-draw call gated its row")
+        seen.append(row)
+        return False
 
-    ensemble = ensemble_from_spectra(dt, dr, 1, 5, accept=refuse)
-    assert np.array_equal(ensemble.eig_samples, serial_ensemble(dt, dr, 1, 5))
+    refused = ensemble_from_spectra(
+        dt, dr, realizations, 3, threads=threads, dtype=np.complex64, accept=refuse
+    )
+    [row] = seen
+    assert np.array_equal(
+        row, ensemble_from_spectra(dt, dr, 1, 3, dtype=np.complex64).eig_samples[0]
+    )
+    assert (refused.precision, refused.eigensolver) == (
+        "complex128", plain.eigensolver
+    )
+    assert np.array_equal(refused.eig_samples, plain.eig_samples)
+
+
+def test_refused_call_frees_its_complex64_draws_first(lapack):
+    # 1000 x 200 on one worker, as in `test_draw_threads_hold_one_chunk_each`
+    rows, cols = 1000, 200
+    dt, dr = spectrum_of(cols, 1), spectrum_of(rows, 2)
+    tracemalloc.start()
+    try:
+        ensemble = ensemble_from_spectra(
+            dt, dr, 4, 7, threads=1, dtype=np.complex64, accept=lambda row: False
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ensemble.precision == "complex128"
+    # that test's bound on a complex128 call: two threads' float64 and
+    # complex128 chunks, Gram matrices and solve workspaces, and the
+    # samples; plus half a complex64 Gram matrix (gram // 2) of headroom
+    # for the refusal's own small allocations. One complex64 Gram matrix
+    # still held beside the complex128 pass would not fit
+    chunks = channel_mc._CHUNK_ROWS * cols * (8 + 16)
+    gram = cols * cols * 16
+    samples = 4 * rows * 8
+    assert peak < 2 * (chunks + gram + gram // 2) + samples + gram // 4, peak
 
 
 def test_one_worker_overlaps_its_draw_stages(monkeypatch):
@@ -621,7 +666,9 @@ def test_rows_sorted_and_nonnegative():
 def test_stats_on_identical_samples():
     row = np.array([[3.0, 2.0, 1.0]])
     flat = np.ones(3) / 3
-    ensemble = ChannelEnsemble(np.repeat(row, 4, axis=0), flat, flat, "eigvalsh")
+    ensemble = ChannelEnsemble(
+        np.repeat(row, 4, axis=0), flat, flat, "eigvalsh", "complex128"
+    )
     stats = ensemble_stats(ensemble)
     assert np.array_equal(stats.std_profile, np.zeros(3))
     assert np.array_equal(stats.mean_profile, row[0])
@@ -630,7 +677,7 @@ def test_stats_on_identical_samples():
 
 def test_stats_require_two_realizations():
     flat = np.ones(2) / 2
-    ensemble = ChannelEnsemble(np.ones((1, 2)), flat, flat, "eigvalsh")
+    ensemble = ChannelEnsemble(np.ones((1, 2)), flat, flat, "eigvalsh", "complex128")
     with pytest.raises(ValidationError):
         ensemble_stats(ensemble)
 
@@ -654,7 +701,7 @@ def test_eigensum_scalar_channel():
 def test_eigensum_zero_channel_injected():
     # ensemble_stats needs two realizations
     flat = np.ones(2) / 2
-    ensemble = ChannelEnsemble(np.zeros((2, 2)), flat, flat, "eigvalsh")
+    ensemble = ChannelEnsemble(np.zeros((2, 2)), flat, flat, "eigvalsh", "complex128")
     assert ensemble_stats(ensemble).eigsum_mean == 0.0
 
 

@@ -21,7 +21,6 @@ from ris_edof.cli import (
     GATED_REALIZATIONS,
     MAX_GRID_POINTS,
     MAX_REALIZATIONS,
-    UNGATED,
     main,
     parse_config,
 )
@@ -40,6 +39,9 @@ HALF_HALF = {"len_x": 0.5, "len_z": 0.5, "spacing_x": 0.5, "spacing_z": 0.5}
 # 3 x 3 elements, as a 1-wavelength panel at half-wavelength spacing
 TIGHT_1 = {"len_x": 0.8, "len_z": 0.8, "spacing_x": 0.4, "spacing_z": 0.4}
 BOUNDS_HEADER = ["k", "realization", "value", "bound", "kind"]
+# the extras of a Monte Carlo job that drew in complex128 without the gate;
+# every Monte Carlo job also names the eigensolver its draws ran on
+UNGATED = {"precision": "complex128", "gate_delta_edof": None, "gate_snr_db": None}
 
 
 @pytest.fixture
@@ -326,6 +328,10 @@ SQUARE_625 = {"len_x": 6, "len_z": 6, "spacing_x": 0.25, "spacing_z": 0.25}
 
 def test_csv_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
     src = str(Path(ris_edof.__file__).resolve().parents[1])
+    # --threads is capped at half the usable CPUs: each run sees 4, so that
+    # --threads 2 runs two workers on any machine
+    run = "import sys; from ris_edof import cli; cli._usable_cpus = lambda: 4; " \
+          "sys.exit(cli.main(sys.argv[1:]))"
     runs = {
         "corr-eigs": write_config(
             tmp_path, {"geometry_t": SQUARE_625}, "spectrum.json"
@@ -348,11 +354,14 @@ def test_csv_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
             for command, cfg in runs.items():
                 out = tmp_path / f"{command}-{blas_threads}-{threads}"
                 subprocess.run(
-                    [sys.executable, "-m", "ris_edof", command, "--config", str(cfg),
+                    [sys.executable, "-c", run, command, "--config", str(cfg),
                      "--threads", threads, "--out", str(out)],
                     env=env, check=True, capture_output=True,
                 )
-                csv = out / f"{command.replace('-', '_')}.csv"
+                stem = command.replace("-", "_")
+                manifest = json.loads((out / f"{stem}_manifest.json").read_text())
+                assert manifest["config"]["threads"] == int(threads)
+                csv = out / f"{stem}.csv"
                 digests[command].add(hashlib.sha256(csv.read_bytes()).hexdigest())
     manifest = tmp_path / "edof-sweep-2-2" / "edof_sweep_manifest.json"
     sweep = json.loads(manifest.read_text())
@@ -682,7 +691,7 @@ def test_cdf_manifest_records_working_precision_and_jitter(tmp_path):
         analytic_cdf.TINY_ALPHA_FACTOR * scale,
         *np.geomspace(1e-5 * scale, 1e3 * scale, 3),
     ]
-    kernel = analytic_cdf._kernel(pair, alphas)
+    kernel = analytic_cdf._Kernel(pair, analytic_cdf.PrecisionLog())
     digits = [
         analytic_cdf._digits(
             analytic_cdf._error_coefficient(kernel, alpha),
@@ -1122,7 +1131,7 @@ def test_gate_holds_one_complex128_draw_at_a_time(lapack, monkeypatch):
     n = effective_rank(geometry_spectrum(geom))
     ensemble, grown = cli.ensemble_from_spectra, []
 
-    def measured(*args, dtype, **kwargs):
+    def measured(*args, dtype=np.complex128, **kwargs):
         # what a complex128 call adds to the memory live before it
         if dtype != np.complex128:
             return ensemble(*args, dtype=dtype, **kwargs)
@@ -1220,8 +1229,9 @@ def test_gate_never_solves_two_complex128_draws_at_once(lapack, monkeypatch, thr
 @pytest.mark.parametrize("threads", [1, 2])
 def test_gate_draws_row_0_once_per_precision(monkeypatch, tol, precision, threads):
     # draw 0 in complex128, a one-draw call solved on the calling thread;
-    # then every draw in complex64, whose row 0 the calling thread solves
-    # first and gates; a refusal draws every row again in complex128
+    # then one call that draws every row in complex64, whose row 0 the
+    # calling thread solves first and gates, and on a refusal draws every
+    # row again in complex128
     monkeypatch.setattr(cli, "GATE_TOL", tol)
     ensemble, blas_eigvalsh = cli.ensemble_from_spectra, blas.eigvalsh
     main_thread = threading.get_ident()
@@ -1234,7 +1244,8 @@ def test_gate_draws_row_0_once_per_precision(monkeypatch, tol, precision, thread
         if accept is not None:
             def gate(row):
                 # the calling thread's complex solves so far in this call
-                gated.append((threading.get_ident(), solved_on[-1].count(main_thread),
+                gated.append((threading.get_ident(),
+                              solved_on[-1].count((main_thread, np.complex64)),
                               row))
                 return accept(row)
 
@@ -1244,7 +1255,7 @@ def test_gate_draws_row_0_once_per_precision(monkeypatch, tol, precision, thread
     def eigvalsh(matrix):
         # the spectrum's real blocks are solved here too
         if np.iscomplexobj(matrix):
-            solved_on[-1].append(threading.get_ident())
+            solved_on[-1].append((threading.get_ident(), matrix.dtype.type))
         return blas_eigvalsh(matrix)
 
     monkeypatch.setattr(cli, "ensemble_from_spectra", recorded)
@@ -1252,17 +1263,20 @@ def test_gate_draws_row_0_once_per_precision(monkeypatch, tol, precision, thread
     config = gated_config(threads)
     _, _, extras = cli._mean_profile(config, config.geometry_t, config.geometry_t)
     assert extras["precision"] == np.dtype(precision).name
-    expected = [
-        (1, {"threads": threads, "dtype": np.complex128}, False),
+    assert calls == [
+        (1, {"threads": threads}, False),
         (GATED_REALIZATIONS, {"threads": threads, "dtype": np.complex64}, True),
     ]
+    assert solved_on[0] == [(main_thread, np.complex128)]
+    dtypes = [dtype for _, dtype in solved_on[1]]
+    assert dtypes.count(precision) == GATED_REALIZATIONS
     if precision == np.complex128:
-        expected.append(
-            (GATED_REALIZATIONS, {"threads": threads, "dtype": np.complex128}, False)
-        )
-    assert calls == expected
-    assert solved_on[0] == [main_thread]
-    assert len(solved_on[-1]) == GATED_REALIZATIONS
+        # the refusal stopped every thread after the draw it was in, and
+        # the complex128 rows followed every complex64 one
+        assert 1 <= dtypes.count(np.complex64) <= GATED_REALIZATIONS
+        assert dtypes.index(np.complex128) == dtypes.count(np.complex64)
+    else:
+        assert dtypes == [np.complex64] * GATED_REALIZATIONS
     # the gate saw complex64 row 0 right after the calling thread solved it
     spectrum = geometry_spectrum(config.geometry_t)
     row_0 = ensemble(spectrum, spectrum, 1, config.seed, dtype=np.complex64)
