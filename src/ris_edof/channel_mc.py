@@ -17,14 +17,10 @@ Precision: the ensemble runs A, its Gram matrix and the eigensolve in the
 `dtype` it is given, complex128 by default, and records it as `precision`.
 The normals and their scaling are float64 either way, so a complex64 A is
 the complex128 one rounded once, and realization i is the same draw of H
-in both precisions. An `accept` check, if given, sees row 0 on the calling
-thread as soon as that row is solved, while the other threads go on
-drawing. A refusal stops every thread after the draw it is in; the call
-then frees its buffers and Gram matrices and draws every row again in
-complex128, so it returns what a complex128 call returns. Which products
-draw in complex64, and the check they pass, are `ris_edof.cli`'s. A float32
-solve's rounding negatives reach further below zero, so the clamp floor
-grows with the precision (`correlation._clamp_negative`).
+in both precisions. Which products draw in complex64, and the check their
+draws pass, are `ris_edof.cli`'s. A float32 solve's rounding negatives
+reach further below zero, so the clamp floor grows with the precision
+(`correlation._clamp_negative`).
 
 Each worker runs two draw threads, the calling thread among them, and
 each thread runs whole draws on buffers of its own: no lock is taken and
@@ -49,7 +45,6 @@ bit-identical regardless of how many workers participate. The kernels give
 the same bits on one BLAS thread as on several.
 """
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -135,21 +130,14 @@ class _Draws:
 
 
 def _draw_and_solve(
-    draws: _Draws, indices: range, samples: np.ndarray, gram: np.ndarray,
-    stop: threading.Event, accept=None,
+    draws: _Draws, indices: range, samples: np.ndarray, gram: np.ndarray
 ):
     """Draw and solve the listed realizations into their rows of
-    ``samples``, one after the other, on this thread's own Gram matrix,
-    until ``stop`` is set. ``accept`` sees row 0 once it is solved, and a
-    refusal sets ``stop``."""
+    ``samples``, one after the other, on this thread's own Gram matrix."""
     for index in indices:
-        if stop.is_set():
-            return
         values = blas.eigvalsh(draws(index, gram))
         row = _clamp_negative(values[::-1], "composite eigenvalue")
         samples[index, : row.size] = row
-        if index == 0 and accept is not None and not accept(samples[0].copy()):
-            stop.set()
 
 
 def ensemble_from_spectra(
@@ -160,7 +148,6 @@ def ensemble_from_spectra(
     *,
     threads: int = 1,
     dtype=np.complex128,
-    accept=None,
 ) -> ChannelEnsemble:
     """Monte Carlo ensemble over H for fixed normalized spectra.
 
@@ -170,13 +157,8 @@ def ensemble_from_spectra(
     threads each, the calling thread among them, and each thread runs every
     (2 * threads)-th realization on its own buffers, with OpenBLAS pinned
     to one thread for the whole ensemble. `dtype`, complex128 or
-    complex64, is the precision of A, its Gram matrix and the eigensolve.
-
-    `accept`, if given, is called once on the calling thread with a copy of
-    row 0 as soon as that row is solved, while the other threads keep
-    drawing. If it returns false, every thread stops after the draw it is
-    in, and the call draws every row again in complex128. The ensemble's
-    `precision` names the dtype its rows were solved in.
+    complex64, is the precision of A, its Gram matrix and the eigensolve,
+    and the ensemble records it as `precision`.
     """
     if realizations < 1:
         raise ValidationError(
@@ -198,30 +180,20 @@ def ensemble_from_spectra(
     n = min(dt_used.size, dr_used.size)
     # fewer than 2 * threads draws leave one draw per thread
     runners = min(2 * threads, realizations)
-    # a refused pass is followed by one in complex128, which solves every
-    # row again at the same length, so none of the refused rows is left
-    for dtype, accept in ((dtype, accept), (np.complex128, None)):
-        # every runner's buffers and Gram matrix come from this thread's
-        # heap, which reuses what earlier calls freed, where a pool thread's
-        # arena would take new pages
-        stop = threading.Event()
-        runs = [
-            (_Draws(dt_used, dr_used, seed, dtype), range(k, realizations, runners),
-             samples, np.empty((n, n), dtype), stop)
-            for k in range(runners)
-        ]
-        with blas.one_thread(), ThreadPoolExecutor(max(1, runners - 1)) as pool:
-            # runner 0 runs on this thread, so a one-draw call starts no
-            # thread, and it solves row 0 first, so `accept` runs here
-            others = [pool.submit(_draw_and_solve, *run) for run in runs[1:]]
-            _draw_and_solve(*runs[0], accept)
-            for other in others:
-                other.result()
-        if not stop.is_set():
-            break
-        # the refused pass's buffers and Gram matrices go before the
-        # complex128 pass makes its own
-        del runs
+    # every runner's buffers and Gram matrix come from this thread's heap,
+    # which reuses what earlier calls freed, where a pool thread's arena
+    # would take new pages
+    runs = [
+        (_Draws(dt_used, dr_used, seed, dtype), range(k, realizations, runners),
+         samples, np.empty((n, n), dtype))
+        for k in range(runners)
+    ]
+    with blas.one_thread(), ThreadPoolExecutor(max(1, runners - 1)) as pool:
+        # runner 0 runs on this thread, so a one-draw call starts no thread
+        others = [pool.submit(_draw_and_solve, *run) for run in runs[1:]]
+        _draw_and_solve(*runs[0])
+        for other in others:
+            other.result()
     return ChannelEnsemble(samples, dt, dr, blas.eigensolver(dtype, n),
                            np.dtype(dtype).name)
 

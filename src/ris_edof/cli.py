@@ -23,17 +23,17 @@ Precision of the draws. The Monte Carlo products draw in complex128, but
 the EDoF products (`edof-sweep`, `capacity-curve` and the figures built on
 them) need only the EDoF of the mean ordered eigenvalue profile, so they may
 draw in complex64 behind a precision gate. A run of at least
-GATED_REALIZATIONS draws solves draw 0 in complex128 and then draws the
-complex64 ensemble with an `accept` check on its own row 0, since draw i
-depends only on (seed, i): the draws stay in complex64 when the profiles of
-the two draw-0 solves give EDoF n_s* within GATE_TOL of each other at every
-point of the run's SNR grid, and are drawn again in complex128 otherwise.
-So the precision follows from the config and seed alone, and a refused run
-writes the bytes of a run without the gate. `channel-eigs`, `bounds-audit`
-and the targets on them stay in complex128: they publish or audit every
-ordered eigenvalue, and float32 resolves nothing below about 1e-7 of the
-largest. The README's "Precision of the draws" records the measurements
-behind these choices.
+GATED_REALIZATIONS draws solves draw 0 in complex128, then draws the whole
+complex64 ensemble and checks its row 0 against that solve, since draw i
+depends only on (seed, i): the complex64 ensemble is the run's when the
+profiles of the two draw-0 solves give EDoF n_s* within GATE_TOL of each
+other at every point of the run's SNR grid. Otherwise the run drops it and
+draws the ensemble again in complex128. So the precision follows from the
+config and seed alone, and a refused run writes the bytes of a run without
+the gate. `channel-eigs`, `bounds-audit` and the targets on them stay in
+complex128: they publish or audit every ordered eigenvalue, and float32
+resolves nothing below about 1e-7 of the largest. The README's "Precision
+of the draws" records the measurements behind these choices.
 """
 
 import argparse
@@ -426,26 +426,24 @@ def _draws(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry,
     runs the gate, and only on at least GATED_REALIZATIONS draws."""
     dt, dr = _spectra(config, geom_t, geom_r)
     gate = {"gate_delta_edof": None, "gate_snr_db": None}
-    dtype, accept = np.complex128, None
+    ensemble = None
     if gated and config.realizations >= GATED_REALIZATIONS:
         # draw 0 in complex128 on this thread: a one-draw call holds one
         # draw's buffers and Gram matrix and starts no pool
         double = ensemble_from_spectra(
             dt, dr, 1, config.seed, threads=config.threads
         ).eig_samples[0]
-
-        def accept(single):
-            # the complex64 ensemble's row 0, gated on this thread while the
-            # other draw threads go on
-            delta, at = _precision_gate(double, single, float(dt.size * dr.size),
-                                        config.snr_grid_db)
-            gate.update(gate_delta_edof=delta, gate_snr_db=at)
-            return delta <= GATE_TOL
-
-        dtype = np.complex64
-    ensemble = ensemble_from_spectra(dt, dr, config.realizations, config.seed,
-                                     threads=config.threads, dtype=dtype,
-                                     accept=accept)
+        ensemble = ensemble_from_spectra(dt, dr, config.realizations, config.seed,
+                                         threads=config.threads, dtype=np.complex64)
+        delta, at = _precision_gate(double, ensemble.eig_samples[0],
+                                    float(dt.size * dr.size), config.snr_grid_db)
+        gate.update(gate_delta_edof=delta, gate_snr_db=at)
+        if delta > GATE_TOL:
+            # the refused rows go before the complex128 draws are made
+            ensemble = None
+    if ensemble is None:
+        ensemble = ensemble_from_spectra(dt, dr, config.realizations, config.seed,
+                                         threads=config.threads)
     return ensemble, {"precision": ensemble.precision,
                       "eigensolver": ensemble.eigensolver, **gate}
 

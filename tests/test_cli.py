@@ -16,6 +16,7 @@ import ris_edof
 from ris_edof import analytic_cdf, blas, channel_mc
 from ris_edof import cli
 from ris_edof.cli import (
+    ALLOW_LARGE_MAX_ELEMENTS,
     DESK_COLUMNS,
     GATE_TOL,
     GATED_REALIZATIONS,
@@ -24,7 +25,11 @@ from ris_edof.cli import (
     main,
     parse_config,
 )
-from ris_edof.correlation import effective_rank, geometry_spectrum
+from ris_edof.correlation import (
+    DEFAULT_MAX_ELEMENTS,
+    effective_rank,
+    geometry_spectrum,
+)
 from ris_edof.edof import EigenvalueProfile
 from ris_edof.errors import ValidationError
 from ris_edof.geometry import RisGeometry
@@ -115,14 +120,19 @@ def test_unusable_config_file_exits_2_naming_config(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
-    "len_x, spacing_x, field",
-    [(1e308, 1e-10, "spacing_x"), (10**400, 0.5, "len_x")],
-    ids=["side-count", "huge-int"],
+    "geometry, field",
+    [
+        ({"len_x": 1e308, "len_z": 3, "spacing_x": 1e-10, "spacing_z": 0.5},
+         "spacing_x"),
+        ({"len_x": 10**400, "len_z": 3, "spacing_x": 0.5, "spacing_z": 0.5},
+         "len_x"),
+        # and geometries that are no geometry
+        ([3, 3, 0.5, 0.5], "geometry_t"),
+        ({"len_x": 3, "len_z": 3, "spacing_x": 0.5}, "spacing_z"),
+    ],
+    ids=["side-count", "huge-int", "not-an-object", "missing-key"],
 )
-def test_geometry_overflow_exits_2_naming_field(
-    tmp_path, capsys, len_x, spacing_x, field
-):
-    geometry = {"len_x": len_x, "len_z": 3, "spacing_x": spacing_x, "spacing_z": 0.5}
+def test_geometry_overflow_exits_2_naming_field(tmp_path, capsys, geometry, field):
     cfg = write_config(tmp_path, dict(TINY, geometry_t=geometry))
     code = main(["corr-eigs", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
@@ -730,6 +740,16 @@ def test_reproduce_sixth_lambda_runs_full_aperture(tmp_path):
     assert "scaled" not in manifest
 
 
+def test_allow_large_raises_the_element_guard(tmp_path):
+    # the default panel, 12 x 12 wavelengths at half a wavelength
+    for flags, max_elements in (([], DEFAULT_MAX_ELEMENTS),
+                                (["--allow-large"], ALLOW_LARGE_MAX_ELEMENTS)):
+        out = tmp_path / str(max_elements)
+        assert main(["corr-eigs", "--out", str(out), *flags]) == 0
+        manifest = json.loads((out / "corr_eigs_manifest.json").read_text())
+        assert manifest["config"]["max_elements"] == max_elements
+
+
 def test_reproduce_twelfth_lambda_hits_size_guard(tmp_path, capsys):
     code = main(
         ["reproduce", "--target", "table1", "--column", "twelfth-lambda",
@@ -828,7 +848,15 @@ def test_reproduce_table1_half_lambda(tmp_path):
     assert manifest["target"] == "table1"
 
 
-@pytest.mark.parametrize("grid", [[4000, 4000, 1], [-10, 4000, 10], [-4000, 0, 10]])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [4000, 4000, 1], [-10, 4000, 10], [-4000, 0, 10],
+        # and grids that are no grid: too few values, a missing key, a step
+        # that is not positive and a stop below the start
+        [-10, 10], {"start": -10, "stop": 10}, [-10, 10, 0], [10, -10, 5],
+    ],
+)
 def test_out_of_range_snr_grid_exits_2(tmp_path, capsys, grid):
     cfg = write_config(tmp_path, dict(TINY, snr_grid_db=grid))
     code = main(["edof-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -850,6 +878,7 @@ def test_out_of_range_snr_grid_exits_2(tmp_path, capsys, grid):
         ("bounds-audit", {"slack": 10**400}, "options.slack"),
         ("cdf", {"points": 10_002}, "options.points"),
         ("cdf", {"points": 10**20}, "options.points"),
+        ("edof-sweep", ["slack"], "options"),
     ],
 )
 def test_bad_option_exits_2_naming_field(tmp_path, capsys, command, options, field):
@@ -1229,28 +1258,18 @@ def test_gate_never_solves_two_complex128_draws_at_once(lapack, monkeypatch, thr
 @pytest.mark.parametrize("threads", [1, 2])
 def test_gate_draws_row_0_once_per_precision(monkeypatch, tol, precision, threads):
     # draw 0 in complex128, a one-draw call solved on the calling thread;
-    # then one call that draws every row in complex64, whose row 0 the
-    # calling thread solves first and gates, and on a refusal draws every
-    # row again in complex128
+    # then one call that draws every row in complex64, whose row 0 the gate
+    # checks; and on a refusal one call that draws every row in complex128
     monkeypatch.setattr(cli, "GATE_TOL", tol)
     ensemble, blas_eigvalsh = cli.ensemble_from_spectra, blas.eigvalsh
-    main_thread = threading.get_ident()
+    precision_gate = cli._precision_gate
     calls, solved_on, gated = [], [], []
 
     def recorded(dt, dr, realizations, seed, **kwargs):
-        accept = kwargs.pop("accept", None)
-        calls.append((realizations, dict(kwargs), accept is not None))
         solved_on.append([])
-        if accept is not None:
-            def gate(row):
-                # the calling thread's complex solves so far in this call
-                gated.append((threading.get_ident(),
-                              solved_on[-1].count((main_thread, np.complex64)),
-                              row))
-                return accept(row)
-
-            kwargs["accept"] = gate
-        return ensemble(dt, dr, realizations, seed, **kwargs)
+        drawn = ensemble(dt, dr, realizations, seed, **kwargs)
+        calls.append((realizations, kwargs, drawn.eig_samples.copy()))
+        return drawn
 
     def eigvalsh(matrix):
         # the spectrum's real blocks are solved here too
@@ -1258,31 +1277,32 @@ def test_gate_draws_row_0_once_per_precision(monkeypatch, tol, precision, thread
             solved_on[-1].append((threading.get_ident(), matrix.dtype.type))
         return blas_eigvalsh(matrix)
 
+    def gate(double, single, *args):
+        gated.append((len(calls), double.copy(), single.copy()))
+        return precision_gate(double, single, *args)
+
     monkeypatch.setattr(cli, "ensemble_from_spectra", recorded)
     monkeypatch.setattr(blas, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(cli, "_precision_gate", gate)
     config = gated_config(threads)
     _, _, extras = cli._mean_profile(config, config.geometry_t, config.geometry_t)
     assert extras["precision"] == np.dtype(precision).name
-    assert calls == [
-        (1, {"threads": threads}, False),
-        (GATED_REALIZATIONS, {"threads": threads, "dtype": np.complex64}, True),
-    ]
-    assert solved_on[0] == [(main_thread, np.complex128)]
-    dtypes = [dtype for _, dtype in solved_on[1]]
-    assert dtypes.count(precision) == GATED_REALIZATIONS
+    expected = [(1, {"threads": threads}),
+                (GATED_REALIZATIONS, {"threads": threads, "dtype": np.complex64})]
     if precision == np.complex128:
-        # the refusal stopped every thread after the draw it was in, and
-        # the complex128 rows followed every complex64 one
-        assert 1 <= dtypes.count(np.complex64) <= GATED_REALIZATIONS
-        assert dtypes.index(np.complex128) == dtypes.count(np.complex64)
-    else:
-        assert dtypes == [np.complex64] * GATED_REALIZATIONS
-    # the gate saw complex64 row 0 right after the calling thread solved it
-    spectrum = geometry_spectrum(config.geometry_t)
-    row_0 = ensemble(spectrum, spectrum, 1, config.seed, dtype=np.complex64)
-    [(thread, solved, row)] = gated
-    assert (thread, solved) == (main_thread, 1)
-    assert np.array_equal(row, row_0.eig_samples[0])
+        expected.append((GATED_REALIZATIONS, {"threads": threads}))
+    assert [(realizations, kwargs) for realizations, kwargs, _ in calls] == expected
+    assert solved_on[0] == [(threading.get_ident(), np.complex128)]
+    for (realizations, kwargs, _), solved in zip(calls[1:], solved_on[1:]):
+        dtype = kwargs.get("dtype", np.complex128)
+        assert [solve for _, solve in solved] == [dtype] * realizations
+    # the gate ran once, after the complex64 call, on the complex128 draw 0
+    # and the complex64 call's row 0
+    [(made, double, single)] = gated
+    assert made == 2
+    assert np.array_equal(double, calls[0][2][0])
+    assert np.array_equal(single, calls[1][2][0])
+    assert not np.array_equal(double, single)
 
 
 MANIFEST_KEYS = {
