@@ -59,6 +59,22 @@ class Lapack(NamedTuple):
     core: str | None  # the CPU kernels OpenBLAS picked, None when it does not say
 
 
+class _Array:
+    """A ctypes argtype for numpy arrays of one dtype and layout. Its
+    ``from_param`` refuses an array of another dtype, or not laid out as
+    ``flags`` says, as ``np.ctypeslib.ndpointer`` does, and passes the
+    array's data pointer. ndpointer passes the array's ``ctypes`` object,
+    whose pointer cast leaves two objects in a reference cycle per array
+    argument (CPython bpo-12836) that only the cyclic collector frees."""
+
+    def __init__(self, dtype, flags: str):
+        self.ndpointer = np.ctypeslib.ndpointer(dtype, flags=flags)
+
+    def from_param(self, array: np.ndarray) -> ctypes.c_void_p:
+        self.ndpointer.from_param(array)
+        return ctypes.c_void_p(array.ctypes.data)
+
+
 # the largest complex64 rank that `eigvalsh` solves with the one-stage
 # ``cheev``; larger ones run ``cheev_2stage`` (see the module docstring)
 CHEEV_MAX_RANK = 1300
@@ -95,8 +111,7 @@ def load() -> Lapack | None:
             (zherk, (zheev,), np.complex128, np.float64),
             (cherk, (cheev_2stage, cheev), np.complex64, np.float32),
         ):
-            z = np.ctypeslib.ndpointer(complex_, flags="C_CONTIGUOUS")
-            d = np.ctypeslib.ndpointer(real, flags="C_CONTIGUOUS")
+            z, d = _Array(complex_, "C_CONTIGUOUS"), _Array(real, "C_CONTIGUOUS")
             scalar = ctypes.POINTER(np.ctypeslib.as_ctypes_type(real))
             herk.argtypes = [c, c, i64, i64, scalar, z, i64, scalar, z, i64,
                              length, length]
@@ -106,8 +121,8 @@ def load() -> Lapack | None:
                                  length, length]
                 heev.restype = None
         # the matrix in LAPACK's column-major layout, then 1-d arrays
-        f = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
-        ints = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+        f = _Array(np.float64, "F_CONTIGUOUS")
+        ints = _Array(np.int64, "C_CONTIGUOUS")
         dsyevd.argtypes = [c, c, i64, f, i64, f, f, i64, ints, i64, i64,
                            length, length]
         dsyevd.restype = None
@@ -182,7 +197,10 @@ def _names(dtype: np.dtype) -> tuple[str, str, str]:
 def one_thread() -> Iterator[None]:
     """OpenBLAS on one thread inside the block; the old count is restored
     after it, also when the block raises. On the numpy path, nothing
-    changes."""
+    changes. The count is the whole process's, so pins taken on two threads
+    at once must nest inside one outer pin that outlives both: otherwise
+    the first to end restores the old count under the other, whose calls
+    then run unpinned (and complex64 results move with the count)."""
     lapack = load()
     if lapack is None:
         yield

@@ -41,8 +41,13 @@ other draws need.
 
 Reproducibility: realization i always draws from a Philox stream keyed by
 (master seed, i), and its row depends on nothing else, so results are
-bit-identical regardless of how many workers participate. The kernels give
-the same bits on one BLAS thread as on several.
+bit-identical regardless of how many workers participate. The pin to one
+BLAS thread is part of that contract: complex128 rows come out the same on
+one OpenBLAS thread as on two, but complex64 rows do not (on a 2-core VM,
+two unpinned threads moved the first 4 draws at seed 43 by up to 1.3e-6
+of the largest value on the 625 x 625 and 625 x 2401 panel pairs). So the
+environment's BLAS thread count never reaches the rows only because the
+draws run inside `blas.one_thread`.
 """
 
 from concurrent.futures import ThreadPoolExecutor

@@ -41,15 +41,22 @@ centre, one for z at one, and one for x = z in a swap-symmetric row. Entry
 make exactly 1/2 and an uncorrelated lattice (f = 1 at the zero offset, 0
 elsewhere) gives exactly I in every block.
 
-Each block is gathered only when its turn comes and freed once solved. Two
-threads solve the blocks in list order with OpenBLAS pinned to one thread
-(`blas.one_thread`), so at most two blocks are alive at once, and the
-spectrum's bits depend on neither the BLAS thread count nor the CLI's
---threads.
+Each block is gathered only when its turn comes and freed once solved.
+The calling thread gathers every block, in list order, and hands it to the
+solver thread, or solves it itself when that thread is still busy, so two
+threads solve with OpenBLAS pinned to one thread (`blas.one_thread`) and at
+most two gathered blocks are alive at once. The spectrum's bits depend on
+neither the BLAS thread count nor the CLI's --threads, nor on which thread
+solved a block. Gathering on the calling thread keeps the blocks' freed
+pages in its heap, where the Monte Carlo draws, which allocate on that
+thread too, reuse them; a solver thread's gathers would leave them resident
+in its own malloc arena (on a 2-core VM, the edof-asym benchmark sweep,
+whose 2401-element spectrum runs before its draws, peaked at 53.0 MB that
+way against 49.6 MB, medians of 10 perfbench runs each).
 
 The blocks are solved in place: `blas.eigvalsh` runs LAPACK's ``dsyevd``,
 the routine numpy's eigvalsh runs, on the gathered block itself, so no
-solver thread holds numpy's column-major copy beside its block (on a
+solver holds numpy's column-major copy beside its block (on a
 2-core VM the spectrum of the 12-wavelength panel at a twelfth of a
 wavelength peaked at 573 MB with the copies and 307 MB without). LAPACK overwrites the block, so
 the trace is taken before the solve. A swap block is not symmetric bit for
@@ -61,7 +68,7 @@ values are numpy's bit for bit.
 
 import math
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -107,14 +114,15 @@ DEFAULT_MAX_ELEMENTS = 10_000
 
 PARITIES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-# Threads that solve the blocks of one spectrum, each on one BLAS thread.
+# Threads that solve the blocks of one spectrum, the calling thread among
+# them, each on one BLAS thread.
 SOLVER_THREADS = 2
 # Entries per row chunk of a block gather, so that the chunk's index arrays
-# and gathered terms stay small beside the block itself. On a 2-core VM, at
-# 1 << 15 (256 KB per array) the two threads' gathers raised the peak RSS of
-# the 9-wavelength panel at a sixth of a wavelength to 45.4-45.6 MB in about
-# half the runs, against 42.2-43.3 MB at 1 << 14, which took the same time
-# within noise.
+# and gathered terms stay small beside the block itself. On a 2-core VM, with
+# the blocks gathered on the calling thread, 1 << 15 (256 KB per array)
+# raised the max RSS of the 9-wavelength panel at a sixth of a wavelength to
+# 42.9-43.1 MB over 12 CLI runs, against 41.9-42.1 MB at 1 << 14, which took
+# the same time within noise.
 _CHUNK_ENTRIES = 1 << 14
 # sqrt(1/2)**k for k = 0..6, each rounded once: 1 or sqrt(1/2) times 2**-(k//2)
 _SQRT_HALF_POWERS = np.ldexp([1.0, np.sqrt(0.5)] * 3 + [1.0], -(np.arange(7) // 2))
@@ -234,10 +242,11 @@ def _blocks(table: np.ndarray, square: bool) -> tuple[str, list[Block]]:
     ]
 
 
-def _solve(block: Block) -> tuple[np.ndarray, float]:
-    """Ascending eigenvalues and trace of one block, which lives only for
-    this call and is solved in place."""
-    matrix = block.build()
+def _solve(block: Block, matrix: np.ndarray) -> tuple[np.ndarray, float]:
+    """Ascending eigenvalues and trace of `matrix`, the block as `block.build`
+    gathered it, which is solved in place and lives only for this call. On
+    a failure the block is gathered again for the diagnostics, since LAPACK
+    may have overwritten `matrix`."""
     trace = np.trace(matrix)  # before LAPACK overwrites the block
     try:
         values = blas.eigvalsh(matrix)
@@ -259,8 +268,10 @@ def eigen_decompose(
 ) -> np.ndarray:
     """All eigenvalues of the real symmetric matrix whose diagonal blocks are
     `blocks`, each counted `count` times, merged in non-increasing order.
-    SOLVER_THREADS threads build and solve the blocks in list order, on one
-    BLAS thread each.
+    The calling thread gathers the blocks in list order and hands each to a
+    free solver thread; when none of the SOLVER_THREADS - 1 is free, it
+    solves the block itself. So SOLVER_THREADS threads solve, on one BLAS
+    thread each, and at most SOLVER_THREADS gathered blocks are alive.
 
     Small negative eigenvalues (rounding noise from the PSD kernel) are
     clamped to zero; anything below -NEGATIVE_CLAMP_REL * alpha_1 raises, and
@@ -268,12 +279,21 @@ def eigen_decompose(
     `log`, when given, receives the trace, the smallest eigenvalue before
     the clamp and the eigensolver.
     """
-    with blas.one_thread(), ThreadPoolExecutor(SOLVER_THREADS) as pool:
-        parts = list(pool.map(_solve, blocks))
+    parts: list[Future] = []
+    with blas.one_thread(), ThreadPoolExecutor(SOLVER_THREADS - 1) as pool:
+        for block in blocks:
+            matrix = block.build()
+            if sum(not part.done() for part in parts) < SOLVER_THREADS - 1:
+                parts.append(pool.submit(_solve, block, matrix))
+            else:  # every solver thread is busy, so this one solves the block
+                parts.append(Future())
+                parts[-1].set_result(_solve(block, matrix))
+            del matrix  # a block this thread solved is freed before the next
+    solved = [part.result() for part in parts]
 
-    merged = [v for block, (v, _) in zip(blocks, parts) for _ in range(block.count)]
+    merged = [v for block, (v, _) in zip(blocks, solved) for _ in range(block.count)]
     values = np.sort(np.concatenate(merged))[::-1]
-    trace_in = float(sum(block.count * t for block, (_, t) in zip(blocks, parts)))
+    trace_in = float(sum(block.count * t for block, (_, t) in zip(blocks, solved)))
     if log is not None:
         log.trace, log.min_eigenvalue = trace_in, float(values[-1])
         log.eigensolver = blas.eigensolver(np.float64, values.size)

@@ -15,7 +15,14 @@ from scipy import stats as scipy_stats
 from ris_edof import blas, channel_mc
 from ris_edof.blas import composite_kernel
 from ris_edof.channel_mc import ChannelEnsemble, ensemble_from_spectra, ensemble_stats
-from ris_edof.correlation import _clamp_negative, effective_rank, geometry_spectrum
+from ris_edof.correlation import (
+    _clamp_negative,
+    _lattice_block,
+    _solve,
+    effective_rank,
+    geometry_spectrum,
+    offset_table,
+)
 from ris_edof.errors import NumericError, ValidationError
 from ris_edof.geometry import RisGeometry
 
@@ -281,6 +288,23 @@ def test_load_needs_the_thread_count_functions(monkeypatch, uncached_load, missi
         assert loaded is None
 
 
+def test_lapack_calls_leave_no_reference_cycles(lapack):
+    # each array argument reaches LAPACK as a bare data pointer, so a Gram
+    # matrix and its solve in each precision, and a correlation block's
+    # dsyevd solve, leave nothing for the cyclic collector
+    block = _lattice_block(offset_table(RisGeometry(2, 2, 0.5, 0.5)), 1, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        for dtype in PRECISIONS:
+            rows = np.arange(12.0).reshape(4, 3) + 1j
+            blas.eigvalsh(blas.gram(rows, np.empty((3, 3), dtype=dtype)))
+        _solve(block, block.build())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_run_ensemble_rejects_zero_realizations():
     with pytest.raises(ValidationError):
         ensemble_from_spectra(np.ones(1), np.ones(1), realizations=0, seed=1)
@@ -321,16 +345,24 @@ def blas_threads(lapack):
     lapack.set_threads(old)
 
 
-def test_ensemble_pins_blas_to_one_thread_and_restores(lapack, blas_threads, monkeypatch):
+@pytest.mark.parametrize("dtype", PRECISIONS)
+def test_ensemble_pins_blas_to_one_thread_and_restores(
+    lapack, blas_threads, monkeypatch, dtype
+):
+    # rank 12 runs zheev_2stage in complex128 and the one-stage cheev in
+    # complex64
+    name = blas.eigensolver(dtype, 12)
     during = []
 
-    def zheev(*args):
+    def heev(*args):
         during.append(blas_threads())
-        lapack.zheev_2stage(*args)
+        getattr(lapack, name)(*args)
 
-    monkeypatch.setattr(blas, "load", lambda: lapack._replace(zheev_2stage=zheev))
+    monkeypatch.setattr(blas, "load", lambda: lapack._replace(**{name: heev}))
     before = blas_threads()
-    ensemble_from_spectra(spectrum_of(12, 8), spectrum_of(12, 9), 3, 1, threads=2)
+    ensemble_from_spectra(
+        spectrum_of(12, 8), spectrum_of(12, 9), 3, 1, threads=2, dtype=dtype
+    )
     # a workspace query and a solve per draw
     assert during == [1] * 6
     assert blas_threads() == before == 2
@@ -531,22 +563,13 @@ def heev_workspace(lapack, n: int) -> int:
 
 
 def traced_call(dt, dr):
-    """The tracemalloc peak of a 4-draw call on one worker, and the bytes
-    of the reference cycles it left. Each LAPACK call's array arguments
-    leave ctypes pointer objects in reference cycles (CPython bpo-12836),
-    which only the cyclic collector frees; with the collector off for the
-    call, all of them are still live at its end."""
-    gc.collect()
-    gc.disable()
+    """The tracemalloc peak of a 4-draw call on one worker."""
     tracemalloc.start()
     try:
         ensemble_from_spectra(dt, dr, 4, 7, threads=1)
-        current, peak = tracemalloc.get_traced_memory()
-        gc.collect()
-        return peak, current - tracemalloc.get_traced_memory()[0]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        gc.enable()
 
 
 def test_draw_threads_hold_one_chunk_each(lapack):
@@ -554,22 +577,23 @@ def test_draw_threads_hold_one_chunk_each(lapack):
     # rows; A's real half, which no draw keeps, would take 1.6 MB
     rows, cols = 1000, 200
     dt, dr = spectrum_of(cols, 1), spectrum_of(rows, 2)
-    peak, cycles = traced_call(dt, dr)
     # what does not grow with the panels: the pool's threads and futures,
     # each draw's generators and the ctypes objects of its LAPACK calls,
-    # cycles included, measured on 1 x 1 spectra
-    fixed, _ = traced_call(np.ones(1), np.ones(1))
+    # measured on 1 x 1 spectra first, so that it also holds what only the
+    # process's first call allocates
+    fixed = traced_call(np.ones(1), np.ones(1))
+    peak = traced_call(dt, dr)
     # each of the worker's two threads' float64 and complex128 chunks, the
     # roots of the two spectra, its Gram matrix, the solve's workspace and
     # three eigenvalue vectors: the solve's, and the last draw's values and
-    # clamped row; and the samples, the cycles and what does not grow
+    # clamped row; and the samples and what does not grow
     chunks = channel_mc._CHUNK_ROWS * cols * (8 + 16)
     roots = (rows + cols) * 8
     gram = cols * cols * 16
     vectors = 3 * cols * 8
     samples = 4 * rows * 8
     per_thread = chunks + roots + gram + heev_workspace(lapack, cols) + vectors
-    assert peak < 2 * per_thread + samples + cycles + fixed, peak
+    assert peak < 2 * per_thread + samples + fixed, peak
 
 
 def test_rank_bounded_by_spectra():

@@ -1,5 +1,7 @@
 import math
+import threading
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -296,8 +298,8 @@ def test_plus_minus_values_come_in_bitwise_pairs(monkeypatch):
     solved = []
     solve = correlation._solve
 
-    def recorded(block):
-        result = solve(block)
+    def recorded(block, matrix):
+        result = solve(block, matrix)
         solved.append((block.count, result[0]))
         return result
 
@@ -375,7 +377,7 @@ def test_blocks_are_solved_in_place_as_numpy_solves_them(
         with blas.one_thread():
             expected = np.linalg.eigvalsh(formula)
             received.clear()
-            values, trace = correlation._solve(block._replace(build=lambda: gathered))
+            values, trace = correlation._solve(block, gathered)
         assert np.array_equal(values, expected)
         assert len(received) == 2  # the workspace query and the solve
         assert all(matrix.ctypes.data == gathered.ctypes.data for matrix in received)
@@ -444,6 +446,44 @@ def test_spectrum_peak_memory_within_four_quarter_blocks(geom):
     finally:
         tracemalloc.stop()
     assert peak <= limit
+
+
+@pytest.mark.parametrize(
+    "geom", [square(8, 0.25), RisGeometry(3, 2, 0.5, 0.5)], ids=["swap", "parity"]
+)
+def test_blocks_are_gathered_on_the_calling_thread(monkeypatch, geom):
+    # the calling thread gathers every block, so the freed blocks' pages stay
+    # in its heap, which the draws allocate from next; the solver thread only
+    # solves. Here it holds its first block until the calling thread has
+    # solved one, which it must do instead of waiting for a free solver
+    main = threading.get_ident()
+    gather, eigvalsh = correlation._gather, blas.eigvalsh
+    gathered, alive, solved_on = [], [], []
+    caller_solved = threading.Event()
+
+    def recorded_gather(*args):
+        matrix = gather(*args)
+        gathered.append((threading.get_ident(), weakref.ref(matrix)))
+        alive.append(sum(ref() is not None for _, ref in gathered))
+        return matrix
+
+    def recorded_eigvalsh(matrix):
+        solved_on.append(threading.get_ident())
+        if threading.get_ident() == main:
+            caller_solved.set()
+        else:
+            assert caller_solved.wait(timeout=10)
+        return eigvalsh(matrix)
+
+    expected = geometry_spectrum(geom)
+    monkeypatch.setattr(correlation, "_gather", recorded_gather)
+    monkeypatch.setattr(blas, "eigvalsh", recorded_eigvalsh)
+    values = geometry_spectrum(geom)
+    assert np.array_equal(values, expected)
+    assert [ident for ident, _ in gathered] == [main] * len(gathered)
+    assert len(gathered) == len(_blocks(offset_table(geom), geom.n_x == geom.n_z)[1])
+    assert max(alive) <= correlation.SOLVER_THREADS
+    assert main in solved_on and len(set(solved_on)) == 2
 
 
 def test_effective_rank_examples():
