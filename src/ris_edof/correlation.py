@@ -41,18 +41,16 @@ centre, one for z at one, and one for x = z in a swap-symmetric row. Entry
 make exactly 1/2 and an uncorrelated lattice (f = 1 at the zero offset, 0
 elsewhere) gives exactly I in every block.
 
-Each block is gathered only when its turn comes and freed once solved.
-The calling thread gathers every block, in list order, and hands it to the
-solver thread, or solves it itself when that thread is still busy, so two
-threads solve with OpenBLAS pinned to one thread (`blas.one_thread`) and at
-most two gathered blocks are alive at once. The spectrum's bits depend on
-neither the BLAS thread count nor the CLI's --threads, nor on which thread
-solved a block. Gathering on the calling thread keeps the blocks' freed
-pages in its heap, where the Monte Carlo draws, which allocate on that
-thread too, reuse them; a solver thread's gathers would leave them resident
-in its own malloc arena (on a 2-core VM, the edof-asym benchmark sweep,
-whose 2401-element spectrum runs before its draws, peaked at 53.0 MB that
-way against 49.6 MB, medians of 10 perfbench runs each).
+Each block is gathered only when its turn comes, solved and freed before
+the next, all on the calling thread with OpenBLAS pinned to one thread
+(`blas.one_thread`), so at most one gathered block is alive and the
+spectrum's bits depend on neither the BLAS thread count nor the CLI's
+--threads; the Monte Carlo draws' pool is the only thread pool. A
+solver thread beside the calling thread, which overlaps the small blocks
+with the largest one's solve, makes the 9-wavelength panel at a sixth of a
+wavelength about 1.5x faster in process on a 2-core VM (49 against 75 ms),
+but its `corr-eigs` run only about 15 ms faster, within the benchmark's
+noise, and it holds a second gathered block.
 
 The blocks are solved in place: `blas.eigvalsh` runs LAPACK's ``dsyevd``,
 the routine numpy's eigvalsh runs, on the gathered block itself, so no
@@ -68,7 +66,6 @@ values are numpy's bit for bit.
 
 import math
 from collections.abc import Callable, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -114,9 +111,6 @@ DEFAULT_MAX_ELEMENTS = 10_000
 
 PARITIES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-# Threads that solve the blocks of one spectrum, the calling thread among
-# them, each on one BLAS thread.
-SOLVER_THREADS = 2
 # Entries per row chunk of a block gather, so that the chunk's index arrays
 # and gathered terms stay small beside the block itself. On a 2-core VM, with
 # the blocks gathered on the calling thread, 1 << 15 (256 KB per array)
@@ -242,11 +236,12 @@ def _blocks(table: np.ndarray, square: bool) -> tuple[str, list[Block]]:
     ]
 
 
-def _solve(block: Block, matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Ascending eigenvalues and trace of `matrix`, the block as `block.build`
-    gathered it, which is solved in place and lives only for this call. On
-    a failure the block is gathered again for the diagnostics, since LAPACK
-    may have overwritten `matrix`."""
+def _solve(block: Block) -> tuple[np.ndarray, float]:
+    """Ascending eigenvalues and trace of the block, which is gathered,
+    solved in place and freed within this call. On a failure the block is
+    gathered again for the diagnostics, since LAPACK may have overwritten
+    it."""
+    matrix = block.build()
     trace = np.trace(matrix)  # before LAPACK overwrites the block
     try:
         values = blas.eigvalsh(matrix)
@@ -268,10 +263,8 @@ def eigen_decompose(
 ) -> np.ndarray:
     """All eigenvalues of the real symmetric matrix whose diagonal blocks are
     `blocks`, each counted `count` times, merged in non-increasing order.
-    The calling thread gathers the blocks in list order and hands each to a
-    free solver thread; when none of the SOLVER_THREADS - 1 is free, it
-    solves the block itself. So SOLVER_THREADS threads solve, on one BLAS
-    thread each, and at most SOLVER_THREADS gathered blocks are alive.
+    The blocks are gathered and solved one at a time, in list order, on the
+    calling thread and one BLAS thread.
 
     Small negative eigenvalues (rounding noise from the PSD kernel) are
     clamped to zero; anything below -NEGATIVE_CLAMP_REL * alpha_1 raises, and
@@ -279,17 +272,8 @@ def eigen_decompose(
     `log`, when given, receives the trace, the smallest eigenvalue before
     the clamp and the eigensolver.
     """
-    parts: list[Future] = []
-    with blas.one_thread(), ThreadPoolExecutor(SOLVER_THREADS - 1) as pool:
-        for block in blocks:
-            matrix = block.build()
-            if sum(not part.done() for part in parts) < SOLVER_THREADS - 1:
-                parts.append(pool.submit(_solve, block, matrix))
-            else:  # every solver thread is busy, so this one solves the block
-                parts.append(Future())
-                parts[-1].set_result(_solve(block, matrix))
-            del matrix  # a block this thread solved is freed before the next
-    solved = [part.result() for part in parts]
+    with blas.one_thread():
+        solved = [_solve(block) for block in blocks]
 
     merged = [v for block, (v, _) in zip(blocks, solved) for _ in range(block.count)]
     values = np.sort(np.concatenate(merged))[::-1]

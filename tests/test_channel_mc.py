@@ -299,7 +299,7 @@ def test_lapack_calls_leave_no_reference_cycles(lapack):
         for dtype in PRECISIONS:
             rows = np.arange(12.0).reshape(4, 3) + 1j
             blas.eigvalsh(blas.gram(rows, np.empty((3, 3), dtype=dtype)))
-        _solve(block, block.build())
+        _solve(block)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -481,8 +481,8 @@ def test_no_public_function_runs_off_the_main_thread(monkeypatch):
     channel_mc = sys.modules["ris_edof.channel_mc"]
     dt, dr = spectrum_of(12, 8), spectrum_of(12, 9)
     channel_mc.ensemble_from_spectra(dt, dr, 6, 1, threads=2)
-    # the spectrum's blocks are solved on two threads: a square panel's swap
-    # blocks and a rectangle's parity blocks
+    # the spectrum's blocks, a square panel's swap blocks and a rectangle's
+    # parity blocks, are solved on the calling thread
     correlation = sys.modules["ris_edof.correlation"]
     for geom in (SMALL, RisGeometry(3, 2, 0.5, 0.5)):
         correlation.geometry_spectrum(geom)

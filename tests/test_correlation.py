@@ -298,8 +298,8 @@ def test_plus_minus_values_come_in_bitwise_pairs(monkeypatch):
     solved = []
     solve = correlation._solve
 
-    def recorded(block, matrix):
-        result = solve(block, matrix)
+    def recorded(block):
+        result = solve(block)
         solved.append((block.count, result[0]))
         return result
 
@@ -377,7 +377,7 @@ def test_blocks_are_solved_in_place_as_numpy_solves_them(
         with blas.one_thread():
             expected = np.linalg.eigvalsh(formula)
             received.clear()
-            values, trace = correlation._solve(block, gathered)
+            values, trace = correlation._solve(block._replace(build=lambda: gathered))
         assert np.array_equal(values, expected)
         assert len(received) == 2  # the workspace query and the solve
         assert all(matrix.ctypes.data == gathered.ctypes.data for matrix in received)
@@ -431,14 +431,18 @@ def test_spectrum_peak_memory_below_half_dense_matrix():
 
 @pytest.mark.parametrize(
     "geom",
-    [RisGeometry(12, 12, 0.25, 0.25), RisGeometry(9, 9, 1 / 6, 1 / 6)],
-    ids=["12-quarter", "9-sixth"],
+    [RisGeometry(12, 12, 0.25, 0.25), RisGeometry(9, 9, 1 / 6, 1 / 6),
+     RisGeometry(11, 11, 1 / 6, 1 / 4)],
+    ids=["12-quarter", "9-sixth", "11-parity"],
 )
-def test_spectrum_peak_memory_within_four_quarter_blocks(geom):
-    # the blocks are built one at a time on two threads, so the peak stays
-    # under four float64 blocks of N/4 rows: 11.5 MB and 18.3 MB here (of
-    # numpy's allocations only, as above)
-    limit = 4 * 8 * (geom.n / 4) ** 2
+def test_spectrum_peak_memory_within_one_block_and_its_chunks(geom):
+    # one block is alive at a time, so the peak (of numpy's allocations only,
+    # as above) is the largest block plus its gather's chunk temporaries,
+    # arrays of _CHUNK_ENTRIES entries: 8.4 float64 chunks' worth over the
+    # block on all three panels
+    _, blocks = _blocks(offset_table(geom), geom.n_x == geom.n_z)
+    limit = 8 * max(block.rows for block in blocks) ** 2
+    limit += 12 * 8 * correlation._CHUNK_ENTRIES
     tracemalloc.start()
     try:
         geometry_spectrum(geom)
@@ -452,14 +456,12 @@ def test_spectrum_peak_memory_within_four_quarter_blocks(geom):
     "geom", [square(8, 0.25), RisGeometry(3, 2, 0.5, 0.5)], ids=["swap", "parity"]
 )
 def test_blocks_are_gathered_on_the_calling_thread(monkeypatch, geom):
-    # the calling thread gathers every block, so the freed blocks' pages stay
-    # in its heap, which the draws allocate from next; the solver thread only
-    # solves. Here it holds its first block until the calling thread has
-    # solved one, which it must do instead of waiting for a free solver
+    # every block is gathered, solved and freed on the calling thread before
+    # the next is gathered, so its freed pages stay in the heap the draws
+    # allocate from next and at most one gathered block is alive
     main = threading.get_ident()
     gather, eigvalsh = correlation._gather, blas.eigvalsh
     gathered, alive, solved_on = [], [], []
-    caller_solved = threading.Event()
 
     def recorded_gather(*args):
         matrix = gather(*args)
@@ -469,10 +471,6 @@ def test_blocks_are_gathered_on_the_calling_thread(monkeypatch, geom):
 
     def recorded_eigvalsh(matrix):
         solved_on.append(threading.get_ident())
-        if threading.get_ident() == main:
-            caller_solved.set()
-        else:
-            assert caller_solved.wait(timeout=10)
         return eigvalsh(matrix)
 
     expected = geometry_spectrum(geom)
@@ -480,10 +478,10 @@ def test_blocks_are_gathered_on_the_calling_thread(monkeypatch, geom):
     monkeypatch.setattr(blas, "eigvalsh", recorded_eigvalsh)
     values = geometry_spectrum(geom)
     assert np.array_equal(values, expected)
-    assert [ident for ident, _ in gathered] == [main] * len(gathered)
-    assert len(gathered) == len(_blocks(offset_table(geom), geom.n_x == geom.n_z)[1])
-    assert max(alive) <= correlation.SOLVER_THREADS
-    assert main in solved_on and len(set(solved_on)) == 2
+    blocks = len(_blocks(offset_table(geom), geom.n_x == geom.n_z)[1])
+    assert [ident for ident, _ in gathered] == [main] * blocks
+    assert solved_on == [main] * blocks
+    assert alive == [1] * blocks
 
 
 def test_effective_rank_examples():
