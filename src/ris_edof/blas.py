@@ -3,13 +3,18 @@ correlation spectrum: the one place that picks the library and the routine
 they run on.
 
 numpy's wheels bundle an ILP64 OpenBLAS whose symbols carry a ``scipy_``
-prefix and a ``64_`` suffix. When it exports ``zherk``, ``zheev_2stage``,
-their single-precision twins ``cherk`` and ``cheev_2stage``, the one-stage
-``cheev``, the real symmetric ``dsyevd``, and its thread-count getter and
-setter, `load` returns all eight, with the name of the CPU kernels OpenBLAS
-picked (`blas_core`). ``zherk`` adds one triangle of a row chunk's Gram
-matrix into the draw's, half the flops of ``a.conj().T @ a`` and with no
-conjugate copy; the ``heev`` routines with jobz='N' return its eigenvalues.
+prefix and a ``64_`` suffix. `ROUTINES` and `SYEVD` are the one list of
+routines: for each buffer dtype a Gram routine and its eigensolvers
+(``zherk`` and ``zheev_2stage``; the single-precision ``cherk``, the
+one-stage ``cheev`` and ``cheev_2stage``), and the real symmetric
+``dsyevd``. When the library exports every routine they name and its
+thread-count getter and setter, `load` binds them all, with the name of
+the CPU kernels OpenBLAS picked (`blas_core`); adding or dropping a routine
+is an edit of that table alone.
+
+``zherk`` adds one triangle of a row chunk's Gram matrix into the draw's,
+half the flops of ``a.conj().T @ a`` and with no conjugate copy; the
+``heev`` routines with jobz='N' return its eigenvalues.
 ``dsyevd`` is the routine numpy's own ``numpy.linalg.eigvalsh`` imports from
 this library, and `eigvalsh` runs it as numpy does on each float64
 correlation block, in place: numpy would first copy the block into a
@@ -43,17 +48,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, ValidationError
 
 
 class Lapack(NamedTuple):
     library: str  # basename of the shared library
-    zherk: object
-    zheev_2stage: object
-    cherk: object  # the single-precision twins of the two above
-    cheev_2stage: object
-    cheev: object  # the one-stage solver for complex64 ranks up to CHEEV_MAX_RANK
-    dsyevd: object  # the real symmetric solver of the correlation blocks
+    routines: dict  # name in ROUTINES or SYEVD -> the library's function
     get_threads: object  # OpenBLAS's thread-count getter and setter
     set_threads: object
     core: str | None  # the CPU kernels OpenBLAS picked, None when it does not say
@@ -75,15 +75,25 @@ class _Array:
         return ctypes.c_void_p(array.ctypes.data)
 
 
+class _Routines(dict):
+    """dtype -> routine names; a dtype with no row raises one error that
+    names it."""
+
+    def __missing__(self, dtype):
+        raise ValidationError(
+            f"no routines for {dtype}; use complex128 or complex64", "dtype"
+        )
+
+
 # the largest complex64 rank that `eigvalsh` solves with the one-stage
 # ``cheev``; larger ones run ``cheev_2stage`` (see the module docstring)
 CHEEV_MAX_RANK = 1300
 # dtype of the buffers -> the Gram routine, the eigensolver up to
 # CHEEV_MAX_RANK and the one above it, as the manifest names them
-ROUTINES = {
+ROUTINES = _Routines({
     np.dtype(np.complex128): ("zherk", "zheev_2stage", "zheev_2stage"),
     np.dtype(np.complex64): ("cherk", "cheev", "cheev_2stage"),
-}
+})
 # the eigensolver of a float64 matrix, the routine ``numpy.linalg.eigvalsh``
 # runs on it
 SYEVD = "dsyevd"
@@ -91,46 +101,44 @@ SYEVD = "dsyevd"
 
 @functools.cache
 def load() -> Lapack | None:
-    """The six routines, the thread-count getter and setter and the core
-    name from numpy's bundled OpenBLAS, or None when that build does not
-    export all eight functions."""
+    """Every routine that ROUTINES and SYEVD name, the thread-count getter
+    and setter and the core name from numpy's bundled OpenBLAS, or None when
+    that build does not export all of these functions."""
+    argtypes = _argtypes()
     libs = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*")
     for path in sorted(glob.glob(libs)):
         lib = ctypes.CDLL(path)
         try:
-            zherk, zheev = lib.scipy_zherk_64_, lib.scipy_zheev_2stage_64_
-            cherk, cheev_2stage = lib.scipy_cherk_64_, lib.scipy_cheev_2stage_64_
-            cheev, dsyevd = lib.scipy_cheev_64_, lib.scipy_dsyevd_64_
+            routines = {name: getattr(lib, f"scipy_{name}_64_") for name in argtypes}
             get = lib.scipy_openblas_get_num_threads64_
             set_ = lib.scipy_openblas_set_num_threads64_
         except AttributeError:
             continue
-        i64 = ctypes.POINTER(ctypes.c_int64)
-        c, length = ctypes.c_char_p, ctypes.c_size_t  # hidden Fortran string length
-        for herk, heevs, complex_, real in (
-            (zherk, (zheev,), np.complex128, np.float64),
-            (cherk, (cheev_2stage, cheev), np.complex64, np.float32),
-        ):
-            z, d = _Array(complex_, "C_CONTIGUOUS"), _Array(real, "C_CONTIGUOUS")
-            scalar = ctypes.POINTER(np.ctypeslib.as_ctypes_type(real))
-            herk.argtypes = [c, c, i64, i64, scalar, z, i64, scalar, z, i64,
-                             length, length]
-            herk.restype = None
-            for heev in heevs:  # the one- and two-stage solvers share them
-                heev.argtypes = [c, c, i64, z, i64, d, z, i64, d, i64,
-                                 length, length]
-                heev.restype = None
-        # the matrix in LAPACK's column-major layout, then 1-d arrays
-        f = _Array(np.float64, "F_CONTIGUOUS")
-        ints = _Array(np.int64, "C_CONTIGUOUS")
-        dsyevd.argtypes = [c, c, i64, f, i64, f, f, i64, ints, i64, i64,
-                           length, length]
-        dsyevd.restype = None
+        for name, routine in routines.items():
+            routine.argtypes, routine.restype = argtypes[name], None
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        return Lapack(os.path.basename(path), zherk, zheev, cherk, cheev_2stage,
-                      cheev, dsyevd, get, set_, _core_name(lib))
+        return Lapack(os.path.basename(path), routines, get, set_, _core_name(lib))
     return None
+
+
+def _argtypes() -> dict[str, list]:
+    """The ctypes argtypes of each routine that ROUTINES and SYEVD name, by
+    family: ``herk``, ``heev`` (one- and two-stage alike) and ``syevd``."""
+    i64 = ctypes.POINTER(ctypes.c_int64)
+    c, length = ctypes.c_char_p, ctypes.c_size_t  # hidden Fortran string length
+    # syevd's matrix in LAPACK's column-major layout, then 1-d arrays
+    f, ints = _Array(np.float64, "F_CONTIGUOUS"), _Array(np.int64, "C_CONTIGUOUS")
+    argtypes = {SYEVD: [c, c, i64, f, i64, f, f, i64, ints, i64, i64, length, length]}
+    for dtype, (herk, *heevs) in ROUTINES.items():
+        real = np.finfo(dtype).dtype
+        z, d = _Array(dtype, "C_CONTIGUOUS"), _Array(real, "C_CONTIGUOUS")
+        scalar = ctypes.POINTER(np.ctypeslib.as_ctypes_type(real))
+        argtypes[herk] = [c, c, i64, i64, scalar, z, i64, scalar, z, i64,
+                          length, length]
+        for heev in heevs:
+            argtypes[heev] = [c, c, i64, z, i64, d, z, i64, d, i64, length, length]
+    return argtypes
 
 
 def _core_name(lib) -> str | None:
@@ -178,19 +186,8 @@ def eigensolver(dtype, n: int) -> str:
         return "eigvalsh"
     if np.dtype(dtype) == np.float64:
         return SYEVD
-    _, small, large = _names(np.dtype(dtype))
+    _, small, large = ROUTINES[np.dtype(dtype)]
     return small if n <= CHEEV_MAX_RANK else large
-
-
-def _names(dtype: np.dtype) -> tuple[str, str, str]:
-    """The Gram routine's and the two eigensolvers' names for buffers of
-    ``dtype``."""
-    try:
-        return ROUTINES[dtype]
-    except KeyError:
-        raise ValueError(
-            f"no routines for {dtype}; use complex128 or complex64"
-        ) from None
 
 
 @contextlib.contextmanager
@@ -224,14 +221,14 @@ def gram(rows: np.ndarray, out: np.ndarray, accumulate: bool = False) -> np.ndar
     rows = np.ascontiguousarray(rows, dtype=out.dtype)
     k = rows.shape[1]
     if out.shape != (k, k):
-        raise ValueError(f"Gram buffer shape {out.shape} is not {(k, k)}")
+        raise ValidationError(f"Gram buffer shape {out.shape} is not {(k, k)}", "out")
     lapack = load()
     if lapack is None:
         if accumulate:
             out += rows.conj().T @ rows
             return out
         return np.matmul(rows.conj().T, rows, out=out)
-    herk = getattr(lapack, _names(out.dtype)[0])
+    herk = lapack.routines[ROUTINES[out.dtype][0]]
     scalar = np.ctypeslib.as_ctypes_type(out.real.dtype)
     # LAPACK reads the row-major ``rows`` as its k x r transpose F, and
     # F F^H = conj(rows^H rows) has the same eigenvalues
@@ -253,10 +250,10 @@ def eigvalsh(gram: np.ndarray) -> np.ndarray:
     if lapack is None:
         return np.linalg.eigvalsh(gram)
     if gram.dtype == np.float64:
-        return _syevd(lapack.dsyevd, np.asfortranarray(gram))
+        return _syevd(lapack.routines[SYEVD], np.asfortranarray(gram))
     n = gram.shape[0]
     name = eigensolver(gram.dtype, n)
-    heev = getattr(lapack, name)
+    heev = lapack.routines[name]
     real = gram.real.dtype
     c_n, ld = ctypes.c_int64(n), ctypes.c_int64(max(n, 1))
     values = np.empty(n, dtype=real)

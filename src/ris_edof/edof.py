@@ -99,19 +99,17 @@ class EigenvalueProfile:
     def rank(self) -> int:
         return self.gamma.size
 
-    def gamma_at(self, x) -> np.ndarray:
-        xs = np.asarray(x, dtype=float)
+    def gamma_at(self, x: float) -> float:
         nodes = np.arange(1, self.rank + 1, dtype=float)
-        vals = np.interp(xs, nodes, self.gamma)
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return float(vals)
-        return vals
+        return float(np.interp(x, nodes, self.gamma))
 
     @classmethod
     def from_values(cls, values) -> "EigenvalueProfile":
         values = np.asarray(values, dtype=float)
         if values.size == 0 or values[0] <= 0:
-            raise ValidationError("profile needs a positive leading value")
+            raise ValidationError(
+                "profile needs a positive leading value", field="gamma"
+            )
         return cls(gamma=values[: effective_rank(values)])
 
 

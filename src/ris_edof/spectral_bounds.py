@@ -123,7 +123,8 @@ def check_bounds(samples: np.ndarray, table: BoundTable) -> list[BoundViolation]
     if table.upper.size != samples.shape[1]:
         raise ValidationError(
             f"bound table has {table.upper.size} rows but samples have "
-            f"{samples.shape[1]} eigenvalues each"
+            f"{samples.shape[1]} eigenvalues each",
+            field="samples",
         )
     hi = table.upper * (1.0 + table.slack)
     lo = table.lower * (1.0 - table.slack)

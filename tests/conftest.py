@@ -50,7 +50,7 @@ def zheev_info(lapack, monkeypatch):
             else:
                 status.value = info
 
-        fake = lapack._replace(zheev_2stage=zheev)
+        fake = lapack._replace(routines=lapack.routines | {"zheev_2stage": zheev})
         monkeypatch.setattr(blas, "load", lambda: fake)
 
     return install

@@ -1,6 +1,7 @@
 """Records the output contract: the CSV of each of the six products at a tiny
-config, in tests/golden/, together with the numpy version and the composite
-kernel that wrote them (tests/golden/recorded.json). Run from the repository
+config, and of a sweep whose draws run in complex64, in tests/golden/,
+together with the numpy version, the composite kernel and the CPU kernels
+that wrote them (tests/golden/recorded.json). Run from the repository
 root after a change that moves numbers on purpose, and name the diff::
 
     PYTHONPATH=src python tests/record_golden.py
@@ -15,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ris_edof.blas import composite_kernel
-from ris_edof.cli import main
+from ris_edof.blas import blas_core, composite_kernel
+from ris_edof.cli import GATED_REALIZATIONS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RECORDED = GOLDEN / "recorded.json"
@@ -26,9 +27,11 @@ def _panel(side: float, spacing: float = 0.5) -> dict:
     return {"len_x": side, "len_z": side, "spacing_x": spacing, "spacing_z": spacing}
 
 
-# CSV stem -> (command, config). Each product once, on panels of at most 3
-# wavelengths at half-wavelength spacing; the sweep's receive panel is at a
-# quarter wavelength, where the rank cut drops modes.
+# golden file stem -> (command, config). Each product once, on panels of at
+# most 3 wavelengths at half-wavelength spacing; the sweep's receive panel is
+# at a quarter wavelength, where the rank cut drops modes. Those cases draw
+# in complex128; edof_sweep_complex64 is the same sweep with enough draws for
+# the precision gate, which lets them run in complex64.
 CASES = {
     "corr_eigs": ("corr-eigs", {"geometry_t": _panel(3.0)}),
     "channel_eigs": (
@@ -56,17 +59,31 @@ CASES = {
         "edof-sweep",
         {"geometry_t": _panel(2.0), "geometry_r": _panel(2.0, 0.25), "realizations": 4},
     ),
+    "edof_sweep_complex64": (
+        "edof-sweep",
+        {
+            "geometry_t": _panel(2.0),
+            "geometry_r": _panel(2.0, 0.25),
+            "realizations": GATED_REALIZATIONS,
+        },
+    ),
 }
 
 
 def environment() -> dict:
-    """What decides the float bits: the numpy version and the library the
-    composite draws run on."""
-    return {"numpy": np.__version__, "composite_kernel": composite_kernel()}
+    """What decides the float bits: the numpy version, the library the
+    composite draws run on, and the CPU kernels OpenBLAS picked, which the
+    bits of complex64 draws follow too."""
+    return {
+        "numpy": np.__version__,
+        "composite_kernel": composite_kernel(),
+        "blas_core": blas_core(),
+    }
 
 
 def run_case(name: str, work: Path) -> Path:
-    """Runs one case in the directory work and returns its CSV."""
+    """Runs one case in the directory work and returns its CSV, which the
+    command names after itself."""
     command, config = CASES[name]
     path = work / f"{name}.json"
     path.write_text(json.dumps(config))
@@ -74,7 +91,7 @@ def run_case(name: str, work: Path) -> Path:
     code = main([command, "--config", str(path), "--out", str(out)])
     if code != 0:
         raise RuntimeError(f"{command} exited {code}")
-    return out / f"{name}.csv"
+    return out / f"{command.replace('-', '_')}.csv"
 
 
 def record() -> None:

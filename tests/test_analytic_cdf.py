@@ -216,6 +216,17 @@ def test_pair_requires_positive_distinct_values():
         )
 
 
+@pytest.mark.parametrize(
+    "dt, dr, field",
+    [([], [0.6, 0.4], "dt_vals"), ([0.6, 0.4], [], "dr_vals")],
+    ids=["empty-dt", "empty-dr"],
+)
+def test_pair_names_the_empty_spectrum(dt, dr, field):
+    with pytest.raises(ValidationError, match="is empty") as info:
+        EigenProfilePair(dt_vals=np.array(dt), dr_vals=np.array(dr))
+    assert info.value.field == field
+
+
 def test_pair_jitter_resolves_ties():
     pair = EigenProfilePair.from_values([0.5, 0.5], [0.6, 0.4])
     assert pair.dt_vals[0] != pair.dt_vals[1]

@@ -141,7 +141,7 @@ def solved(lapack, monkeypatch):
     calls = []
 
     def counted(name):
-        heev = getattr(lapack, name)
+        heev = lapack.routines[name]
 
         def run(*args):
             calls.append((name, args[2].value))
@@ -150,7 +150,9 @@ def solved(lapack, monkeypatch):
         return run
 
     names = {"zheev_2stage", "cheev", "cheev_2stage"}
-    fake = lapack._replace(**{name: counted(name) for name in names})
+    fake = lapack._replace(
+        routines=lapack.routines | {name: counted(name) for name in names}
+    )
     monkeypatch.setattr(blas, "load", lambda: fake)
     return calls
 
@@ -288,6 +290,23 @@ def test_load_needs_the_thread_count_functions(monkeypatch, uncached_load, missi
         assert loaded is None
 
 
+@pytest.mark.parametrize(
+    "call, field, message",
+    [
+        (lambda: blas.gram(np.ones((4, 3)), np.empty((2, 2), complex)), "out",
+         r"\(2, 2\) is not \(3, 3\)"),
+        (lambda: blas.gram(np.ones((4, 3)), np.empty((3, 3), np.float32)), "dtype",
+         "no routines for float32"),
+        (lambda: blas.eigensolver(np.float32, 3), "dtype", "no routines for float32"),
+    ],
+    ids=["gram-shape", "gram-dtype", "eigensolver-dtype"],
+)
+def test_blas_names_the_rejected_argument(lapack, call, field, message):
+    with pytest.raises(ValidationError, match=message) as failure:
+        call()
+    assert failure.value.field == field
+
+
 def test_lapack_calls_leave_no_reference_cycles(lapack):
     # each array argument reaches LAPACK as a bare data pointer, so a Gram
     # matrix and its solve in each precision, and a correlation block's
@@ -356,9 +375,10 @@ def test_ensemble_pins_blas_to_one_thread_and_restores(
 
     def heev(*args):
         during.append(blas_threads())
-        getattr(lapack, name)(*args)
+        lapack.routines[name](*args)
 
-    monkeypatch.setattr(blas, "load", lambda: lapack._replace(**{name: heev}))
+    fake = lapack._replace(routines=lapack.routines | {name: heev})
+    monkeypatch.setattr(blas, "load", lambda: fake)
     before = blas_threads()
     ensemble_from_spectra(
         spectrum_of(12, 8), spectrum_of(12, 9), 3, 1, threads=2, dtype=dtype
@@ -554,7 +574,7 @@ def heev_workspace(lapack, n: int) -> int:
     ``zheev_2stage`` on an n x n matrix, from the routine's own workspace
     query."""
     query, rwork = np.empty(1, dtype=np.complex128), np.empty(3 * n - 2)
-    lapack.zheev_2stage(
+    lapack.routines["zheev_2stage"](
         b"N", b"L", ctypes.c_int64(n), np.zeros((n, n), dtype=np.complex128),
         ctypes.c_int64(n), np.empty(n), query, ctypes.c_int64(-1), rwork,
         ctypes.c_int64(0), 1, 1,

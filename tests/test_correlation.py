@@ -159,12 +159,12 @@ def test_solver_failure_is_a_numeric_error(lapack, monkeypatch):
     def dsyevd(*args):
         n, matrix, lwork, info = args[2].value, args[3], args[7], args[10]
         if n == 1 or lwork.value == -1:
-            lapack.dsyevd(*args)
+            lapack.routines["dsyevd"](*args)
         else:
             matrix[...] = np.nan
             info.value = 2
 
-    fake = lapack._replace(dsyevd=dsyevd)
+    fake = lapack._replace(routines=lapack.routines | {"dsyevd": dsyevd})
     monkeypatch.setattr(blas, "load", lambda: fake)
     assert_failure_describes_the_gathered_block()
 
@@ -362,9 +362,9 @@ def test_blocks_are_solved_in_place_as_numpy_solves_them(
 
     def dsyevd(*args):
         received.append(args[3])
-        lapack.dsyevd(*args)
+        lapack.routines["dsyevd"](*args)
 
-    fake = lapack._replace(dsyevd=dsyevd)
+    fake = lapack._replace(routines=lapack.routines | {"dsyevd": dsyevd})
     monkeypatch.setattr(blas, "load", lambda: fake)
     _, blocks = _blocks(offset_table(geom), square=geom.n_x == geom.n_z)
     seen = 0

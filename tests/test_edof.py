@@ -52,6 +52,27 @@ def test_profile_validation():
     assert profile.rank == 2  # trailing negligible value dropped
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: EigenvalueProfile(gamma=np.array([])), "gamma"),
+        (lambda: EigenvalueProfile.from_values([]), "gamma"),
+        (lambda: EigenvalueProfile.from_values([0.0, 0.0]), "gamma"),
+        (
+            lambda: capacity_degradation(
+                synthetic_profile(5, seed=6), 25.0, [0.0], dof_reference=0
+            ),
+            "dof_reference",
+        ),
+    ],
+    ids=["empty-profile", "empty-values", "no-positive-lead", "dof-reference-0"],
+)
+def test_validation_names_offending_field(build, field):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert info.value.field == field
+
+
 def test_profile_interpolant_flat_extension():
     profile = EigenvalueProfile.from_values([4.0, 2.0, 1.0])
     assert profile.gamma_at(1.0) == 4.0
@@ -256,9 +277,11 @@ def test_normalized_curve_peaks_at_brute_force_argmax(small_mc_profile):
 
 def trapezoid_h(profile, rho, nt_nr, x, step):
     """h by the trapezoid rule on a lattice of the given step (a power of 1/2,
-    so the lattice holds every knot and x)."""
+    so the lattice holds every knot and x), over the profile's
+    piecewise-linear interpolant."""
     ts = np.linspace(1.0, x, round((x - 1.0) / step) + 1)
-    gains = (rho * nt_nr / x) * profile.gamma_at(ts)
+    knots = np.arange(1.0, profile.rank + 1)
+    gains = (rho * nt_nr / x) * np.interp(ts, knots, profile.gamma)
     return float(np.trapezoid(np.log1p(gains), ts)) / math.log(2.0)
 
 

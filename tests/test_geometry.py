@@ -63,6 +63,8 @@ def test_asymptotic_dof(lx, lz, expected):
         # len / spacing overflows to inf, which round() cannot count
         (dict(len_x=1e308, len_z=1, spacing_x=1e-10, spacing_z=0.5), "spacing_x"),
         (dict(len_x=1, len_z=1e308, spacing_x=0.5, spacing_z=1e-10), "spacing_z"),
+        # a spacing wider than its side
+        (dict(len_x=1, len_z=1, spacing_x=2.0, spacing_z=0.5), "spacing_x"),
     ],
 )
 def test_validation_names_offending_field(kwargs, field):

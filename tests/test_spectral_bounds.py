@@ -39,6 +39,14 @@ def test_mp_edges_rejects_nonpositive():
         mp_edges(0.0)
 
 
+@pytest.mark.parametrize("eigenvalues", [2, 4], ids=["fewer", "more"])
+def test_check_bounds_rejects_another_row_count(eigenvalues):
+    table = per_eig_bounds(np.array([0.5, 0.3, 0.2]), np.array([0.6, 0.3, 0.1]))
+    with pytest.raises(ValidationError, match="3 rows") as info:
+        check_bounds(np.ones((2, eigenvalues)), table)
+    assert info.value.field == "samples"
+
+
 @given(st.floats(min_value=1e-6, max_value=1e6))
 def test_mp_edges_product_identity(eta):
     lo, hi = mp_edges(eta)
