@@ -70,23 +70,12 @@ class ChannelEnsemble:
     """Per-realization sorted eigenvalue vectors of the composite channel."""
 
     eig_samples: np.ndarray  # shape (realizations, len(dr)), rows non-increasing
-    dt: np.ndarray  # normalized transmit spectrum
-    dr: np.ndarray  # normalized receive spectrum
     eigensolver: str  # the routine that solved the draws (`blas.eigensolver`)
     precision: str  # the dtype they were solved in, complex128 or complex64
 
     @property
     def realizations(self) -> int:
         return self.eig_samples.shape[0]
-
-
-@dataclass
-class EigStats:
-    """Per-index summary statistics over an ensemble."""
-
-    mean_profile: np.ndarray
-    std_profile: np.ndarray
-    eigsum_mean: float
 
 
 class _Draws:
@@ -199,24 +188,4 @@ def ensemble_from_spectra(
         _draw_and_solve(*runs[0])
         for other in others:
             other.result()
-    return ChannelEnsemble(samples, dt, dr, blas.eigensolver(dtype, n),
-                           np.dtype(dtype).name)
-
-
-def ensemble_stats(ensemble: ChannelEnsemble) -> EigStats:
-    """Per-index mean and standard deviation profiles and the mean
-    eigenvalue sum."""
-    if ensemble.realizations < 2:
-        raise ValidationError(
-            f"need at least 2 realizations for statistics, got "
-            f"{ensemble.realizations}",
-            field="realizations",
-        )
-    samples = ensemble.eig_samples
-    mean = samples.mean(axis=0)
-    std = samples.std(axis=0, ddof=1)
-    return EigStats(
-        mean_profile=mean,
-        std_profile=std,
-        eigsum_mean=float(samples.sum(axis=1).mean()),
-    )
+    return ChannelEnsemble(samples, blas.eigensolver(dtype, n), np.dtype(dtype).name)

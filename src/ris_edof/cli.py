@@ -43,14 +43,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .blas import blas_core, composite_kernel
-from .channel_mc import ensemble_from_spectra, ensemble_stats
+from .channel_mc import ensemble_from_spectra
 from .correlation import DEFAULT_MAX_ELEMENTS, SpectrumLog, geometry_spectrum
 from .edof import (
     EigenvalueProfile,
@@ -129,12 +129,12 @@ _TOP_KEYS = {
 class RunConfig:
     geometry_t: RisGeometry
     geometry_r: RisGeometry
-    realizations: int = 1000
-    seed: int = 42
-    snr_start: float = -10.0
-    snr_stop: float = 40.0
-    snr_step: float = 5.0
-    options: dict = field(default_factory=dict)
+    realizations: int
+    seed: int
+    snr_start: float
+    snr_stop: float
+    snr_step: float
+    options: dict
     threads: int = 1
     max_elements: int = DEFAULT_MAX_ELEMENTS
 
@@ -418,13 +418,12 @@ def _precision_gate(double: np.ndarray, single: np.ndarray, nt_nr: float,
     return worst, at
 
 
-def _draws(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry,
-           gated: bool):
-    """The run's Monte Carlo ensemble and the extras that say which
-    precision its draws ran in, what the gate measured (see the module
-    docstring) and which eigensolver solved them. Only a ``gated`` product
-    runs the gate, and only on at least GATED_REALIZATIONS draws."""
-    dt, dr = _spectra(config, geom_t, geom_r)
+def _draws(config: RunConfig, dt: np.ndarray, dr: np.ndarray, gated: bool):
+    """The run's Monte Carlo ensemble over the spectra (dt, dr) and the
+    extras that say which precision its draws ran in, what the gate
+    measured (see the module docstring) and which eigensolver solved them.
+    Only a ``gated`` product runs the gate, and only on at least
+    GATED_REALIZATIONS draws."""
     gate = {"gate_delta_edof": None, "gate_snr_db": None}
     ensemble = None
     if gated and config.realizations >= GATED_REALIZATIONS:
@@ -451,9 +450,10 @@ def _draws(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry,
 def _mean_profile(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
     """Monte Carlo mean eigenvalue profile of the gated draws, n_t * n_r and
     the draws' extras."""
-    ensemble, extras = _draws(config, geom_t, geom_r, gated=True)
-    profile = EigenvalueProfile.from_values(ensemble_stats(ensemble).mean_profile)
-    return profile, float(ensemble.dt.size * ensemble.dr.size), extras
+    dt, dr = _spectra(config, geom_t, geom_r)
+    ensemble, extras = _draws(config, dt, dr, gated=True)
+    profile = EigenvalueProfile.from_values(ensemble.eig_samples.mean(axis=0))
+    return profile, float(dt.size * dr.size), extras
 
 
 # Products: (config, geom_t, geom_r) -> (header, rows, the job's extras).
@@ -466,17 +466,19 @@ def _spectrum(config, geom_t, geom_r):
 
 
 def _mean_std(config, geom_t, geom_r):
-    ensemble, extras = _draws(config, geom_t, geom_r, gated=False)
-    stats = ensemble_stats(ensemble)
-    rows = _indexed(stats.mean_profile, stats.std_profile)
-    extras["eigsum_mean"] = stats.eigsum_mean
+    dt, dr = _spectra(config, geom_t, geom_r)
+    ensemble, extras = _draws(config, dt, dr, gated=False)
+    samples = ensemble.eig_samples
+    rows = _indexed(samples.mean(axis=0), samples.std(axis=0, ddof=1))
+    extras["eigsum_mean"] = float(samples.sum(axis=1).mean())
     return ["k", "mean", "std"], rows, extras
 
 
 def _bounds_report(config, geom_t, geom_r):
     slack = float(config.options.get("slack", DEFAULT_SLACK))
-    ensemble, extras = _draws(config, geom_t, geom_r, gated=False)
-    table = per_eig_bounds(ensemble.dt, ensemble.dr, slack=slack)
+    dt, dr = _spectra(config, geom_t, geom_r)
+    ensemble, extras = _draws(config, dt, dr, gated=False)
+    table = per_eig_bounds(dt, dr, slack=slack)
     violations = check_bounds(ensemble.eig_samples, table)
     extras.update(regime=table.regime, slack=slack,
                   violation_count=len(violations))

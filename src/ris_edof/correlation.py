@@ -45,12 +45,7 @@ Each block is gathered only when its turn comes, solved and freed before
 the next, all on the calling thread with OpenBLAS pinned to one thread
 (`blas.one_thread`), so at most one gathered block is alive and the
 spectrum's bits depend on neither the BLAS thread count nor the CLI's
---threads; the Monte Carlo draws' pool is the only thread pool. A
-solver thread beside the calling thread, which overlaps the small blocks
-with the largest one's solve, makes the 9-wavelength panel at a sixth of a
-wavelength about 1.5x faster in process on a 2-core VM (49 against 75 ms),
-but its `corr-eigs` run only about 15 ms faster, within the benchmark's
-noise, and it holds a second gathered block.
+--threads; the Monte Carlo draws' pool is the only thread pool.
 
 The blocks are solved in place: `blas.eigvalsh` runs LAPACK's ``dsyevd``,
 the routine numpy's eigvalsh runs, on the gathered block itself, so no

@@ -40,7 +40,7 @@ class BoundTable:
 
     def __post_init__(self):
         if np.any(self.lower > self.upper * (1 + 1e-12)):
-            raise ValidationError("lower bound exceeds upper bound")
+            raise ValidationError("lower bound exceeds upper bound", field="lower")
 
 
 @dataclass
@@ -62,15 +62,18 @@ def mp_edges(eta: float) -> tuple[float, float]:
     return ((1.0 - root) ** 2, (1.0 + root) ** 2)
 
 
-def _smallest_significant(values: np.ndarray) -> float:
-    """Smallest eigenvalue above the effective-rank tolerance.
+def _smallest_significant(values: np.ndarray, name: str) -> float:
+    """Smallest eigenvalue above the effective-rank tolerance of the
+    spectrum ``name``.
 
     Using the literal smallest (often a clamped 0) would collapse every
     lower bound to 0 uninformatively.
     """
     rank = effective_rank(values)
     if rank == 0:
-        raise ValidationError("spectrum has no significant eigenvalues")
+        raise ValidationError(
+            f"spectrum {name} has no significant eigenvalues", field=name
+        )
     return float(values[rank - 1])
 
 
@@ -84,15 +87,16 @@ def per_eig_bounds(
     """
     dt = np.asarray(dt, dtype=float)
     dr = np.asarray(dr, dtype=float)
-    if dt.size == 0 or dr.size == 0:
-        raise ValidationError("spectra must be non-empty")
+    for name, values in (("dt", dt), ("dr", dr)):
+        if values.size == 0:
+            raise ValidationError(f"spectrum {name} is empty", field=name)
     n_t, n_r = dt.size, dr.size
 
     dt_pad = np.zeros(n_r)
     dt_pad[: min(n_t, n_r)] = dt[: min(n_t, n_r)]
     dt1, dr1 = float(dt[0]), float(dr[0])
-    dt_rank = _smallest_significant(dt)
-    dr_rank = _smallest_significant(dr)
+    dt_rank = _smallest_significant(dt, "dt")
+    dr_rank = _smallest_significant(dr, "dr")
 
     eta = n_t / n_r
     if ETA_LOW < eta < ETA_HIGH:

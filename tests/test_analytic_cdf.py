@@ -199,6 +199,15 @@ def test_singular_kernel_is_numeric_error():
         unordered_cdf(pair, 0.5)
 
 
+def test_degenerate_raw_cdf_span_is_numeric_error(monkeypatch):
+    pair = EigenProfilePair.from_values([0.7, 0.3], [0.6, 0.4])
+    # F(0+) at the raw CDF's upper limit 1/N leaves no span to normalize by
+    monkeypatch.setattr(analytic_cdf, "_raw_cdf", lambda kernel, alpha: 0.5)
+    with pytest.raises(NumericError, match="degenerate") as info:
+        unordered_cdf(pair, 0.5)
+    assert info.value.diagnostics == {"raw_lo": 0.5, "n": 2}
+
+
 @pytest.mark.parametrize("alpha", [float("nan"), np.array([0.1, np.nan, 0.3])])
 def test_nan_alpha_is_validation_error(alpha):
     pair = EigenProfilePair.from_values([0.7, 0.3], [0.6, 0.4])

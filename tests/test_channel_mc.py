@@ -14,7 +14,7 @@ from scipy import stats as scipy_stats
 
 from ris_edof import blas, channel_mc
 from ris_edof.blas import composite_kernel
-from ris_edof.channel_mc import ChannelEnsemble, ensemble_from_spectra, ensemble_stats
+from ris_edof.channel_mc import ensemble_from_spectra
 from ris_edof.correlation import (
     _clamp_negative,
     _lattice_block,
@@ -619,8 +619,8 @@ def test_draw_threads_hold_one_chunk_each(lapack):
 def test_rank_bounded_by_spectra():
     geom_t = RisGeometry(2, 2, 0.5, 0.5)
     ensemble = mc(geom_t, SMALL, realizations=5, seed=3)
-    r_t = effective_rank(ensemble.dt)
-    r_r = effective_rank(ensemble.dr)
+    r_t = effective_rank(geometry_spectrum(geom_t))
+    r_r = effective_rank(geometry_spectrum(SMALL))
     for row in ensemble.eig_samples:
         assert np.sum(row > 1e-14 * max(row[0], 1e-300)) <= min(r_t, r_r)
 
@@ -631,51 +631,24 @@ def test_rows_sorted_and_nonnegative():
     assert np.all(np.diff(ensemble.eig_samples, axis=1) <= 0)
 
 
-def test_stats_on_identical_samples():
-    row = np.array([[3.0, 2.0, 1.0]])
-    flat = np.ones(3) / 3
-    ensemble = ChannelEnsemble(
-        np.repeat(row, 4, axis=0), flat, flat, "eigvalsh", "complex128"
-    )
-    stats = ensemble_stats(ensemble)
-    assert np.array_equal(stats.std_profile, np.zeros(3))
-    assert np.array_equal(stats.mean_profile, row[0])
-    assert stats.eigsum_mean == pytest.approx(6.0)
-
-
-def test_stats_require_two_realizations():
-    flat = np.ones(2) / 2
-    ensemble = ChannelEnsemble(np.ones((1, 2)), flat, flat, "eigvalsh", "complex128")
-    with pytest.raises(ValidationError):
-        ensemble_stats(ensemble)
-
-
 def test_stats_mean_profile_non_increasing():
-    ensemble = mc(SMALL, SMALL, realizations=50, seed=11)
-    stats = ensemble_stats(ensemble)
-    assert np.all(np.diff(stats.mean_profile) <= 0)
-    assert np.all(stats.std_profile >= 0)
+    samples = mc(SMALL, SMALL, realizations=50, seed=11).eig_samples
+    assert np.all(np.diff(samples.mean(axis=0)) <= 0)
+    assert np.all(samples.std(axis=0, ddof=1) >= 0)
 
 
 def test_eigensum_scalar_channel():
     ensemble = ensemble_from_spectra(
         np.array([1.0]), np.array([1.0]), realizations=500, seed=21
     )
-    assert ensemble_stats(ensemble).eigsum_mean == pytest.approx(
+    assert ensemble.eig_samples.sum(axis=1).mean() == pytest.approx(
         1.0, abs=3 / np.sqrt(500)
     )
 
 
-def test_eigensum_zero_channel_injected():
-    # ensemble_stats needs two realizations
-    flat = np.ones(2) / 2
-    ensemble = ChannelEnsemble(np.zeros((2, 2)), flat, flat, "eigvalsh", "complex128")
-    assert ensemble_stats(ensemble).eigsum_mean == 0.0
-
-
 def test_eigensum_near_one_small_geometry():
     ensemble = mc(SMALL, SMALL, realizations=300, seed=13)
-    assert ensemble_stats(ensemble).eigsum_mean == pytest.approx(1.0, abs=0.05)
+    assert ensemble.eig_samples.sum(axis=1).mean() == pytest.approx(1.0, abs=0.05)
 
 
 def test_swap_symmetry_of_link_ends():
@@ -693,7 +666,6 @@ def test_dense_spacing_eigenvalues_concentrate():
     # scaled-down stand-in for the dense-spacing panels: per-index spread of
     # the leading eigenvalues is far below their mean
     geom = RisGeometry(6, 6, 1 / 6, 1 / 6)
-    ensemble = mc(geom, geom, realizations=100, seed=42)
-    stats = ensemble_stats(ensemble)
-    ratio = stats.std_profile[:12] / stats.mean_profile[:12]
+    samples = mc(geom, geom, realizations=100, seed=42).eig_samples[:, :12]
+    ratio = samples.std(axis=0, ddof=1) / samples.mean(axis=0)
     assert ratio.max() < 0.1

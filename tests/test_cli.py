@@ -1218,6 +1218,28 @@ def test_gated_run_peaks_below_a_refused_one(lapack, monkeypatch):
     assert peaks["complex64"] < peaks["complex128"], peaks
 
 
+def test_mean_profile_peaks_below_twice_the_draws(monkeypatch):
+    # the EDoF products reduce the draws to their per-index mean only: the
+    # run holds the samples and its draw buffers, where a per-index std
+    # would add a temporary of the samples' size
+    config = parse_config({**TINY, "realizations": GATED_REALIZATIONS}, "edof-sweep")
+    config.threads = 1
+    geom = config.geometry_t
+    spectra = cli._spectra(config, geom, geom)
+    monkeypatch.setattr(cli, "_spectra", lambda *args: spectra)
+    # a first run holds what only the process's first draws allocate
+    cli._mean_profile(config, geom, geom)
+    config.realizations = 2000
+    tracemalloc.start()
+    try:
+        cli._mean_profile(config, geom, geom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    samples = config.realizations * spectra[1].size * 8
+    assert samples < peak < 2 * samples, (peak, samples)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_gate_never_solves_two_complex128_draws_at_once(lapack, monkeypatch, threads):
     # a complex128 Gram matrix is live from its first row chunk's

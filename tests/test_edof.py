@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_edof import edof
-from ris_edof.channel_mc import ensemble_from_spectra, ensemble_stats
+from ris_edof.channel_mc import ensemble_from_spectra
 from ris_edof.correlation import geometry_spectrum
 from ris_edof.edof import (
     EigenvalueProfile,
@@ -64,8 +64,11 @@ def test_profile_validation():
             ),
             "dof_reference",
         ),
+        (lambda: h_and_derivative(synthetic_profile(5, seed=6), 1.0, 1.0, 0.5), "n_s"),
+        (lambda: h_and_derivative(synthetic_profile(5, seed=6), 1.0, 1.0, 5.5), "n_s"),
     ],
-    ids=["empty-profile", "empty-values", "no-positive-lead", "dof-reference-0"],
+    ids=["empty-profile", "empty-values", "no-positive-lead", "dof-reference-0",
+         "n_s-below-1", "n_s-above-rank"],
 )
 def test_validation_names_offending_field(build, field):
     with pytest.raises(ValidationError) as info:
@@ -202,8 +205,7 @@ def small_mc_profile():
     geom = RisGeometry(3, 3, 0.5, 0.5)
     spectrum = geometry_spectrum(geom)
     ensemble = ensemble_from_spectra(spectrum, spectrum, realizations=200, seed=7)
-    stats = ensemble_stats(ensemble)
-    profile = EigenvalueProfile.from_values(stats.mean_profile)
+    profile = EigenvalueProfile.from_values(ensemble.eig_samples.mean(axis=0))
     return geom, profile
 
 

@@ -47,6 +47,28 @@ def test_check_bounds_rejects_another_row_count(eigenvalues):
     assert info.value.field == "samples"
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: per_eig_bounds(np.array([]), np.array([0.6, 0.4])), "dt"),
+        (lambda: per_eig_bounds(np.array([0.6, 0.4]), np.array([])), "dr"),
+        (lambda: per_eig_bounds(np.zeros(2), np.array([0.6, 0.4])), "dt"),
+        (lambda: per_eig_bounds(np.array([0.6, 0.4]), np.zeros(2)), "dr"),
+        (
+            lambda: BoundTable(REGIME_NT_APPROX_NR, np.array([2.0]),
+                               np.array([1.0]), DEFAULT_SLACK),
+            "lower",
+        ),
+    ],
+    ids=["empty-dt", "empty-dr", "no-significant-dt", "no-significant-dr",
+         "lower-above-upper"],
+)
+def test_validation_names_offending_field(build, field):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert info.value.field == field
+
+
 @given(st.floats(min_value=1e-6, max_value=1e6))
 def test_mp_edges_product_identity(eta):
     lo, hi = mp_edges(eta)
