@@ -56,8 +56,8 @@ from .edof import (
     EigenvalueProfile,
     capacity_curve,
     capacity_degradation,
+    edof_gap,
     snr_db_to_linear,
-    solve_edof,
 )
 from .errors import NumericError, SizeGuardError, ValidationError
 from .geometry import RisGeometry, asymptotic_dof
@@ -402,22 +402,6 @@ def _spectra(config: RunConfig, geom_t: RisGeometry, geom_r: RisGeometry):
     return dt, geometry_spectrum(geom_r, max_elements=config.max_elements)
 
 
-def _precision_gate(double: np.ndarray, single: np.ndarray, nt_nr: float,
-                    snr_grid_db) -> tuple[float, float]:
-    """The largest |n_s*| difference over the SNR grid between the profiles
-    of one draw solved in complex128 (``double``) and in complex64
-    (``single``), and the SNR where it fell."""
-    profiles = [EigenvalueProfile.from_values(row) for row in (double, single)]
-    worst, at = -1.0, None
-    for snr_db in snr_grid_db:
-        rho = snr_db_to_linear(snr_db)
-        delta = abs(solve_edof(profiles[0], rho, nt_nr).n_s_star
-                    - solve_edof(profiles[1], rho, nt_nr).n_s_star)
-        if delta > worst:
-            worst, at = delta, snr_db
-    return worst, at
-
-
 def _draws(config: RunConfig, dt: np.ndarray, dr: np.ndarray, gated: bool):
     """The run's Monte Carlo ensemble over the spectra (dt, dr) and the
     extras that say which precision its draws ran in, what the gate
@@ -434,8 +418,9 @@ def _draws(config: RunConfig, dt: np.ndarray, dr: np.ndarray, gated: bool):
         ).eig_samples[0]
         ensemble = ensemble_from_spectra(dt, dr, config.realizations, config.seed,
                                          threads=config.threads, dtype=np.complex64)
-        delta, at = _precision_gate(double, ensemble.eig_samples[0],
-                                    float(dt.size * dr.size), config.snr_grid_db)
+        delta, at = edof_gap(EigenvalueProfile.from_values(double),
+                             EigenvalueProfile.from_values(ensemble.eig_samples[0]),
+                             float(dt.size * dr.size), config.snr_grid_db)
         gate.update(gate_delta_edof=delta, gate_snr_db=at)
         if delta > GATE_TOL:
             # the refused rows go before the complex128 draws are made

@@ -285,6 +285,21 @@ def solve_edof(profile: EigenvalueProfile, rho: float, nt_nr: float) -> EdofResu
     )
 
 
+def edof_gap(
+    a: EigenvalueProfile, b: EigenvalueProfile, nt_nr: float, snr_grid_db
+) -> tuple[float, float]:
+    """The largest |n_s*| difference between the profiles a and b over the
+    SNR grid, and the first grid point where it falls."""
+    worst, at = -1.0, None
+    for snr_db in snr_grid_db:
+        rho = snr_db_to_linear(snr_db)
+        delta = abs(solve_edof(a, rho, nt_nr).n_s_star
+                    - solve_edof(b, rho, nt_nr).n_s_star)
+        if delta > worst:
+            worst, at = delta, snr_db
+    return worst, at
+
+
 def capacity_degradation(
     profile: EigenvalueProfile,
     nt_nr: float,

@@ -32,7 +32,8 @@ def quarter_spectrum() -> np.ndarray:
 def lapack() -> blas.Lapack:
     loaded = blas.load()
     if loaded is None:
-        pytest.skip("numpy's BLAS does not export zherk and zheev_2stage")
+        pytest.skip("numpy's BLAS does not export every routine of "
+                    "blas.ROUTINES, dsyevd and the thread-count getter and setter")
     return loaded
 
 

@@ -331,56 +331,6 @@ def test_threads_default_to_the_cap(tmp_path, monkeypatch):
     assert (default / csv).read_bytes() == (one / csv).read_bytes()
 
 
-# 6 x 6 wavelengths at a quarter wavelength: 25 x 25 = 625 elements, where the
-# spectrum's bits once moved with the BLAS thread count
-SQUARE_625 = {"len_x": 6, "len_z": 6, "spacing_x": 0.25, "spacing_z": 0.25}
-
-
-def test_csv_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
-    src = str(Path(ris_edof.__file__).resolve().parents[1])
-    # --threads is capped at half the usable CPUs: each run sees 4, so that
-    # --threads 2 runs two workers on any machine
-    run = "import sys; from ris_edof import cli; cli._usable_cpus = lambda: 4; " \
-          "sys.exit(cli.main(sys.argv[1:]))"
-    runs = {
-        "corr-eigs": write_config(
-            tmp_path, {"geometry_t": SQUARE_625}, "spectrum.json"
-        ),
-        # enough draws for the precision gate, which lets them run in
-        # complex64
-        "edof-sweep": write_config(
-            tmp_path,
-            {"geometry_t": SQUARE_625, "realizations": GATED_REALIZATIONS},
-            "sweep.json",
-        ),
-    }
-    digests = {command: set() for command in runs}
-    for blas_threads in (None, "1", "2"):
-        env = dict(os.environ, PYTHONPATH=src)
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        if blas_threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = blas_threads
-        for threads in ("1", "2"):
-            for command, cfg in runs.items():
-                out = tmp_path / f"{command}-{blas_threads}-{threads}"
-                subprocess.run(
-                    [sys.executable, "-c", run, command, "--config", str(cfg),
-                     "--threads", threads, "--out", str(out)],
-                    env=env, check=True, capture_output=True,
-                )
-                stem = command.replace("-", "_")
-                manifest = json.loads((out / f"{stem}_manifest.json").read_text())
-                assert manifest["config"]["threads"] == int(threads)
-                csv = out / f"{stem}.csv"
-                digests[command].add(hashlib.sha256(csv.read_bytes()).hexdigest())
-    manifest = tmp_path / "edof-sweep-2-2" / "edof_sweep_manifest.json"
-    sweep = json.loads(manifest.read_text())
-    assert sweep["jobs"][0]["extras"]["precision"] == "complex64"
-    assert {command: len(found) for command, found in digests.items()} == {
-        "corr-eigs": 1, "edof-sweep": 1
-    }
-
-
 @pytest.mark.parametrize(
     "argv, symmetries",
     [
@@ -722,22 +672,6 @@ def test_cdf_manifest_records_working_precision_and_jitter(tmp_path):
         "jittered_dt": tie,
         "jittered_dr": tie,
     }
-
-
-def test_reproduce_sixth_lambda_runs_full_aperture(tmp_path):
-    out = tmp_path / "o"
-    code = main(
-        ["reproduce", "--target", "table1", "--column", "sixth-lambda",
-         "--out", str(out)]
-    )
-    assert code == 0
-    header, rows = read_csv(out / "table1_sixth-lambda.csv")
-    assert len(rows) == 73 * 73  # 12-wavelength aperture at lambda/6
-    manifest = json.loads((out / "reproduce_table1_manifest.json").read_text())
-    (job,) = manifest["jobs"]
-    assert job["column"] == "sixth-lambda"
-    assert job["geometry_t"]["len_x"] == 12.0
-    assert "scaled" not in manifest
 
 
 def test_allow_large_raises_the_element_guard(tmp_path):
@@ -1094,6 +1028,8 @@ def test_sweep_records_profile_rank_and_ref_clip(tmp_path, geometry_t, clipped):
 # the gate's n_s* by at most 1.3e-4 up to 40 dB, by 1.4e-3-4.6e-3 at
 # 70-90 dB and by 0.73 at 100 dB
 SQUARE_169 = {"len_x": 6, "len_z": 6, "spacing_x": 0.5, "spacing_z": 0.5}
+# 25 x 25 elements
+SQUARE_625 = {"len_x": 6, "len_z": 6, "spacing_x": 0.25, "spacing_z": 0.25}
 
 
 @pytest.mark.parametrize(
@@ -1284,7 +1220,7 @@ def test_gate_draws_row_0_once_per_precision(monkeypatch, tol, precision, thread
     # checks; and on a refusal one call that draws every row in complex128
     monkeypatch.setattr(cli, "GATE_TOL", tol)
     ensemble, blas_eigvalsh = cli.ensemble_from_spectra, blas.eigvalsh
-    precision_gate = cli._precision_gate
+    edof_gap = cli.edof_gap
     calls, solved_on, gated = [], [], []
 
     def recorded(dt, dr, realizations, seed, **kwargs):
@@ -1300,12 +1236,12 @@ def test_gate_draws_row_0_once_per_precision(monkeypatch, tol, precision, thread
         return blas_eigvalsh(matrix)
 
     def gate(double, single, *args):
-        gated.append((len(calls), double.copy(), single.copy()))
-        return precision_gate(double, single, *args)
+        gated.append((len(calls), double.gamma.copy(), single.gamma.copy()))
+        return edof_gap(double, single, *args)
 
     monkeypatch.setattr(cli, "ensemble_from_spectra", recorded)
     monkeypatch.setattr(blas, "eigvalsh", eigvalsh)
-    monkeypatch.setattr(cli, "_precision_gate", gate)
+    monkeypatch.setattr(cli, "edof_gap", gate)
     config = gated_config(threads)
     _, _, extras = cli._mean_profile(config, config.geometry_t, config.geometry_t)
     assert extras["precision"] == np.dtype(precision).name
@@ -1322,8 +1258,8 @@ def test_gate_draws_row_0_once_per_precision(monkeypatch, tol, precision, thread
     # and the complex64 call's row 0
     [(made, double, single)] = gated
     assert made == 2
-    assert np.array_equal(double, calls[0][2][0])
-    assert np.array_equal(single, calls[1][2][0])
+    for profile, (_, _, rows) in zip((double, single), calls):
+        assert np.array_equal(profile, EigenvalueProfile.from_values(rows[0]).gamma)
     assert not np.array_equal(double, single)
 
 

@@ -14,6 +14,7 @@ from ris_edof.edof import (
     capacity,
     capacity_curve,
     capacity_degradation,
+    edof_gap,
     h_and_derivative,
     snr_db_to_linear,
     solve_edof,
@@ -82,6 +83,20 @@ def test_profile_interpolant_flat_extension():
     assert profile.gamma_at(1.5) == 3.0
     assert profile.gamma_at(0.2) == 4.0
     assert profile.gamma_at(7.0) == 1.0
+
+
+def test_edof_gap_is_the_worst_n_s_difference_over_the_grid():
+    # a flat profile uses all 4 modes at every SNR; a geometric one uses
+    # fewer, the fewest at the lowest SNR, where the gap is widest
+    flat = EigenvalueProfile.from_values([0.25] * 4)
+    geometric = EigenvalueProfile.from_values([0.5, 0.25, 0.125, 0.0625])
+    grid = [-10.0, 0.0, 10.0]
+    low = solve_edof(geometric, snr_db_to_linear(-10.0), 16.0).n_s_star
+    assert solve_edof(geometric, snr_db_to_linear(10.0), 16.0).n_s_star == 4.0
+    assert edof_gap(flat, geometric, 16.0, grid) == (4.0 - low, -10.0)
+    assert edof_gap(geometric, flat, 16.0, grid) == (4.0 - low, -10.0)
+    # a tie keeps the first grid point
+    assert edof_gap(flat, flat, 16.0, grid) == (0.0, -10.0)
 
 
 def test_capacity_zero_snr():
